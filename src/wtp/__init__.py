@@ -32,7 +32,6 @@ from .symbolic import (
     DigitSystem,
     FollowerAutomaton,
     LabeledGraph,
-    ProjectedAlphabet,
     SoficChain,
     SpongeChain,
     Word,
@@ -40,7 +39,6 @@ from .symbolic import (
     determinize,
     full_shift_chain,
     preimage_count,
-    project_alphabet,
     validate_digit_system,
 )
 from .variational import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import nested_count, submultiplicativity_check
+from .estimator import _bottom_matrices, nested_count, submultiplicativity_check
 from .sofic import build_count_matrices, detect_alignment, golden_mean_chain
 from .sponge import (
     Potential,
@@ -170,22 +170,10 @@ def _golden_word_and_path_counts(n_max=10):
     alignment = detect_alignment(mats)
     labels = sorted(alignment.eigenvalues)
     arrays = {m.label: m.as_array().astype(float) for m in mats if not m.is_zero}
-    aut = chain.automaton(1)
-    fibers = chain.fibers(1)
-    nstates = len(aut.states)
-    transfer = {}
-    for label in labels:
-        t = np.zeros((nstates, nstates))
-        for letter in fibers[label]:
-            for s in range(nstates):
-                dst = aut.transitions.get((s, letter))
-                if dst is not None:
-                    t[dst, s] += 1.0
-        transfer[label] = t
-    start = np.zeros(nstates)
-    start[aut.initial] = 1.0
+    start, bottom, _tail, _exact = _bottom_matrices(chain, None, 1)
+    transfer = dict(zip(chain.alphabet(2), (m.astype(float) for m in bottom)))
 
-    words = start[None, :].copy()
+    words = start.astype(float)[None, :]
     paths = np.eye(len(chain.graph.vertices))[None, :, :]
     lam = np.ones(1)
     for n in range(1, n_max + 1):

@@ -9,7 +9,6 @@ numbers bit for bit.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -26,12 +25,8 @@ from .errors import (
     ValidationError,
     WtpError,
 )
-from .estimator import DEFAULT_BUDGET, entropy_estimate
-from .sofic import (
-    AMBIGUITY_WARNING,
-    sofic_dimension_report,
-    sofic_weighted_entropy_closed_form,
-)
+from .estimator import DEFAULT_BUDGET, DEFAULT_N_MAX, entropy_estimate
+from .sofic import AMBIGUITY_WARNING, sofic_weighted_entropy_closed_form
 from .sponge import (
     Potential,
     hausdorff_dimension,
@@ -39,24 +34,22 @@ from .sponge import (
     minkowski_dimension,
 )
 from .symbolic import (
+    Chain,
     LabeledGraph,
     SoficChain,
     SpongeChain,
     validate_digit_system,
 )
-from .variational import maximize_bernoulli
+from .variational import MAX_ITERS, STALL_GAIN, maximize_bernoulli
 from .weights import Exponents, exponents_from_bases
 
 COMMANDS = ("entropy", "dimension", "estimate", "variational", "check")
-DEFAULT_N_MAX = 12
-DEFAULT_MAX_ITERS = 100_000
-DEFAULT_TOLERANCE = 1e-12
 
 
 @dataclass
 class RunConfig:
     raw: dict
-    chain: SpongeChain | SoficChain
+    chain: Chain
     exponents: Exponents
     exponents_from_bases: bool
     potential: Potential | None
@@ -100,8 +93,34 @@ def _expect(doc, key, kind, path):
     return value
 
 
+def _integer(value, path) -> int:
+    if type(value) is not int:  # JSON booleans are not integers here
+        raise ParseError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _integers(values, path) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ParseError(path, f"expected a list of integers, got {values!r}")
+    for i, value in enumerate(values):
+        _integer(value, f"{path}[{i}]")
+    return tuple(values)
+
+
+def _real(value, path) -> float:
+    if type(value) not in (int, float):
+        raise ParseError(path, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(path, f"{value} is out of float range") from None
+
+
 def parse_config(doc) -> RunConfig:
-    """Validate a config document (dict or JSON text) and fill defaults."""
+    """Validate a config document (dict or JSON text) and fill defaults.
+
+    Every malformed field raises a ParseError carrying its JSON path.
+    """
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -115,25 +134,26 @@ def parse_config(doc) -> RunConfig:
     if len(kinds) != 1:
         raise ParseError("$.system", "exactly one of 'sponge' or 'sofic' required")
     kind = kinds[0]
+    path = f"$.system.{kind}"
     body = _expect(system, kind, dict, "$.system")
-    bases = _expect(body, "bases", list, f"$.system.{kind}")
+    bases = _integers(_expect(body, "bases", None, path), f"{path}.bases")
     if kind == "sponge":
-        digits = _expect(body, "digits", list, "$.system.sponge")
-        digit_system = validate_digit_system(bases, [tuple(d) for d in digits])
-        chain: SpongeChain | SoficChain = SpongeChain(digit_system)
+        digits = _expect(body, "digits", list, path)
+        digit_system = validate_digit_system(
+            bases, [_integers(d, f"{path}.digits[{k}]") for k, d in enumerate(digits)]
+        )
+        chain: Chain = SpongeChain(digit_system)
     else:
-        vertices = _expect(body, "vertices", list, "$.system.sofic")
-        edges = _expect(body, "edges", list, "$.system.sofic")
-        bases_t = tuple(int(m) for m in bases)
-        # labels live in the full product alphabet of the bases
-        full = list(itertools.product(*(range(m) for m in bases_t)))
-        digit_system = validate_digit_system(bases_t, full)
+        vertices = _expect(body, "vertices", list, path)
+        edges = _expect(body, "edges", list, path)
         parsed_edges = []
         for k, e in enumerate(edges):
             if not (isinstance(e, list) and len(e) == 3):
-                raise ParseError(f"$.system.sofic.edges[{k}]", "expected [source, target, [digit...]]")
+                raise ParseError(f"{path}.edges[{k}]", "expected [source, target, [digit...]]")
             src, dst, label = e
-            parsed_edges.append((str(src), str(dst), tuple(int(c) for c in label)))
+            parsed_edges.append((str(src), str(dst), _integers(label, f"{path}.edges[{k}][2]")))
+        # the digit set is the set of edge labels; validation range-checks each
+        digit_system = validate_digit_system(bases, [lab for _s, _t, lab in parsed_edges])
         graph = LabeledGraph(
             vertices=tuple(str(v) for v in vertices),
             edges=tuple(parsed_edges),
@@ -149,7 +169,7 @@ def parse_config(doc) -> RunConfig:
     elif isinstance(exponents_raw, list):
         if len(exponents_raw) != r - 1:
             raise ParseError("$.exponents", f"need {r - 1} entries for rank {r}")
-        exponents = Exponents(tuple(float(x) for x in exponents_raw))
+        exponents = Exponents(tuple(_real(x, f"$.exponents[{i}]") for i, x in enumerate(exponents_raw)))
         from_bases = False
     else:
         raise ParseError("$.exponents", "expected 'from-bases' or a list of reals")
@@ -157,37 +177,38 @@ def parse_config(doc) -> RunConfig:
     potential = None
     if doc.get("potential") is not None:
         pot = _expect(doc, "potential", dict, "$")
-        window = int(_expect(pot, "window", int, "$.potential"))
+        window = _integer(_expect(pot, "window", None, "$.potential"), "$.potential.window")
         table_raw = _expect(pot, "table", list, "$.potential")
         table = {}
         for k, entry in enumerate(table_raw):
-            if not (isinstance(entry, list) and len(entry) == 2):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
                 raise ParseError(f"$.potential.table[{k}]", "expected [word, value]")
             word, value = entry
-            table[tuple(tuple(int(c) for c in d) for d in word)] = float(value)
+            key = tuple(_integers(d, f"$.potential.table[{k}][0][{t}]") for t, d in enumerate(word))
+            table[key] = _real(value, f"$.potential.table[{k}][1]")
         potential = Potential(window=window, table=table)
 
     est = doc.get("estimator") or {}
     opt = doc.get("optimizer") or {}
+    for name, section in (("estimator", est), ("optimizer", opt)):
+        if not isinstance(section, dict):
+            raise ParseError(f"$.{name}", "expected an object")
     return RunConfig(
         raw=doc,
         chain=chain,
         exponents=exponents,
         exponents_from_bases=from_bases,
         potential=potential,
-        n_max=int(est.get("n_max", DEFAULT_N_MAX)),
-        budget=int(est.get("budget", DEFAULT_BUDGET)),
-        max_iters=int(opt.get("max_iters", DEFAULT_MAX_ITERS)),
-        tolerance=float(opt.get("tolerance", DEFAULT_TOLERANCE)),
+        n_max=_integer(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
+        budget=_integer(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
+        max_iters=_integer(opt.get("max_iters", MAX_ITERS), "$.optimizer.max_iters"),
+        tolerance=_real(opt.get("tolerance", STALL_GAIN), "$.optimizer.tolerance"),
     )
 
 
 def _sponge_closed_form(config: RunConfig) -> dict:
     sys_ = config.chain.system
-    if config.potential is None:
-        table = kp_recursion(sys_, config.exponents)
-    else:
-        table = kp_recursion(sys_, config.exponents, config.potential)
+    table = kp_recursion(sys_, config.exponents, config.potential)
     return {
         "h_a_nats": math.log(table.z0),
         "z0": table.z0,
@@ -248,40 +269,18 @@ def run(config: RunConfig, command: str) -> Report:
         }
         return report
 
-    if command == "estimate":
-        closed_form = _closed_form_or_none(config, report)
-        series = entropy_estimate(
-            config.chain,
-            config.exponents,
-            config.potential,
-            n_max=config.n_max,
-            budget=config.budget,
-            closed_form=None if closed_form is None else closed_form["h_a_nats"],
-        )
-        report.closed_form = closed_form
-        report.estimate_series = [
-            {"n": n, "log_s_over_n": v, "fekete_bound": b}
-            for (n, v), b in zip(series.entries, series.fekete_bounds)
-        ]
-        return report
-
     if command == "dimension":
         if sponge:
             report.closed_form = _sponge_closed_form(config)
         else:
-            rep = sofic_dimension_report(config.chain, config.exponents)
-            report.closed_form = {
-                "h_a_nats": rep.h_a_nats,
-                "h_over_log_m1": rep.h_over_log_m1,
-                "bracket_value": math.exp(rep.h_a_nats),
-            }
-            report.warnings.append(rep.warning)
+            report.closed_form = _sofic_closed_form(config)
+            report.warnings.append(AMBIGUITY_WARNING)
         return report
 
-    # entropy: closed form when available, estimator fallback otherwise
-    closed_form = _closed_form_or_none(config, report)
-    report.closed_form = closed_form
-    if closed_form is None:
+    # entropy: closed form when available, estimator fallback otherwise;
+    # estimate: closed form when available, estimator series always
+    report.closed_form = _closed_form_or_none(config, report)
+    if command == "estimate" or report.closed_form is None:
         series = entropy_estimate(
             config.chain,
             config.exponents,
@@ -344,12 +343,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--n-max", type=int, default=None, help="override estimator n_max")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker hint; results are scheduling-independent and bit-stable",
-    )
     parser.add_argument("--format", choices=("json", "table"), default="json")
     args = parser.parse_args(argv)
 
@@ -360,7 +353,10 @@ def main(argv=None) -> int:
             config.n_max = args.n_max
         env_budget = os.environ.get("WTP_BUDGET")
         if env_budget:
-            config.budget = int(env_budget)
+            try:
+                config.budget = int(env_budget)
+            except ValueError:
+                raise ParseError("WTP_BUDGET", f"expected an integer, got {env_budget!r}") from None
         report = run(config, args.command)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

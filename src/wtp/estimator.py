@@ -36,6 +36,7 @@ from .symbolic import Chain, SoficChain
 from .weights import Exponents
 
 DEFAULT_BUDGET = 10**7
+DEFAULT_N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -96,66 +97,47 @@ def _bottom_matrices(chain: Chain, potential: Potential | None, n: int):
     if _bottom_is_sofic(chain):
         aut = chain.automaton(1)
         step = lambda s, letter: aut.transitions.get((s, letter))
-        aut_states = list(range(len(aut.states)))
         start_aut = aut.initial
     else:
         step = lambda s, letter: 0
-        aut_states = [0]
         start_aut = 0
 
-    if window == 1:
-        exact = potential is None
-        index = {s: i for i, s in enumerate(aut_states)}
-        mats = []
-        for letter2 in alphabet2:
-            m = np.zeros((len(aut_states),) * 2, dtype=object if exact else float)
-            for letter in fibers.get(letter2, ()):
-                w = 1 if exact else math.exp(potential.value((letter,)))
-                for s in aut_states:
-                    t = step(s, letter)
-                    if t is not None:
-                        m[index[t], index[s]] += w
-            mats.append(m)
-        start = np.zeros(len(aut_states), dtype=object if exact else float)
-        start[index[start_aut]] = 1 if exact else 1.0
-        tail = np.ones(len(aut_states), dtype=object if exact else float)
-        return start, mats, tail, exact
-
-    # window >= 2: state = (automaton state, last window-1 bottom letters)
+    # state = (automaton state, last window-1 bottom letters), found depth
+    # first; with window 1 this is the follower automaton's own state order
     memory = window - 1
+    exact = potential is None
     states = [(start_aut, ())]
-    seen = {states[0]}
+    index = {states[0]: 0}
+    entries = []  # (level-2 letter index, target, source, weight)
     frontier = [states[0]]
     while frontier:
-        s, hist = frontier.pop()
-        for letter2 in alphabet2:
-            for letter in fibers.get(letter2, ()):
-                t = step(s, letter)
-                if t is None:
-                    continue
-                ns = (t, (hist + (letter,))[-memory:])
-                if ns not in seen:
-                    seen.add(ns)
-                    frontier.append(ns)
-                    states.append(ns)
-    index = {s: i for i, s in enumerate(states)}
-    mats = []
-    for letter2 in alphabet2:
-        m = np.zeros((len(states), len(states)))
-        for s, hist in states:
+        src = frontier.pop()
+        s, hist = src
+        for k, letter2 in enumerate(alphabet2):
             for letter in fibers.get(letter2, ()):
                 t = step(s, letter)
                 if t is None:
                     continue
                 full = hist + (letter,)
+                dst = (t, full[-memory:] if memory else ())
+                if dst not in index:
+                    index[dst] = len(states)
+                    states.append(dst)
+                    frontier.append(dst)
                 # a window is complete once the history has filled up
-                w = math.exp(potential.value(full)) if len(full) >= window else 1.0
-                m[index[(t, full[-memory:])], index[(s, hist)]] += w
-        mats.append(m)
-    start = np.zeros(len(states))
-    start[index[(start_aut, ())]] = 1.0
-    tail = np.array([_tail_weight(chain, potential, s, hist) for s, hist in states])
-    return start, mats, tail, False
+                w = 1 if exact or len(full) < window else potential.weight(full)
+                entries.append((k, index[dst], index[src], w))
+    dtype = object if exact else float
+    mats = [np.zeros((len(states), len(states)), dtype=dtype) for _ in alphabet2]
+    for k, i, j, w in entries:
+        mats[k][i, j] += w
+    start = np.zeros(len(states), dtype=dtype)
+    start[0] = 1
+    tail = np.array(
+        [1 if window == 1 else _tail_weight(chain, potential, s, hist) for s, hist in states],
+        dtype=dtype,
+    )
+    return start, mats, tail, exact
 
 
 def _tail_weight(chain: Chain, potential: Potential, aut_state, hist) -> float:
@@ -267,7 +249,7 @@ def entropy_estimate(
     chain: Chain,
     a: Exponents,
     potential: Potential | None = None,
-    n_max: int = 12,
+    n_max: int = DEFAULT_N_MAX,
     budget: int = DEFAULT_BUDGET,
     closed_form: float | None = None,
 ) -> EstimateSeries:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExponentLengthMismatch, NotAligned, UpperLevelsNotFullShift
+from .sponge import contract
 from .symbolic import Digit, LabeledGraph, SoficChain, validate_digit_system
 from .weights import Exponents, exponents_from_bases
 
@@ -49,9 +50,11 @@ class SpectralAlignment:
 
 
 def build_count_matrices(g: LabeledGraph, level: int = 2) -> list[CountMatrix]:
-    """One matrix per level-`level` projection of the full digit alphabet.
+    """One matrix per level-`level` projection of the system's digit set.
 
-    Labels never carried by an edge give zero matrices, which are included.
+    Projections that no edge carries give zero matrices, which are included.
+    Graphs parsed from a config build their digit set from the edge labels,
+    so they get no zero matrices.
     """
     r = g.system.rank
     keep = r - level + 1
@@ -129,16 +132,8 @@ def sofic_weighted_entropy_closed_form(chain: SoficChain, a: Exponents) -> float
     for level in range(2, r + 1):
         if not chain.is_full_shift(level):
             raise UpperLevelsNotFullShift(f"level {level} is not a full shift")
-    table = dict(alignment.eigenvalues)  # keyed by length-(r-1) prefixes
-    avals = a.values
-    for j in range(r - 1, 0, -1):
-        exponent = avals[r - j - 1]
-        contracted: dict[Digit, float] = {}
-        for prefix, value in table.items():
-            key = prefix[: j - 1]
-            contracted[key] = contracted.get(key, 0.0) + value**exponent
-        table = contracted
-    return math.log(table[()])
+    table = alignment.eigenvalues  # keyed by length-(r-1) prefixes
+    return math.log(contract(table, a.values, r)[-1][()])
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    ComputationError,
     ExponentLengthMismatch,
     ValidationError,
     WindowUnsupported,
 )
 from .symbolic import Digit, DigitSystem, validate_digit_system
-from .weights import Exponents, exponents_from_bases, weights_from_exponents
+from .weights import Exponents, exponents_from_bases
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,14 @@ class Potential:
     def value(self, word) -> float:
         return self.table.get(tuple(word), 0.0)
 
+    def weight(self, word) -> float:
+        """exp(f(word)); a ComputationError when that overflows a float."""
+        v = self.value(word)
+        try:
+            return math.exp(v)
+        except OverflowError:
+            raise ComputationError(f"exp of potential value {v} for {tuple(word)} overflows a float") from None
+
 
 @dataclass(frozen=True)
 class ZTable:
@@ -65,6 +74,25 @@ class ZTable:
     @property
     def z0(self) -> float:
         return self.levels[0][()]
+
+
+def contract(table: dict, avals, r: int) -> list[dict]:
+    """Sum `value ** exponent` grouped by prefix, from length r-1 down to 0.
+
+    `table` maps length-(r-1) prefixes to values: digit counts (optionally
+    potential-weighted) for sponges, per-label eigenvalues for sofic chains.
+    Returns the tables for prefix lengths r-2, ..., 0; the last is {(): Z_0}.
+    """
+    levels = []
+    for j in range(r - 1, 0, -1):
+        exponent = avals[r - j - 1]  # a_{r-j}, 0-based storage
+        contracted: dict[Digit, float] = {}
+        for prefix, value in table.items():
+            key = prefix[: j - 1]
+            contracted[key] = contracted.get(key, 0.0) + value**exponent
+        levels.append(contracted)
+        table = contracted
+    return levels
 
 
 def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = None) -> ZTable:
@@ -78,22 +106,12 @@ def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = N
         raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
     if potential is not None and potential.window != 1:
         raise WindowUnsupported("closed form supports window-1 potentials only")
-    avals = a.values
     indicator = {d: 1.0 for d in sys.sorted_digits}
-    levels = [indicator]
     table: dict[Digit, float] = {}
     for d in sys.sorted_digits:
-        weight = math.exp(potential.value((d,))) if potential is not None else 1.0
+        weight = potential.weight((d,)) if potential is not None else 1.0
         table[d[: r - 1]] = table.get(d[: r - 1], 0.0) + weight
-    levels.append(table)
-    for j in range(r - 1, 0, -1):
-        exponent = avals[r - j - 1]  # a_{r-j}, 0-based storage
-        contracted: dict[Digit, float] = {}
-        for prefix, value in table.items():
-            key = prefix[: j - 1]
-            contracted[key] = contracted.get(key, 0.0) + value**exponent
-        levels.append(contracted)
-        table = contracted
+    levels = [indicator, table, *contract(table, a.values, r)]
     return ZTable(levels=tuple(reversed(levels)))
 
 
@@ -143,47 +161,31 @@ def anisotropic_box_count(sys: DigitSystem, n: int) -> int:
     return len(seen)
 
 
-def m_fold_system(sys: DigitSystem, m: int) -> DigitSystem:
-    """Block-code the chain: digits become m-blocks, base i becomes m_i^m.
+def _blocks(sys: DigitSystem, m: int):
+    """Each m-block of digits with its code in the block system.
 
-    Coordinate i of an encoded block is the base-m_i integer built from the
-    i-th coordinates of the m constituent digits, so prefix structure is
+    Coordinate i of the code is the base-m_i integer built from the i-th
+    coordinates of the m constituent digits, so prefix structure is
     preserved coordinatewise.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    bases = tuple(b**m for b in sys.bases)
-    digits = []
     for block in itertools.product(sys.sorted_digits, repeat=m):
-        enc = tuple(
+        yield block, tuple(
             sum(block[t][i] * sys.bases[i] ** (m - 1 - t) for t in range(m))
             for i in range(sys.rank)
         )
-        digits.append(enc)
-    return validate_digit_system(bases, digits)
+
+
+def m_fold_system(sys: DigitSystem, m: int) -> DigitSystem:
+    """Block-code the chain: digits become m-blocks, base i becomes m_i^m."""
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    bases = tuple(b**m for b in sys.bases)
+    return validate_digit_system(bases, [code for _block, code in _blocks(sys, m)])
 
 
 def m_fold_potential(sys: DigitSystem, potential: Potential, m: int) -> Potential:
     """Window-1 potential on the block system summing f over the block."""
     if potential.window != 1:
         raise WindowUnsupported("block coding of potentials needs window 1")
-    table = {}
-    for block in itertools.product(sys.sorted_digits, repeat=m):
-        enc = tuple(
-            sum(block[t][i] * sys.bases[i] ** (m - 1 - t) for t in range(m))
-            for i in range(sys.rank)
-        )
-        table[(enc,)] = sum(potential.value((d,)) for d in block)
+    table = {(code,): sum(potential.value((d,)) for d in block) for block, code in _blocks(sys, m)}
     return Potential(window=1, table=table)
-
-
-def pressure_shift_residual(sys: DigitSystem, a: Exponents, potential: Potential, c: float) -> float:
-    """|P(f + c) - P(f) - w_1 c|; zero up to rounding for every system."""
-    if potential.window != 1:
-        raise WindowUnsupported("closed-form shift check needs window 1")
-    w1 = weights_from_exponents(a)[0]
-    base = weighted_pressure_closed_form(sys, a, potential)
-    # missing table entries default to 0, so shift every digit explicitly
-    full = {(d,): potential.value((d,)) + c for d in sys.sorted_digits}
-    shifted = Potential(window=1, table=full)
-    return abs(weighted_pressure_closed_form(sys, a, shifted) - base - w1 * c)

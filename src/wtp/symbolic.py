@@ -76,19 +76,6 @@ def validate_digit_system(bases, digits) -> DigitSystem:
 
 
 @dataclass(frozen=True)
-class ProjectedAlphabet:
-    """Alphabet D_j of length-j prefixes (prefix-length indexing)."""
-
-    level: int
-    symbols: frozenset[Digit]
-
-
-def project_alphabet(sys: DigitSystem, j: int) -> ProjectedAlphabet:
-    """D_j = distinct length-j prefixes of D.  j is a prefix length, 1 <= j <= r."""
-    return ProjectedAlphabet(level=j, symbols=frozenset(sys.prefixes(j)))
-
-
-@dataclass(frozen=True)
 class Word:
     """A finite word over the level-i alphabet (chain-level indexing)."""
 
@@ -224,11 +211,13 @@ def determinize(g: LabeledGraph, level: int = 1) -> FollowerAutomaton:
     return FollowerAutomaton(states=tuple(states), letters=letters, transitions=transitions)
 
 
-class SpongeChain:
-    """Chain of full shifts induced by a digit system (every level is full)."""
+class Chain:
+    """Level bookkeeping shared by sponge and sofic chains.
 
-    def __init__(self, system: DigitSystem):
-        self.system = system
+    Subclasses set `system` and define `alphabet(level)`.
+    """
+
+    system: DigitSystem
 
     @property
     def rank(self) -> int:
@@ -239,9 +228,6 @@ class SpongeChain:
             raise LevelOutOfRange(f"level {level} not in 1..{self.rank}")
         return self.rank - level + 1
 
-    def alphabet(self, level: int) -> tuple[Digit, ...]:
-        return self.system.prefixes(self.prefix_length(level))
-
     def fibers(self, level: int) -> dict[Digit, tuple[Digit, ...]]:
         """Map each level-(level+1) letter to the level-`level` letters over it."""
         j = self.prefix_length(level)
@@ -249,6 +235,16 @@ class SpongeChain:
         for x in self.alphabet(level):
             out.setdefault(x[: j - 1], []).append(x)
         return {k: tuple(v) for k, v in out.items()}
+
+
+class SpongeChain(Chain):
+    """Chain of full shifts induced by a digit system (every level is full)."""
+
+    def __init__(self, system: DigitSystem):
+        self.system = system
+
+    def alphabet(self, level: int) -> tuple[Digit, ...]:
+        return self.system.prefixes(self.prefix_length(level))
 
     def is_full_shift(self, level: int) -> bool:
         return True
@@ -264,7 +260,7 @@ class SpongeChain:
         return hash(("sponge", self.system))
 
 
-class SoficChain:
+class SoficChain(Chain):
     """Chain with a sofic bottom level presented by a labeled graph.
 
     Level 1 is the set of label sequences of paths; level i >= 2 is its
@@ -276,25 +272,9 @@ class SoficChain:
         self.graph = graph
         self.system = graph.system
 
-    @property
-    def rank(self) -> int:
-        return self.system.rank
-
-    def prefix_length(self, level: int) -> int:
-        if not 1 <= level <= self.rank:
-            raise LevelOutOfRange(f"level {level} not in 1..{self.rank}")
-        return self.rank - level + 1
-
     def alphabet(self, level: int) -> tuple[Digit, ...]:
         keep = self.prefix_length(level)
         return tuple(sorted({tuple(lab)[:keep] for _s, _t, lab in self.graph.edges}))
-
-    def fibers(self, level: int) -> dict[Digit, tuple[Digit, ...]]:
-        j = self.prefix_length(level)
-        out: dict[Digit, list[Digit]] = {}
-        for x in self.alphabet(level):
-            out.setdefault(x[: j - 1], []).append(x)
-        return {k: tuple(v) for k, v in out.items()}
 
     def automaton(self, level: int) -> FollowerAutomaton:
         return _cached_automaton(self.graph, level)
@@ -327,9 +307,6 @@ def _cached_automaton(graph: LabeledGraph, level: int) -> FollowerAutomaton:
     return determinize(graph, level)
 
 
-Chain = SpongeChain | SoficChain
-
-
 def full_shift_chain(system: DigitSystem) -> SoficChain:
     """Encode a full shift as a one-vertex graph with one self-loop per digit."""
     edges = tuple(("*", "*", d) for d in system.sorted_digits)
@@ -354,7 +331,7 @@ def preimage_count(chain: Chain, word: Word, n: int | None = None) -> int:
         return 1
     finer = level - 1
     fibers = chain.fibers(finer)
-    if isinstance(chain, SpongeChain) or chain.is_full_shift(finer):
+    if chain.is_full_shift(finer):
         total = 1
         for x in word.letters:
             total *= len(fibers[x])

@@ -138,7 +138,7 @@ def optimal_measure_from_recursion(
                 exponent = avals[r - j - 2]  # a_{r-j-1}, 0-based storage
                 p *= child**exponent / parent
             else:
-                weight = math.exp(potential.value((d,))) if potential is not None else 1.0
+                weight = potential.weight((d,)) if potential is not None else 1.0
                 p *= weight * child / parent
         probs[d] = p
     return SymbolDistribution(system=sys, probs=probs)

@@ -6,14 +6,16 @@ Core claims:
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants
+    - numeric report fields reproduce pinned values bit for bit
 """
 import json
 import os
+import time
 
 import pytest
 
 from wtp.cli import main, parse_config, run
-from wtp.errors import ParseError, UnsupportedCombination
+from wtp.errors import DigitOutOfRange, ParseError, UnsupportedCombination
 from wtp.sofic import golden_mean_chain
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -76,6 +78,113 @@ def test_two_system_variants_rejected():
 def test_invalid_json_rejected():
     with pytest.raises(ParseError):
         parse_config("{not json")
+
+
+def test_sofic_digit_set_comes_from_edge_labels():
+    doc = {
+        "system": {
+            "sofic": {
+                "bases": [100, 100, 100, 100],
+                "vertices": ["a", "b"],
+                "edges": [["a", "b", [1, 2, 3, 4]], ["b", "a", [99, 0, 0, 7]], ["b", "b", [1, 2, 3, 5]]],
+            }
+        }
+    }
+    start = time.perf_counter()
+    config = parse_config(doc)
+    # the product of the bases would be 10^8 digits
+    assert time.perf_counter() - start < 1.0
+    assert config.chain.system.digits == {(1, 2, 3, 4), (99, 0, 0, 7), (1, 2, 3, 5)}
+    doc["system"]["sofic"]["edges"].append(["a", "a", [100, 0, 0, 0]])
+    with pytest.raises(DigitOutOfRange):
+        parse_config(doc)
+
+
+def _setter(*keys, value):
+    def mutate(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "path, make, mutate, env_budget",
+    [
+        ("$.estimator.n_max", _carpet_config, _setter("estimator", value={"n_max": "many"}), None),
+        ("$.estimator.budget", _carpet_config, _setter("estimator", value={"budget": "lots"}), None),
+        ("$.optimizer.max_iters", _carpet_config, _setter("optimizer", value={"max_iters": "x"}), None),
+        ("$.optimizer.tolerance", _carpet_config, _setter("optimizer", value={"tolerance": "tiny"}), None),
+        ("$.exponents[0]", _carpet_config, _setter("exponents", value=["x"]), None),
+        ("$.system.sponge.digits[0][1]", _carpet_config, _setter("system", "sponge", "digits", 0, 1, value="x"), None),
+        ("$.system.sponge.bases[0]", _carpet_config, _setter("system", "sponge", "bases", 0, value=2.5), None),
+        ("$.system.sofic.bases[0]", _golden_config, _setter("system", "sofic", "bases", 0, value="x"), None),
+        ("$.system.sofic.edges[0][2][1]", _golden_config, _setter("system", "sofic", "edges", 0, 2, 1, value="x"), None),
+        ("$.potential.window", _carpet_config, _setter("potential", value={"window": "one", "table": []}), None),
+        (
+            "$.potential.table[0][1]",
+            _carpet_config,
+            _setter("potential", value={"window": 1, "table": [[[[0, 0]], "x"]]}),
+            None,
+        ),
+        (
+            "$.potential.table[0][0][0][1]",
+            _carpet_config,
+            _setter("potential", value={"window": 1, "table": [[[[0, "x"]], 1.0]]}),
+            None,
+        ),
+        ("WTP_BUDGET", _carpet_config, _setter("exponents", value="from-bases"), "1e6"),
+    ],
+)
+def test_untyped_field_is_parse_error(tmp_path, capsys, monkeypatch, path, make, mutate, env_budget):
+    doc = make()
+    mutate(doc)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    if env_budget is not None:
+        monkeypatch.setenv("WTP_BUDGET", env_budget)
+    assert main(["dimension", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
+
+
+@pytest.mark.parametrize("command", ["entropy", "estimate", "dimension", "variational"])
+def test_overflowing_potential_is_computation_error(tmp_path, capsys, command):
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        doc = json.load(fh)
+    doc["potential"]["table"][0][1] = 1000.0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1000.0" in err
+    assert "Traceback" not in err
+
+
+# exact repr strings of report numbers: the README promises bit-for-bit
+# reproducible reports, so a refactor must leave every one of them unchanged
+PINNED_GOLDEN_LOG_S_OVER_N = [
+    "1.628676715175886",
+    "1.5714628207599688",
+    "1.539114083139638",
+    "1.5190415537489241",
+    "1.5057995096979633",
+    "1.4965762558676774",
+    "1.489853871078114",
+    "1.4847656153603273",
+]
+PINNED_CARPET_PRESSURE_H = "1.1909043085072897"
+
+
+def test_reports_match_pinned_reprs():
+    with open(os.path.join(CONFIG_DIR, "golden_sofic.json")) as fh:
+        config = parse_config(fh.read())
+    config.n_max = 8
+    series = run(config, "estimate").estimate_series
+    assert [repr(row["log_s_over_n"]) for row in series] == PINNED_GOLDEN_LOG_S_OVER_N
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        config = parse_config(fh.read())
+    assert repr(run(config, "entropy").closed_form["h_a_nats"]) == PINNED_CARPET_PRESSURE_H
 
 
 def test_dimension_on_carpet():

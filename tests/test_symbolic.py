@@ -36,7 +36,6 @@ from wtp.symbolic import (
     determinize,
     full_shift_chain,
     preimage_count,
-    project_alphabet,
     validate_digit_system,
 )
 
@@ -78,18 +77,18 @@ def test_duplicate_digits_are_merged():
 # -- projection ---------------------------------------------------------------
 
 def test_carpet_prefix_projection(carpet):
-    assert project_alphabet(carpet, 1).symbols == {(0,), (1,)}
+    assert set(carpet.prefixes(1)) == {(0,), (1,)}
 
 
 def test_full_length_projection_is_identity(carpet):
-    assert project_alphabet(carpet, 2).symbols == carpet.digits
+    assert set(carpet.prefixes(2)) == carpet.digits
 
 
 def test_projection_level_out_of_range(carpet):
     with pytest.raises(LevelOutOfRange):
-        project_alphabet(carpet, 0)
+        carpet.prefixes(0)
     with pytest.raises(LevelOutOfRange):
-        project_alphabet(carpet, 3)
+        carpet.prefixes(3)
 
 
 def test_golden_level2_alphabet(golden):
