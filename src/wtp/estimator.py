@@ -10,16 +10,20 @@ where G(v) is the number of bottom words over v (full shifts: a per-letter
 product of fiber sizes; sofic bottoms: follower-automaton dynamic
 programming), or their exp(sup S_N f) weights when a potential is present.
 
-Every level-2 word is enumerated; per-word quantities and the nested
-groupings run as vectorized array passes in a fixed order, so results are
-independent of any worker scheduling.  A budget caps the number of
-enumerated words (memory additionally scales with the bottom DP state
-count).  Counts stay integer-exact: float64 carries them while the largest
-possible count fits a 52-bit mantissa, otherwise exact big-integer arrays
-are used until the first exponentiation.
+Every level-2 word is enumerated.  The bottom DP runs over blocks of at
+most about BLOCK entries (words x states): the first positions of a word as
+one array, the later ones depth first.  Only the per-word weights are held
+whole, so memory is about 8 bytes per level-2 word plus O((N - q) * BLOCK)
+for the DP buffers, q being the positions in a block.  The nested groupings
+then run over those weights in chunks, in word order, so results are
+independent of block sizes and of any worker scheduling.  A budget caps the
+number of enumerated words.  Counts stay integer-exact: float64 carries
+them while the largest possible count fits a 52-bit mantissa, otherwise
+exact big-integer arrays are used until the first exponentiation.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import (
     ComplexityBudgetExceeded,
+    ComputationError,
     ExponentLengthMismatch,
     PotentialWindowTooLarge,
     ValidationError,
@@ -37,6 +42,8 @@ from .weights import Exponents
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_N_MAX = 12
+BLOCK = 2**16  # DP entries (words x states) computed as one array
+MIN_ROWS = 64  # fewest words in a block of the depth-first DP
 
 
 @dataclass(frozen=True)
@@ -167,18 +174,125 @@ def _tail_weight(chain: Chain, potential: Potential, aut_state, hist) -> float:
             rec(nxt, full[-memory:] if memory else (), acc + potential.value(full[-window:]), remaining - 1)
 
     rec(aut_state, tuple(hist), 0.0, memory)
-    return math.exp(best) if best > -math.inf else 0.0
+    if best == -math.inf:
+        return 0.0
+    try:
+        return math.exp(best)
+    except OverflowError:
+        raise ComputationError(
+            f"exp of potential value {best} past the word end after {tuple(hist)} overflows a float"
+        ) from None
 
 
-def _projection_codes(letter_proj: np.ndarray, size_hi: int, n: int) -> np.ndarray:
-    """Length-n word codes over the finer alphabet -> codes of their projections.
+def _level2_weights(start, mats, tail, exact: bool, n: int) -> np.ndarray:
+    """Weight of every level-2 word of length n, by blocked depth-first DP.
 
-    Codes are big-endian in position order; both encodings use that scheme.
+    Row k_1 + k_2 * base + ... + k_n * base**(n-1) holds the word
+    (k_1, ..., k_n): the first position is the least significant.  The first
+    q positions form one block of base**q DP vectors, computed all at once;
+    positions q+1..n are walked depth first with one buffer per depth, and
+    each leaf writes its weights into its slice of the result.
+
+    Every weight is the float that one single-threaded product over all rows
+    gives.  That needs care, because BLAS picks kernels by operand shape and
+    they round differently: a matrix-vector product rounds the last len % 4
+    rows of a call apart from the rest, and a product of few rows can run on
+    a small-matrix kernel.  So blocks get zero rows up to a multiple of four,
+    the last len % 4 weights are redone as the remainder of a call, and a
+    block has at least MIN_ROWS rows.
+    """
+    base, states = len(mats), len(start)
+    q = 1
+    while q < n and (base**q < MIN_ROWS or base ** (q + 1) * states <= BLOCK):
+        q += 1
+    block = start[None, :]
+    for _ in range(q):
+        block = np.concatenate([block.dot(m.T) for m in mats], axis=0)
+    if q == n:
+        weights = block.dot(tail)
+        return np.array([float(x) for x in weights]) if exact else weights
+
+    width = len(block)
+    block = np.concatenate([block, np.zeros((-width % 4, states), dtype=block.dtype)])
+    buffers = [np.empty_like(block) for _ in range(n - q)]
+    scratch = np.empty(len(block))
+    weights = np.empty(base**n)
+
+    # outer positions q+1..n as odometer digits, the first varying slowest;
+    # a depth's buffer is recomputed only when its digit or one before changed
+    depth = n - q
+    prev = None
+    for digits in itertools.product(range(base), repeat=depth):
+        first = 0 if prev is None else next(t for t in range(depth) if digits[t] != prev[t])
+        for t in range(first, depth):
+            vectors = block if t == 0 else buffers[t - 1]
+            m = mats[digits[t]]
+            if exact:
+                buffers[t] = vectors.dot(m.T)
+            else:
+                np.dot(vectors, m.T, out=buffers[t])
+        prev = digits
+        offset = width * sum(k * base**t for t, k in enumerate(digits))
+        if exact:
+            weights[offset : offset + width] = [float(x) for x in buffers[-1][:width].dot(tail)]
+        else:
+            np.dot(buffers[-1], tail, out=scratch)
+            weights[offset : offset + width] = scratch[:width]
+    rem = len(weights) % 4
+    if rem and not exact:
+        # the last leaf's rows are still in the deepest buffer
+        last = np.concatenate([np.zeros((4, states)), buffers[-1][width - rem : width]])
+        weights[-rem:] = last.dot(tail)[4:]
+    return weights
+
+
+def _digit_codes(letter_proj: np.ndarray, multipliers) -> np.ndarray:
+    """Projected codes sum(letter_proj[d] * multiplier) over all digit strings.
+
+    Digits run from the most significant (first multiplier) to the least.
     """
     codes = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        codes = (codes[:, None] * size_hi + letter_proj[None, :]).reshape(-1)
+    for mult in multipliers:
+        codes = (codes[:, None] + letter_proj[None, :] * mult).reshape(-1)
     return codes
+
+
+def _fold(
+    values: np.ndarray, letter_proj: np.ndarray, multipliers, exponent: float, bins: int
+) -> np.ndarray:
+    """out[code(i)] += values[i] ** exponent over positive values, in index order.
+
+    `multipliers` gives each index digit's weight in the projected code, most
+    significant digit first.  Chunks of consecutive indices share their high
+    digits; adding each chunk in index order keeps every bin's summation
+    order that of one bincount over the whole array, without whole-array
+    masked copies or code arrays.
+    """
+    n = len(multipliers)
+    p = n
+    while p > 1 and len(letter_proj) ** p > BLOCK:
+        p -= 1
+    low = _digit_codes(letter_proj, multipliers[n - p :])
+    high = _digit_codes(letter_proj, multipliers[: n - p])
+    out = np.zeros(bins)
+    width = len(low)
+    for h, code in enumerate(high):
+        chunk = values[h * width : (h + 1) * width]
+        mask = chunk > 0
+        np.add.at(out, low[mask] + code, chunk[mask] ** exponent)
+    return out
+
+
+def _log_total(values: np.ndarray, exponent: float, n: int) -> float:
+    """log of the pairwise sum of values ** exponent over positive values."""
+    top = values[values > 0]
+    top **= exponent
+    total = float(np.sum(top))
+    if total == 0:
+        raise ComputationError(
+            f"S_N = 0 at N = {n}: no admissible level-2 word of length {n} has a positive weight"
+        )
+    return math.log(total)
 
 
 def nested_count(
@@ -206,43 +320,20 @@ def nested_count(
             mats = [m.astype(float) for m in mats]
             tail = tail.astype(float)
             exact = False
+    current = _level2_weights(start, mats, tail, exact, n)
 
-    # letter-index projections between consecutive alphabets
-    proj = {}
+    # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
+    # Level-2 rows put the first position least significant; the codes of
+    # level 3 and above put it most significant.
     for lvl in range(2, r):
         coarse = {x: k for k, x in enumerate(alphabets[lvl + 1])}
         j = chain.prefix_length(lvl)
-        proj[lvl] = np.array([coarse[x[: j - 1]] for x in alphabets[lvl]], dtype=np.int64)
-
-    # enumerate level-2 words: DP vectors plus the level-3 projected word code
-    vectors = start[None, :].copy()
-    size3 = len(alphabets[3]) if r >= 3 else 1
-    code3 = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        vectors = np.concatenate([vectors.dot(m.T) for m in mats], axis=0)
-        if r >= 3:
-            code3 = np.concatenate([code3 * size3 + proj[2][k] for k in range(base)])
-    weights = vectors.dot(tail)
-    if exact:
-        weights = np.array([float(x) for x in weights])
-
-    # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out
-    if r == 2:
-        mask = weights > 0
-        total = float(np.sum(weights[mask] ** avals[0]))
-        return NestedCount(n=n, log_value=math.log(total), potential=potential)
-    mask = weights > 0
-    current = np.bincount(code3[mask], weights=weights[mask] ** avals[0], minlength=size3**n)
-    for lvl in range(3, r):
-        size_hi = len(alphabets[lvl + 1])
-        upcodes = _projection_codes(proj[lvl], size_hi, n)
-        mask = current > 0
-        current = np.bincount(
-            upcodes[mask], weights=current[mask] ** avals[lvl - 2], minlength=size_hi**n
-        )
-    mask = current > 0
-    total = float(np.sum(current[mask] ** avals[-1]))
-    return NestedCount(n=n, log_value=math.log(total), potential=potential)
+        letter_proj = np.array([coarse[x[: j - 1]] for x in alphabets[lvl]], dtype=np.int64)
+        size_hi = len(coarse)
+        powers = [size_hi**e for e in range(n)]
+        multipliers = powers if lvl == 2 else powers[::-1]
+        current = _fold(current, letter_proj, multipliers, avals[lvl - 2], size_hi**n)
+    return NestedCount(n=n, log_value=_log_total(current, avals[-1], n), potential=potential)
 
 
 def entropy_estimate(

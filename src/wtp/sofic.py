@@ -71,31 +71,41 @@ def build_count_matrices(g: LabeledGraph, level: int = 2) -> list[CountMatrix]:
     ]
 
 
+def _power_iterate(matrix: np.ndarray):
+    """Power iteration from the uniform vector, each iterate scaled to max 1.
+
+    Returns (vector, converged); the vector is None once an iterate vanishes.
+    """
+    n = matrix.shape[0]
+    v = np.full(n, 1.0 / n)
+    for _ in range(POWER_MAX_ITERS):
+        w = matrix @ v
+        norm = w.max()
+        if norm <= 0:
+            return None, False
+        w = w / norm
+        if np.abs(w - v).max() <= POWER_TOL:
+            return w, True
+        v = w
+    return v, False
+
+
 def detect_alignment(matrices) -> SpectralAlignment | None:
     """Common positive eigenvector of all nonzero matrices, or None.
 
     The candidate is the Perron vector of the summed matrix found by power
-    iteration; each nonzero matrix is then verified against it.  Failure to
-    converge to a strictly positive vector means not aligned, never an error.
+    iteration; each nonzero matrix is then verified against it.  Iteration
+    oscillates on periodic matrices, so when it does not converge it is
+    rerun on I + M, which has the same eigenvectors.  Failure to converge to
+    a strictly positive vector means not aligned, never an error.
     """
     nonzero = [m.as_array().astype(float) for m in matrices if not m.is_zero]
     if not nonzero:
         return None
     total = sum(nonzero)
-    n = total.shape[0]
-    v = np.full(n, 1.0 / n)
-    converged = False
-    for _ in range(POWER_MAX_ITERS):
-        w = total @ v
-        norm = w.max()
-        if norm <= 0:
-            return None
-        w = w / norm
-        if np.abs(w - v).max() <= POWER_TOL:
-            v = w
-            converged = True
-            break
-        v = w
+    v, converged = _power_iterate(total)
+    if v is not None and not converged:
+        v, converged = _power_iterate(total + np.eye(len(total)))
     if not converged:
         return None
     if v.min() < MIN_POSITIVE * v.max():

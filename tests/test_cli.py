@@ -5,7 +5,8 @@ Core claims:
     - dimension/entropy/estimate/variational reports carry the documented
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
-    - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants
+    - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
+      a chain with no admissible word of length N exits 2, not with a traceback
     - numeric report fields reproduce pinned values bit for bit
 """
 import json
@@ -158,6 +159,29 @@ def test_overflowing_potential_is_computation_error(tmp_path, capsys, command):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1000.0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "estimate"])
+def test_empty_language_is_computation_error(tmp_path, capsys, command):
+    # no cycle: no path, hence no admissible word, is longer than 2 edges
+    edges = [
+        ["1", "0", [0, 0, 0]],
+        ["3", "1", [1, 0, 0]],
+        ["3", "2", [1, 0, 0]],
+        ["3", "2", [1, 0, 3]],
+        ["4", "0", [0, 0, 1]],
+        ["4", "1", [0, 0, 2]],
+    ]
+    doc = {
+        "system": {"sofic": {"bases": [2, 3, 4], "vertices": list("01234"), "edges": edges}},
+        "exponents": "from-bases",
+    }
+    path = tmp_path / "acyclic.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: S_N = 0 at N = 3:")
     assert "Traceback" not in err
 
 

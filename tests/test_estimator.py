@@ -10,14 +10,18 @@ Core claims:
       computation exactly
     - counts survive the exact big-integer path when they exceed 2^52
     - the enumeration budget and window preconditions are enforced
+    - the blocked depth-first DP gives the same floats as holding every
+      level-2 DP vector at once
+    - an overflowing tail weight is a ComputationError
 """
 import itertools
 import math
 
 import pytest
 
+from wtp import estimator
 from wtp.checks import random_sponge
-from wtp.errors import ComplexityBudgetExceeded, PotentialWindowTooLarge
+from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge
 from wtp.estimator import entropy_estimate, nested_count, submultiplicativity_check
 from wtp.sofic import sofic_weighted_entropy_closed_form
 from wtp.sponge import Potential, kp_recursion, weighted_entropy_closed_form
@@ -295,3 +299,94 @@ def test_block_chain_reproduces_matched_length(rng):
         lhs = nested_count(SpongeChain(folded), a, m_fold_potential(sys, f, m), n=2).log_value
         rhs = nested_count(SpongeChain(sys), a, f, n=2 * m).log_value
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_overflowing_tail_weight_is_computation_error(carpet_chain, carpet_exponents):
+    pot = Potential(window=3, table={((0, 0),) * 3: 400.0})
+    with pytest.raises(ComputationError, match="overflows a float"):
+        nested_count(carpet_chain, carpet_exponents, pot, n=3)
+
+
+def _random_graph_chain(rng, bases, nverts, extra):
+    """Sofic chain on a random graph with a cycle through every vertex."""
+    from wtp.symbolic import LabeledGraph, SoficChain
+
+    pool = list(itertools.product(*(range(m) for m in bases)))
+    verts = tuple(str(v) for v in range(nverts))
+
+    def pick():
+        return pool[int(rng.integers(len(pool)))]
+
+    edges = {(verts[v], verts[(v + 1) % nverts], pick()) for v in range(nverts)}
+    for _ in range(extra):
+        edges.add((verts[int(rng.integers(nverts))], verts[int(rng.integers(nverts))], pick()))
+    sys = validate_digit_system(bases, sorted({lab for _s, _t, lab in edges}))
+    return SoficChain(LabeledGraph(vertices=verts, edges=tuple(sorted(edges)), system=sys))
+
+
+def _random_potential(rng, digits, window):
+    if window == 0:
+        return None
+    words = itertools.product(digits, repeat=window)
+    return Potential(window=window, table={w: float(rng.normal()) for w in words if rng.random() < 0.7})
+
+
+def _blocked_cases(rng):
+    """(label, chain, exponents, potential, n) with at least two depth-first positions."""
+    chains = []
+    for rank in (2, 3, 4):
+        while True:
+            sys = random_sponge(rng, max_rank=4, max_base=4, max_digits=12)
+            if sys.rank == rank and len(SpongeChain(sys).alphabet(2)) >= 2:
+                break
+        chains.append((f"sponge rank {rank}", SpongeChain(sys)))
+    for bases in ((2, 3), (2, 2, 3)):
+        chains.append((f"sofic {bases}", _random_graph_chain(rng, bases, 4, 8)))
+    cases = []
+    for label, chain in chains:
+        base = len(chain.alphabet(2))
+        n = 3
+        while base ** (n - 2) < estimator.MIN_ROWS:
+            n += 1
+        vals = [float(x) for x in rng.uniform(0, 1, size=chain.rank - 1)]
+        vals[int(rng.integers(len(vals)))] = 0.0  # an exponent of 0
+        for window in (0, 1, 2):
+            pot = _random_potential(rng, chain.system.sorted_digits, window)
+            cases.append((f"{label} window {window}", chain, Exponents(tuple(vals)), pot, n))
+    bases = (2, 36)  # 36^12 > 2^52: the exact big-integer path
+    sys = validate_digit_system(bases, [(i, j) for i in range(2) for j in range(36)])
+    cases.append(("big integers", SpongeChain(sys), exponents_from_bases(bases), None, 12))
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 500])
+def test_blocked_dp_matches_all_at_once(monkeypatch, rng, block):
+    """A small BLOCK walks most positions depth first; the reference holds
+    every level-2 DP vector at once.  The floats must agree bit for bit."""
+    for label, chain, a, pot, n in _blocked_cases(rng):
+        assert len(chain.alphabet(2)) ** (n - 2) >= estimator.MIN_ROWS, label
+        monkeypatch.setattr(estimator, "BLOCK", 2**62)
+        whole = nested_count(chain, a, pot, n).log_value
+        monkeypatch.setattr(estimator, "BLOCK", block)
+        blocked = nested_count(chain, a, pot, n).log_value
+        assert repr(blocked) == repr(whole), label
+
+
+@pytest.mark.parametrize("block", [1, 500])
+def test_blocked_weights_match_all_at_once(monkeypatch, rng, block):
+    """Per-word weights, compared as arrays, on window-2 DPs of 5..36 states."""
+    digits = sorted(rng.choice(36, size=35, replace=False))
+    wide = validate_digit_system((3, 12), [(int(d) // 12, int(d) % 12) for d in digits])
+    chains = [SpongeChain(wide)] + [_random_graph_chain(rng, (3, 4), k, 10) for k in (3, 5)]
+    for chain in chains:
+        pot = _random_potential(rng, chain.system.sorted_digits, 2)
+        base = len(chain.alphabet(2))
+        for n in range(3, 8):
+            if base ** (n - 2) < estimator.MIN_ROWS or base**n > 2500:
+                continue
+            start, mats, tail, _exact = estimator._bottom_matrices(chain, pot, n)
+            monkeypatch.setattr(estimator, "BLOCK", 2**62)
+            whole = estimator._level2_weights(start, mats, tail, False, n)
+            monkeypatch.setattr(estimator, "BLOCK", block)
+            blocked = estimator._level2_weights(start, mats, tail, False, n)
+            assert blocked.tobytes() == whole.tobytes(), (len(start), n)

@@ -8,7 +8,8 @@ Core claims:
     - the closed form evaluates the nested bracket, about 1.4598 nats, and
       the exponent product makes the last term sqrt(2 + sqrt 5) exactly
     - a full shift encoded on one vertex reproduces the sponge closed form
-    - matrices without a common positive eigenvector are reported as absent
+    - matrices without a common positive eigenvector are reported as absent;
+      periodic matrices that share one are aligned
 """
 import itertools
 import math
@@ -103,6 +104,22 @@ def test_misaligned_matrices_return_none():
         CountMatrix(label=(1,), matrix=((2, 1), (0, 1))),
     ]
     assert detect_alignment(mats) is None
+
+
+def test_periodic_matrices_align():
+    # period 2: plain power iteration oscillates between two vectors, yet
+    # (sqrt 2, 1) is a positive eigenvector of both matrices
+    mats = [
+        CountMatrix(label=(0,), matrix=((0, 2), (1, 0))),
+        CountMatrix(label=(1,), matrix=((0, 4), (2, 0))),
+    ]
+    alignment = detect_alignment(mats)
+    assert alignment is not None
+    assert alignment.vector == pytest.approx((1.0, 1 / math.sqrt(2)), abs=1e-12)
+    assert alignment.eigenvalues == {
+        (0,): pytest.approx(math.sqrt(2), abs=1e-12),
+        (1,): pytest.approx(2 * math.sqrt(2), abs=1e-12),
+    }
 
 
 def test_golden_closed_form_value(golden):
