@@ -37,7 +37,6 @@ from .symbolic import (
     Word,
     check_right_resolving,
     determinize,
-    full_shift_chain,
     preimage_count,
     validate_digit_system,
 )

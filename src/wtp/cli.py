@@ -34,7 +34,6 @@ from .sponge import (
     minkowski_dimension,
 )
 from .symbolic import (
-    Chain,
     LabeledGraph,
     SoficChain,
     SpongeChain,
@@ -49,9 +48,8 @@ COMMANDS = ("entropy", "dimension", "estimate", "variational", "check")
 @dataclass
 class RunConfig:
     raw: dict
-    chain: Chain
+    chain: SoficChain
     exponents: Exponents
-    exponents_from_bases: bool
     potential: Potential | None
     n_max: int
     budget: int
@@ -142,7 +140,7 @@ def parse_config(doc) -> RunConfig:
         digit_system = validate_digit_system(
             bases, [_integers(d, f"{path}.digits[{k}]") for k, d in enumerate(digits)]
         )
-        chain: Chain = SpongeChain(digit_system)
+        chain: SoficChain = SpongeChain(digit_system)
     else:
         vertices = _expect(body, "vertices", list, path)
         edges = _expect(body, "edges", list, path)
@@ -165,12 +163,10 @@ def parse_config(doc) -> RunConfig:
     exponents_raw = doc.get("exponents", "from-bases")
     if exponents_raw == "from-bases":
         exponents = exponents_from_bases(chain.system.bases)
-        from_bases = True
     elif isinstance(exponents_raw, list):
         if len(exponents_raw) != r - 1:
             raise ParseError("$.exponents", f"need {r - 1} entries for rank {r}")
         exponents = Exponents(tuple(_real(x, f"$.exponents[{i}]") for i, x in enumerate(exponents_raw)))
-        from_bases = False
     else:
         raise ParseError("$.exponents", "expected 'from-bases' or a list of reals")
 
@@ -197,7 +193,6 @@ def parse_config(doc) -> RunConfig:
         raw=doc,
         chain=chain,
         exponents=exponents,
-        exponents_from_bases=from_bases,
         potential=potential,
         n_max=_integer(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
         budget=_integer(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
@@ -279,7 +274,7 @@ def run(config: RunConfig, command: str) -> Report:
 
     # entropy: closed form when available, estimator fallback otherwise;
     # estimate: closed form when available, estimator series always
-    report.closed_form = _closed_form_or_none(config, report)
+    report.closed_form = _closed_form_or_none(config, report, sponge)
     if command == "estimate" or report.closed_form is None:
         series = entropy_estimate(
             config.chain,
@@ -295,8 +290,8 @@ def run(config: RunConfig, command: str) -> Report:
     return report
 
 
-def _closed_form_or_none(config: RunConfig, report: Report) -> dict | None:
-    if isinstance(config.chain, SpongeChain):
+def _closed_form_or_none(config: RunConfig, report: Report, sponge: bool) -> dict | None:
+    if sponge:
         if config.potential is not None and config.potential.window != 1:
             report.warnings.append(
                 "closed form unavailable: potentials wider than window 1 are estimator-only"

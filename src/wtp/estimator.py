@@ -9,6 +9,9 @@ the infimum in the nested count is attained and S_N is computed exactly:
 where G(v) is the number of bottom words over v (full shifts: a per-letter
 product of fiber sizes; sofic bottoms: follower-automaton dynamic
 programming), or their exp(sup S_N f) weights when a potential is present.
+One walk over the bottom automaton builds the transfer matrices and, for
+window-k potentials, the max-plus tails of the windows that overhang the
+word end.  The series starts at N = k, the first length holding a window.
 
 Every level-2 word is enumerated.  The bottom DP runs over blocks of at
 most about BLOCK entries (words x states): the first positions of a word as
@@ -19,7 +22,9 @@ then run over those weights in chunks, in word order, so results are
 independent of block sizes and of any worker scheduling.  A budget caps the
 number of enumerated words.  Counts stay integer-exact: float64 carries
 them while the largest possible count fits a 52-bit mantissa, otherwise
-exact big-integer arrays are used until the first exponentiation.
+exact big-integer arrays are used until the first exponentiation.  Float
+weights that overflow are not dropped (NaN ** 0 still counts a word); an S_N
+that is not finite is a ComputationError naming N.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .sponge import Potential
-from .symbolic import Chain, SoficChain
+from .symbolic import SoficChain
 from .weights import Exponents
 
 DEFAULT_BUDGET = 10**7
@@ -69,7 +74,6 @@ class EstimateSeries:
 
     entries: list = field(default_factory=list)
     fekete_bounds: list = field(default_factory=list)
-    closed_form: float | None = None
 
     def append(self, n: int, value: float) -> None:
         self.entries.append((n, value))
@@ -77,17 +81,13 @@ class EstimateSeries:
         self.fekete_bounds.append(min(prev, value))
 
 
-def _check_exponents(chain: Chain, a: Exponents) -> tuple[float, ...]:
+def _check_exponents(chain: SoficChain, a: Exponents) -> tuple[float, ...]:
     if len(a) != chain.rank - 1:
         raise ExponentLengthMismatch(f"need {chain.rank - 1} exponents, got {len(a)}")
     return a.values
 
 
-def _bottom_is_sofic(chain: Chain) -> bool:
-    return isinstance(chain, SoficChain) and not chain.is_full_shift(1)
-
-
-def _bottom_matrices(chain: Chain, potential: Potential | None, n: int):
+def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     """Per level-2 letter: transfer matrix over bottom DP states.
 
     States are trivial for full-shift bottoms with window-1 weights; sofic
@@ -101,13 +101,13 @@ def _bottom_matrices(chain: Chain, potential: Potential | None, n: int):
     if window > n:
         raise PotentialWindowTooLarge(f"window {window} exceeds word length {n}")
 
-    if _bottom_is_sofic(chain):
+    if chain.is_full_shift(1):
+        step = lambda s, letter: 0
+        start_aut = 0
+    else:
         aut = chain.automaton(1)
         step = lambda s, letter: aut.transitions.get((s, letter))
         start_aut = aut.initial
-    else:
-        step = lambda s, letter: 0
-        start_aut = 0
 
     # state = (automaton state, last window-1 bottom letters), found depth
     # first; with window 1 this is the follower automaton's own state order
@@ -116,6 +116,7 @@ def _bottom_matrices(chain: Chain, potential: Potential | None, n: int):
     states = [(start_aut, ())]
     index = {states[0]: 0}
     entries = []  # (level-2 letter index, target, source, weight)
+    windows = {}  # full-history source -> [(target, window value)]
     frontier = [states[0]]
     while frontier:
         src = frontier.pop()
@@ -132,7 +133,10 @@ def _bottom_matrices(chain: Chain, potential: Potential | None, n: int):
                     states.append(dst)
                     frontier.append(dst)
                 # a window is complete once the history has filled up
-                w = 1 if exact or len(full) < window else potential.weight(full)
+                w = 1
+                if not exact and len(full) == window:
+                    w = potential.weight(full)
+                    windows.setdefault(index[src], []).append((index[dst], potential.value(full)))
                 entries.append((k, index[dst], index[src], w))
     dtype = object if exact else float
     mats = [np.zeros((len(states), len(states)), dtype=dtype) for _ in alphabet2]
@@ -140,48 +144,40 @@ def _bottom_matrices(chain: Chain, potential: Potential | None, n: int):
         mats[k][i, j] += w
     start = np.zeros(len(states), dtype=dtype)
     start[0] = 1
-    tail = np.array(
-        [1 if window == 1 else _tail_weight(chain, potential, s, hist) for s, hist in states],
-        dtype=dtype,
-    )
-    return start, mats, tail, exact
+    if window == 1:
+        tail = [1] * len(states)
+    else:
+        tail = [
+            _tail_weight(i, windows, memory) if len(hist) == memory else 1.0
+            for i, (_s, hist) in enumerate(states)
+        ]
+    return start, mats, np.array(tail, dtype=dtype), exact
 
 
-def _tail_weight(chain: Chain, potential: Potential, aut_state, hist) -> float:
-    """exp(max over admissible extensions of the windows overhanging the word end)."""
-    window = potential.window
-    memory = window - 1
-    if len(hist) < memory:
-        return 1.0  # only reachable before the history fills; never weighted
-    letters = [x for f in chain.fibers(1).values() for x in f]
-    aut = chain.automaton(1) if _bottom_is_sofic(chain) else None
+def _tail_weight(state: int, windows, steps: int) -> float:
+    """exp(max over admissible extensions of the windows overhanging the word end).
 
-    best = -math.inf
-
-    def rec(state, tail_hist, acc, remaining):
-        nonlocal best
-        if remaining == 0:
-            best = max(best, acc)
-            return
-        for letter in letters:
-            if aut is not None:
-                nxt = aut.transitions.get((state, letter))
-                if nxt is None:
-                    continue
-            else:
-                nxt = state
-            full = tail_hist + (letter,)
-            rec(nxt, full[-memory:] if memory else (), acc + potential.value(full[-window:]), remaining - 1)
-
-    rec(aut_state, tuple(hist), 0.0, memory)
-    if best == -math.inf:
+    A forward max-plus pass over the transitions in `windows`, `steps` long,
+    from `state`.  Each path's values are summed left to right, and as
+    rounding is monotone, keeping only the best sum per state gives the bits
+    of the best path.  A state with no extension of `steps` letters weighs 0.
+    """
+    best = {state: 0.0}
+    for _ in range(steps):
+        nxt = {}
+        for src, acc in best.items():
+            for dst, value in windows.get(src, ()):
+                total = acc + value
+                if dst not in nxt or total > nxt[dst]:
+                    nxt[dst] = total
+        best = nxt
+    if not best:
         return 0.0
+    top = max(best.values())
     try:
-        return math.exp(best)
+        return math.exp(top)
     except OverflowError:
-        raise ComputationError(
-            f"exp of potential value {best} past the word end after {tuple(hist)} overflows a float"
-        ) from None
+        raise ComputationError(f"exp of potential value {top} past the word end overflows a float") from None
 
 
 def _level2_weights(start, mats, tail, exact: bool, n: int) -> np.ndarray:
@@ -260,7 +256,7 @@ def _digit_codes(letter_proj: np.ndarray, multipliers) -> np.ndarray:
 def _fold(
     values: np.ndarray, letter_proj: np.ndarray, multipliers, exponent: float, bins: int
 ) -> np.ndarray:
-    """out[code(i)] += values[i] ** exponent over positive values, in index order.
+    """out[code(i)] += values[i] ** exponent over nonzero values, in index order.
 
     `multipliers` gives each index digit's weight in the projected code, most
     significant digit first.  Chunks of consecutive indices share their high
@@ -278,25 +274,27 @@ def _fold(
     width = len(low)
     for h, code in enumerate(high):
         chunk = values[h * width : (h + 1) * width]
-        mask = chunk > 0
+        mask = chunk != 0
         np.add.at(out, low[mask] + code, chunk[mask] ** exponent)
     return out
 
 
 def _log_total(values: np.ndarray, exponent: float, n: int) -> float:
-    """log of the pairwise sum of values ** exponent over positive values."""
-    top = values[values > 0]
+    """log of the pairwise sum of values ** exponent over nonzero values."""
+    top = values[values != 0]
     top **= exponent
     total = float(np.sum(top))
     if total == 0:
         raise ComputationError(
             f"S_N = 0 at N = {n}: no admissible level-2 word of length {n} has a positive weight"
         )
+    if not math.isfinite(total):
+        raise ComputationError(f"S_N at N = {n} is {total}: the weights overflow a float")
     return math.log(total)
 
 
 def nested_count(
-    chain: Chain,
+    chain: SoficChain,
     a: Exponents,
     potential: Potential | None = None,
     n: int = 1,
@@ -337,25 +335,31 @@ def nested_count(
 
 
 def entropy_estimate(
-    chain: Chain,
+    chain: SoficChain,
     a: Exponents,
     potential: Potential | None = None,
     n_max: int = DEFAULT_N_MAX,
     budget: int = DEFAULT_BUDGET,
-    closed_form: float | None = None,
 ) -> EstimateSeries:
-    """log S_N / N for N = 1..n_max with running Fekete upper bounds."""
+    """log S_N / N for N = window..n_max with running Fekete upper bounds.
+
+    S_N needs a whole window inside the word, so the series starts at the
+    potential's window (N = 1 without a potential or with window 1).
+    """
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")
-    series = EstimateSeries(closed_form=closed_form)
-    for n in range(1, n_max + 1):
+    window = potential.window if potential is not None else 1
+    if n_max < window:
+        raise PotentialWindowTooLarge(f"window {window} exceeds n_max {n_max}")
+    series = EstimateSeries()
+    for n in range(window, n_max + 1):
         count = nested_count(chain, a, potential, n, budget)
         series.append(n, count.per_symbol)
     return series
 
 
 def submultiplicativity_check(
-    chain: Chain,
+    chain: SoficChain,
     a: Exponents,
     n: int,
     m: int,

@@ -9,6 +9,10 @@ level r carries only the first coordinate.  Prefix length j and chain level
 i are related by j = r - i + 1.  All public functions state which of the
 two indexings they take.
 
+One chain class: SoficChain presents the bottom level by a labeled graph,
+and a sponge (SpongeChain) is its one-vertex case, with one self-loop per
+digit.  Whether a level is a full shift is read off its follower automaton.
+
 Counting is done with Python integers (counts grow like |D|^N); callers
 convert to floats only when taking logarithms.
 """
@@ -211,13 +215,18 @@ def determinize(g: LabeledGraph, level: int = 1) -> FollowerAutomaton:
     return FollowerAutomaton(states=tuple(states), letters=letters, transitions=transitions)
 
 
-class Chain:
-    """Level bookkeeping shared by sponge and sofic chains.
+class SoficChain:
+    """Chain whose bottom level is presented by a labeled graph.
 
-    Subclasses set `system` and define `alphabet(level)`.
+    Level 1 is the set of label sequences of paths; level i >= 2 is its
+    letterwise projection to the first r - i + 1 coordinates.  Alphabets are
+    the projections of the labels actually present in the graph.  A full
+    shift is the one-vertex case (SpongeChain).
     """
 
-    system: DigitSystem
+    def __init__(self, graph: LabeledGraph):
+        self.graph = graph
+        self.system = graph.system
 
     @property
     def rank(self) -> int:
@@ -228,6 +237,10 @@ class Chain:
             raise LevelOutOfRange(f"level {level} not in 1..{self.rank}")
         return self.rank - level + 1
 
+    def alphabet(self, level: int) -> tuple[Digit, ...]:
+        keep = self.prefix_length(level)
+        return tuple(sorted({tuple(lab)[:keep] for _s, _t, lab in self.graph.edges}))
+
     def fibers(self, level: int) -> dict[Digit, tuple[Digit, ...]]:
         """Map each level-(level+1) letter to the level-`level` letters over it."""
         j = self.prefix_length(level)
@@ -235,46 +248,6 @@ class Chain:
         for x in self.alphabet(level):
             out.setdefault(x[: j - 1], []).append(x)
         return {k: tuple(v) for k, v in out.items()}
-
-
-class SpongeChain(Chain):
-    """Chain of full shifts induced by a digit system (every level is full)."""
-
-    def __init__(self, system: DigitSystem):
-        self.system = system
-
-    def alphabet(self, level: int) -> tuple[Digit, ...]:
-        return self.system.prefixes(self.prefix_length(level))
-
-    def is_full_shift(self, level: int) -> bool:
-        return True
-
-    def admissible(self, word: Word) -> bool:
-        alph = set(self.alphabet(word.level))
-        return all(x in alph for x in word.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, SpongeChain) and self.system == other.system
-
-    def __hash__(self):
-        return hash(("sponge", self.system))
-
-
-class SoficChain(Chain):
-    """Chain with a sofic bottom level presented by a labeled graph.
-
-    Level 1 is the set of label sequences of paths; level i >= 2 is its
-    letterwise projection to the first r - i + 1 coordinates.  Alphabets are
-    the projections of the labels actually present in the graph.
-    """
-
-    def __init__(self, graph: LabeledGraph):
-        self.graph = graph
-        self.system = graph.system
-
-    def alphabet(self, level: int) -> tuple[Digit, ...]:
-        keep = self.prefix_length(level)
-        return tuple(sorted({tuple(lab)[:keep] for _s, _t, lab in self.graph.edges}))
 
     def automaton(self, level: int) -> FollowerAutomaton:
         return _cached_automaton(self.graph, level)
@@ -302,18 +275,20 @@ class SoficChain(Chain):
         return hash(("sofic", self.graph))
 
 
+class SpongeChain(SoficChain):
+    """Chain of full shifts induced by a digit system: one vertex, one self-loop per digit."""
+
+    def __init__(self, system: DigitSystem):
+        edges = tuple(("*", "*", d) for d in system.sorted_digits)
+        super().__init__(LabeledGraph(vertices=("*",), edges=edges, system=system))
+
+
 @lru_cache(maxsize=64)
 def _cached_automaton(graph: LabeledGraph, level: int) -> FollowerAutomaton:
     return determinize(graph, level)
 
 
-def full_shift_chain(system: DigitSystem) -> SoficChain:
-    """Encode a full shift as a one-vertex graph with one self-loop per digit."""
-    edges = tuple(("*", "*", d) for d in system.sorted_digits)
-    return SoficChain(LabeledGraph(vertices=("*",), edges=edges, system=system))
-
-
-def preimage_count(chain: Chain, word: Word, n: int | None = None) -> int:
+def preimage_count(chain: SoficChain, word: Word, n: int | None = None) -> int:
     """Exact number of admissible level-i words projecting letterwise to `word`.
 
     `word` lives at level i + 1; the result counts level-i words (one level

@@ -148,7 +148,7 @@ def test_criterion_6_sofic_estimator_convergence():
         chain = golden_mean_chain()
         a = exponents_from_bases((2, 3, 4))
         h = sofic_weighted_entropy_closed_form(chain, a)
-        series = entropy_estimate(chain, a, n_max=12, closed_form=h)
+        series = entropy_estimate(chain, a, n_max=12)
         values = [v for _n, v in series.entries]
         assert series.fekete_bounds == sorted(series.fekete_bounds, reverse=True)
         assert abs(values[-1] - h) <= 0.05

@@ -6,7 +6,9 @@ Core claims:
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
-      a chain with no admissible word of length N exits 2, not with a traceback
+      a chain with no admissible word of length N, or an S_N that overflows,
+      exits 2, not with a traceback or Infinity
+    - a window-2 config is estimated from N = 2
     - numeric report fields reproduce pinned values bit for bit
 """
 import json
@@ -160,6 +162,43 @@ def test_overflowing_potential_is_computation_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1000.0" in err
     assert "Traceback" not in err
+
+
+def test_overflowing_weights_are_computation_error(tmp_path, capsys):
+    # exp(700) is finite, but two letters of it overflow S_2: exit 2, not Infinity
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        doc = json.load(fh)
+    doc["potential"]["table"][0][1] = 700.0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: S_N at N = 2 is inf" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "estimate"])
+def test_window_two_series_starts_at_window(tmp_path, capsys, command):
+    from wtp.estimator import nested_count
+
+    doc = _carpet_config()
+    doc["potential"] = {
+        "window": 2,
+        "table": [[[[0, 0], [1, 1]], 0.8], [[[1, 1], [0, 2]], -0.3], [[[0, 2], [0, 2]], 1.1]],
+    }
+    doc["estimator"] = {"n_max": 5}
+    path = tmp_path / "window2.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["estimate_series"]
+    assert [row["n"] for row in rows] == [2, 3, 4, 5]
+    config = parse_config(doc)
+    for row in rows:
+        count = nested_count(config.chain, config.exponents, config.potential, row["n"])
+        assert row["log_s_over_n"] == count.per_symbol
+    # the Fekete bound is the running minimum from N = 2
+    values = [row["log_s_over_n"] for row in rows]
+    assert [row["fekete_bound"] for row in rows] == [min(values[: k + 1]) for k in range(len(values))]
 
 
 @pytest.mark.parametrize("command", ["entropy", "estimate"])

@@ -12,11 +12,19 @@ Core claims:
     - the enumeration budget and window preconditions are enforced
     - the blocked depth-first DP gives the same floats as holding every
       level-2 DP vector at once
-    - an overflowing tail weight is a ComputationError
+    - an overflowing tail weight is a ComputationError; NaN weights from
+      overflow still count their word at exponent 0, and a non-finite S_N
+      is a ComputationError
+    - a window-3 potential on a sofic graph whose overhang can dead-end
+      matches brute force
+    - a sponge is the one-vertex sofic chain: same transfer matrices, same
+      bits
+    - the series starts at N = window
 """
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from wtp import estimator
@@ -64,7 +72,7 @@ def test_all_one_exponents_count_bottom_words(carpet_chain):
 def test_golden_series_decreases_toward_closed_form(golden):
     a = exponents_from_bases(golden.system.bases)
     h = sofic_weighted_entropy_closed_form(golden, a)
-    series = entropy_estimate(golden, a, n_max=8, closed_form=h)
+    series = entropy_estimate(golden, a, n_max=8)
     values = [v for _n, v in series.entries]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
     assert series.fekete_bounds == sorted(series.fekete_bounds, reverse=True)
@@ -233,32 +241,41 @@ def test_rank_two_sofic_bottom_matches_brute_force():
         assert count.log_value == pytest.approx(math.log(2), abs=1e-14)
 
 
-def _brute_sofic_window2(g, a, pot, n):
+def _brute_sofic_windowed(g, a, pot, n):
     """Admissible words with sup-over-cylinder weights, fully enumerated.
 
-    The valid one-letter extensions of a word are the labels leaving any
-    vertex a realizing path can end at (every vertex has onward edges, so
-    one admissible letter always continues to an infinite path)."""
-    words = {}
+    A word's windows past its end range over the admissible extensions by
+    window - 1 letters: labels of paths leaving a vertex at which some
+    realizing path ends.  A word with no such extension weighs 0, and a
+    level-2 word whose bottom words all weigh 0 is not counted."""
+    k = pot.window
 
-    def walk(vertex, word):
-        if len(word) == n:
-            words.setdefault(word, set()).add(vertex)
+    def paths(vertex, length):
+        if length == 0:
+            yield (), vertex
             return
         for s, t, lab in g.edges:
             if s == vertex:
-                walk(t, word + (lab,))
+                for rest, end in paths(t, length - 1):
+                    yield (lab,) + rest, end
 
+    words = {}
     for v in g.vertices:
-        walk(v, ())
+        for word, end in paths(v, n):
+            words.setdefault(word, set()).add(end)
     groups = {}
     for word, ends in words.items():
-        total = sum(pot.value((word[t], word[t + 1])) for t in range(n - 1))
-        extensions = [lab for s, _t, lab in g.edges if s in ends]
-        tail = max(pot.value((word[-1], e)) for e in extensions)
+        total = sum(pot.value(word[t : t + k]) for t in range(n - k + 1))
+        extensions = [e for v in ends for e, _end in paths(v, k - 1)]
+        weight = 0.0
+        if extensions:
+            tail = max(
+                sum(pot.value((word + e)[n - k + 1 + t : n + 1 + t]) for t in range(k - 1)) for e in extensions
+            )
+            weight = math.exp(total + tail)
         key = tuple(d[:1] for d in word)
-        groups[key] = groups.get(key, 0.0) + math.exp(total + tail)
-    return math.log(sum(v ** a.values[0] for v in groups.values()))
+        groups[key] = groups.get(key, 0.0) + weight
+    return math.log(sum(v ** a.values[0] for v in groups.values() if v != 0))
 
 
 def test_sofic_window_two_matches_brute_force(rng):
@@ -285,7 +302,87 @@ def test_sofic_window_two_matches_brute_force(rng):
     a = Exponents((0.61,))
     for n in (2, 3, 5):
         got = nested_count(chain, a, pot, n=n).log_value
-        assert got == pytest.approx(_brute_sofic_window2(g, a, pot, n), abs=1e-12)
+        assert got == pytest.approx(_brute_sofic_windowed(g, a, pot, n), abs=1e-12)
+
+
+def test_sofic_window_three_with_dead_ends_matches_brute_force(rng):
+    from wtp.symbolic import LabeledGraph, SoficChain
+
+    sys = validate_digit_system((2, 2), list(itertools.product(range(2), range(2))))
+    # c continues one letter, to the dead vertex d: a word ending only at c
+    # has no two-letter overhang and weighs 0
+    g = LabeledGraph(
+        vertices=("a", "b", "c", "d"),
+        edges=(
+            ("a", "a", (0, 0)),
+            ("a", "b", (1, 1)),
+            ("b", "a", (1, 0)),
+            ("b", "c", (0, 1)),
+            ("c", "d", (1, 0)),
+        ),
+        system=sys,
+    )
+    chain = SoficChain(g)
+    pot = Potential(
+        window=3,
+        table={w: float(rng.normal()) for w in itertools.product(sys.sorted_digits, repeat=3)},
+    )
+    _start, _mats, tail, _exact = estimator._bottom_matrices(chain, pot, 3)
+    assert 0.0 in tail  # some full-history state dead-ends within two letters
+    for a in (Exponents((0.61,)), Exponents((0.0,))):
+        for n in (3, 4, 6):
+            got = nested_count(chain, a, pot, n=n).log_value
+            assert got == pytest.approx(_brute_sofic_windowed(g, a, pot, n), abs=1e-12)
+
+
+def test_sponge_is_the_one_vertex_sofic_chain(rng):
+    from wtp.symbolic import LabeledGraph, SoficChain
+
+    for rank in (2, 3):
+        while True:
+            sys = random_sponge(rng, max_rank=3, max_base=4, max_digits=8)
+            if sys.rank == rank:
+                break
+        sponge = SpongeChain(sys)
+        loops = tuple(("*", "*", d) for d in sys.sorted_digits)
+        graph = SoficChain(LabeledGraph(vertices=("*",), edges=loops, system=sys))
+        assert sponge == graph
+        a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=rank - 1)))
+        for window in (0, 1, 2):
+            pot = _random_potential(rng, sys.sorted_digits, window)
+            start, mats, tail, exact = estimator._bottom_matrices(sponge, pot, 3)
+            g_start, g_mats, g_tail, g_exact = estimator._bottom_matrices(graph, pot, 3)
+            assert exact == g_exact and len(mats) == len(g_mats)
+            for x, y in zip([start, tail, *mats], [g_start, g_tail, *g_mats]):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            for n in (3, 4):
+                assert repr(nested_count(sponge, a, pot, n).log_value) == repr(
+                    nested_count(graph, a, pot, n).log_value
+                )
+
+
+def test_overflowing_level2_weights_still_count_words(carpet_chain, carpet_exponents):
+    # two windows of 700 overflow a float, and inf * 0 in the DP makes NaN
+    # weights; with a_1 = 0 each admissible level-2 word still counts once
+    pot = Potential(window=2, table={((0, 0), (0, 0)): 700.0})
+    for n in (2, 3, 4):
+        count = nested_count(carpet_chain, Exponents((0.0,)), pot, n=n)
+        assert count.log_value == pytest.approx(n * math.log(2), abs=1e-12)
+    # a non-finite S_N is a ComputationError naming N
+    pot1 = Potential(window=1, table={((0, 0),): 700.0})
+    assert math.isfinite(nested_count(carpet_chain, carpet_exponents, pot1, n=1).log_value)
+    with pytest.raises(ComputationError, match="N = 2 is inf"):
+        nested_count(carpet_chain, carpet_exponents, pot1, n=2)
+
+
+def test_series_starts_at_window(carpet_chain, carpet_exponents):
+    pot = Potential(window=2, table={((0, 0), (1, 1)): 0.4, ((1, 1), (0, 2)): -0.2})
+    series = entropy_estimate(carpet_chain, carpet_exponents, pot, n_max=4)
+    assert [n for n, _v in series.entries] == [2, 3, 4]
+    for n, value in series.entries:
+        assert value == nested_count(carpet_chain, carpet_exponents, pot, n=n).per_symbol
+    with pytest.raises(PotentialWindowTooLarge):
+        entropy_estimate(carpet_chain, carpet_exponents, pot, n_max=1)
 
 
 def test_block_chain_reproduces_matched_length(rng):

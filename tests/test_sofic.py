@@ -26,7 +26,7 @@ from wtp.sofic import (
     sofic_weighted_entropy_closed_form,
 )
 from wtp.sponge import hausdorff_dimension, weighted_entropy_closed_form
-from wtp.symbolic import LabeledGraph, full_shift_chain, validate_digit_system
+from wtp.symbolic import LabeledGraph, SpongeChain, validate_digit_system
 from wtp.weights import Exponents
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -64,7 +64,7 @@ def test_sum_of_matrices_is_adjacency_count(golden):
 
 
 def test_single_vertex_matrices_are_fiber_sizes(carpet):
-    chain = full_shift_chain(carpet)
+    chain = SpongeChain(carpet)
     mats = _matrix_map(chain)
     assert mats[(0,)].matrix == ((2,),)
     assert mats[(1,)].matrix == ((1,),)
@@ -149,7 +149,7 @@ def test_dimension_report(golden):
 
 
 def test_carpet_as_one_vertex_chain_matches_sponge(carpet, carpet_exponents):
-    chain = full_shift_chain(carpet)
+    chain = SpongeChain(carpet)
     h = sofic_weighted_entropy_closed_form(chain, carpet_exponents)
     assert h == pytest.approx(weighted_entropy_closed_form(carpet, carpet_exponents), abs=1e-15)
     report = sofic_dimension_report(chain)
@@ -160,7 +160,7 @@ def test_full_product_on_one_vertex_gives_rank():
     bases = (2, 2)
     digits = list(itertools.product(*(range(m) for m in bases)))
     sys = validate_digit_system(bases, digits)
-    report = sofic_dimension_report(full_shift_chain(sys))
+    report = sofic_dimension_report(SpongeChain(sys))
     assert report.h_over_log_m1 == pytest.approx(len(bases), abs=1e-12)
 
 

@@ -34,7 +34,6 @@ from wtp.symbolic import (
     Word,
     check_right_resolving,
     determinize,
-    full_shift_chain,
     preimage_count,
     validate_digit_system,
 )
@@ -183,7 +182,7 @@ def test_determinize_single_loop():
 
 
 def test_full_shift_encoding_accepts_everything(carpet):
-    chain = full_shift_chain(carpet)
+    chain = SpongeChain(carpet)
     aut = chain.automaton(1)
     for n in range(4):
         assert aut.count_words(n) == len(carpet.digits) ** n
