@@ -43,6 +43,7 @@ from .variational import MAX_ITERS, STALL_GAIN, maximize_bernoulli
 from .weights import Exponents, exponents_from_bases
 
 COMMANDS = ("entropy", "dimension", "estimate", "variational", "check")
+WINDOW_K_WARNING = "closed form unavailable: potentials wider than window 1 are estimator-only"
 
 
 @dataclass
@@ -201,15 +202,21 @@ def parse_config(doc) -> RunConfig:
     )
 
 
-def _sponge_closed_form(config: RunConfig) -> dict:
+def _sponge_dimensions(config: RunConfig) -> dict:
     sys_ = config.chain.system
-    table = kp_recursion(sys_, config.exponents, config.potential)
     return {
-        "h_a_nats": math.log(table.z0),
-        "z0": table.z0,
         "hausdorff_dimension": hausdorff_dimension(sys_),
         "minkowski_dimension": minkowski_dimension(sys_),
     }
+
+
+def _sponge_closed_form(config: RunConfig) -> dict:
+    table = kp_recursion(config.chain.system, config.exponents, config.potential)
+    return {"h_a_nats": math.log(table.z0), "z0": table.z0, **_sponge_dimensions(config)}
+
+
+def _window_k(config: RunConfig) -> bool:
+    return config.potential is not None and config.potential.window != 1
 
 
 def _sofic_closed_form(config: RunConfig) -> dict:
@@ -244,7 +251,7 @@ def run(config: RunConfig, command: str) -> Report:
     if command == "variational":
         if not sponge:
             raise UnsupportedCombination("variational optimization is restricted to sponge chains")
-        if config.potential is not None and config.potential.window != 1:
+        if _window_k(config):
             raise UnsupportedCombination("variational optimization takes window-1 potentials")
         closed = _sponge_closed_form(config)
         dist, value = maximize_bernoulli(
@@ -265,7 +272,11 @@ def run(config: RunConfig, command: str) -> Report:
         return report
 
     if command == "dimension":
-        if sponge:
+        if sponge and _window_k(config):
+            # the dimensions do not depend on the potential; h_a does
+            report.closed_form = _sponge_dimensions(config)
+            report.warnings.append(WINDOW_K_WARNING)
+        elif sponge:
             report.closed_form = _sponge_closed_form(config)
         else:
             report.closed_form = _sofic_closed_form(config)
@@ -292,10 +303,8 @@ def run(config: RunConfig, command: str) -> Report:
 
 def _closed_form_or_none(config: RunConfig, report: Report, sponge: bool) -> dict | None:
     if sponge:
-        if config.potential is not None and config.potential.window != 1:
-            report.warnings.append(
-                "closed form unavailable: potentials wider than window 1 are estimator-only"
-            )
+        if _window_k(config):
+            report.warnings.append(WINDOW_K_WARNING)
             return None
         return _sponge_closed_form(config)
     if config.potential is not None:

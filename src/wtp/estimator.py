@@ -318,20 +318,24 @@ def nested_count(
             mats = [m.astype(float) for m in mats]
             tail = tail.astype(float)
             exact = False
-    current = _level2_weights(start, mats, tail, exact, n)
+    # an overflow surfaces as a non-finite S_N, which _log_total raises as a
+    # ComputationError; numpy's warnings would only print ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = _level2_weights(start, mats, tail, exact, n)
 
-    # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
-    # Level-2 rows put the first position least significant; the codes of
-    # level 3 and above put it most significant.
-    for lvl in range(2, r):
-        coarse = {x: k for k, x in enumerate(alphabets[lvl + 1])}
-        j = chain.prefix_length(lvl)
-        letter_proj = np.array([coarse[x[: j - 1]] for x in alphabets[lvl]], dtype=np.int64)
-        size_hi = len(coarse)
-        powers = [size_hi**e for e in range(n)]
-        multipliers = powers if lvl == 2 else powers[::-1]
-        current = _fold(current, letter_proj, multipliers, avals[lvl - 2], size_hi**n)
-    return NestedCount(n=n, log_value=_log_total(current, avals[-1], n), potential=potential)
+        # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
+        # Level-2 rows put the first position least significant; the codes of
+        # level 3 and above put it most significant.
+        for lvl in range(2, r):
+            coarse = {x: k for k, x in enumerate(alphabets[lvl + 1])}
+            j = chain.prefix_length(lvl)
+            letter_proj = np.array([coarse[x[: j - 1]] for x in alphabets[lvl]], dtype=np.int64)
+            size_hi = len(coarse)
+            powers = [size_hi**e for e in range(n)]
+            multipliers = powers if lvl == 2 else powers[::-1]
+            current = _fold(current, letter_proj, multipliers, avals[lvl - 2], size_hi**n)
+        log_value = _log_total(current, avals[-1], n)
+    return NestedCount(n=n, log_value=log_value, potential=potential)
 
 
 def entropy_estimate(

@@ -5,6 +5,11 @@ the marginal on the length-(r-i+1) prefixes, so the weighted sum of
 measure entropies is an explicit concave function of the symbol
 distribution.  The maximizer is found two independent ways: in closed form
 from the contraction tables, and by exponentiated-gradient ascent.
+
+Each level marginal is a grouped sum over the digits' prefix indices, so an
+ascent iteration costs O(|D|) per level.  Its rounding differs from a dense
+0/1 matrix product, so values may differ from such an evaluation in the
+last bits.
 """
 from __future__ import annotations
 
@@ -61,19 +66,26 @@ class VariationalValue:
     breakdown: tuple  # ((label, contribution), ...)
 
 
-def _marginal_matrices(sys: DigitSystem) -> list[np.ndarray]:
-    """Row-stochastic-in-columns 0/1 matrices mapping p on D to level-i marginals."""
+def _marginal_groups(sys: DigitSystem) -> list[tuple[np.ndarray, int]]:
+    """Per level i, the index of each sorted digit's length-(r-i+1) prefix
+    among that level's sorted prefixes, with the prefix count.
+
+    The level-i marginal of p is the grouped sum
+    `np.bincount(group, weights=p, minlength=k)`, and pulling a per-prefix
+    vector x back to the digits is the gather `x[group]`.
+    """
     digits = sys.sorted_digits
-    mats = []
+    groups = []
     for level in range(1, sys.rank + 1):
         j = sys.rank - level + 1
-        prefixes = sys.prefixes(j)
-        pos = {x: k for k, x in enumerate(prefixes)}
-        m = np.zeros((len(prefixes), len(digits)))
-        for col, d in enumerate(digits):
-            m[pos[d[:j]], col] = 1.0
-        mats.append(m)
-    return mats
+        pos = {x: k for k, x in enumerate(sys.prefixes(j))}
+        group = np.fromiter((pos[d[:j]] for d in digits), dtype=np.intp, count=len(digits))
+        groups.append((group, len(pos)))
+    return groups
+
+
+def _marginal(p: np.ndarray, group: np.ndarray, k: int) -> np.ndarray:
+    return np.bincount(group, weights=p, minlength=k)
 
 
 def _entropy(q: np.ndarray) -> float:
@@ -101,8 +113,8 @@ def bernoulli_objective(
     fvec = _potential_vector(sys, potential)
     breakdown = []
     total = 0.0
-    for i, m in enumerate(_marginal_matrices(sys), start=1):
-        contribution = w[i - 1] * _entropy(m @ p)
+    for i, (group, k) in enumerate(_marginal_groups(sys), start=1):
+        contribution = w[i - 1] * _entropy(_marginal(p, group, k))
         breakdown.append((f"w{i}*H(level {i})", contribution))
         total += contribution
     potential_term = w[0] * float(fvec @ p)
@@ -162,20 +174,20 @@ def maximize_bernoulli(
     """
     digits = sys.sorted_digits
     w = weights_from_exponents(a)
-    mats = _marginal_matrices(sys)
+    groups = _marginal_groups(sys)
     fvec = _potential_vector(sys, potential)
     closed_form = math.log(kp_recursion(sys, a, potential).z0)
 
     def objective(p: np.ndarray) -> float:
-        total = sum(w[i] * _entropy(m @ p) for i, m in enumerate(mats))
+        total = sum(w[i] * _entropy(_marginal(p, group, k)) for i, (group, k) in enumerate(groups))
         return total + w[0] * float(fvec @ p)
 
     def gradient(p: np.ndarray) -> np.ndarray:
         g = w[0] * fvec.copy()
-        for i, m in enumerate(mats):
-            q = m @ p
+        for i, (group, k) in enumerate(groups):
+            q = _marginal(p, group, k)
             logq = np.where(q > 0, np.log(np.maximum(q, 1e-300)), 0.0)
-            g += w[i] * (m.T @ (-logq - 1.0))
+            g += w[i] * (-logq - 1.0)[group]
         return g
 
     p = np.full(len(digits), 1.0 / len(digits))

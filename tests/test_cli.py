@@ -7,12 +7,16 @@ Core claims:
     - re-running on a report's echoed config reproduces the JSON bit for bit
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
       a chain with no admissible word of length N, or an S_N that overflows,
-      exits 2, not with a traceback or Infinity
+      exits 2, not with a traceback or Infinity, and stderr holds only the
+      error line
+    - a sponge's dimensions are reported under a window-2 potential
     - a window-2 config is estimated from N = 2
     - numeric report fields reproduce pinned values bit for bit
 """
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -164,17 +168,38 @@ def test_overflowing_potential_is_computation_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_overflowing_weights_are_computation_error(tmp_path, capsys):
-    # exp(700) is finite, but two letters of it overflow S_2: exit 2, not Infinity
+def _overflowing_weights_config(tmp_path):
+    # exp(700) is finite, but two letters of it overflow S_2
     with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
         doc = json.load(fh)
     doc["potential"]["table"][0][1] = 700.0
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_weights_are_computation_error(tmp_path, capsys):
+    # exit 2, not Infinity
+    path = _overflowing_weights_config(tmp_path)
     assert main(["estimate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error: S_N at N = 2 is inf" in err
     assert "Traceback" not in err
+
+
+def test_overflow_stderr_is_the_error_line_only(tmp_path):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach the real stderr
+    path = _overflowing_weights_config(tmp_path)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wtp.cli", "estimate", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: S_N at N = 2 is inf: the weights overflow a float\n"
 
 
 @pytest.mark.parametrize("command", ["entropy", "estimate"])
@@ -256,6 +281,24 @@ def test_dimension_on_carpet():
     assert cf["hausdorff_dimension"] == pytest.approx(1.349, abs=1e-3)
     assert cf["minkowski_dimension"] == pytest.approx(1.369, abs=1e-3)
     assert report.warnings == []
+
+
+def test_dimension_under_window_two_potential(tmp_path, capsys):
+    # the dimensions do not depend on the potential; h_a has no closed form
+    doc = _carpet_config()
+    doc["potential"] = {"window": 2, "table": [[[[0, 0], [1, 1]], 0.8]]}
+    path = tmp_path / "window2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dimension", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    plain = run(parse_config(_carpet_config()), "dimension").closed_form
+    assert report["closed_form"] == {
+        "hausdorff_dimension": plain["hausdorff_dimension"],
+        "minkowski_dimension": plain["minkowski_dimension"],
+    }
+    assert report["warnings"] == [
+        "closed form unavailable: potentials wider than window 1 are estimator-only"
+    ]
 
 
 def test_entropy_on_golden_chain():

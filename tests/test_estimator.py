@@ -361,6 +361,7 @@ def test_sponge_is_the_one_vertex_sofic_chain(rng):
                 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_level2_weights_still_count_words(carpet_chain, carpet_exponents):
     # two windows of 700 overflow a float, and inf * 0 in the DP makes NaN
     # weights; with a_1 = 0 each admissible level-2 word still counts once

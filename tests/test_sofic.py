@@ -10,6 +10,9 @@ Core claims:
     - a full shift encoded on one vertex reproduces the sponge closed form
     - matrices without a common positive eigenvector are reported as absent;
       periodic matrices that share one are aligned
+    - the frozen chain's presentation is not finite-to-one: graph paths grow
+      faster than words, and the word count's growth rate at N = 13 sits
+      more than 0.01 below the closed form (which counts paths)
 """
 import itertools
 import math
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from wtp.errors import NotAligned
+from wtp.estimator import nested_count
 from wtp.sofic import (
     CountMatrix,
     build_count_matrices,
@@ -26,8 +30,8 @@ from wtp.sofic import (
     sofic_weighted_entropy_closed_form,
 )
 from wtp.sponge import hausdorff_dimension, weighted_entropy_closed_form
-from wtp.symbolic import LabeledGraph, SpongeChain, validate_digit_system
-from wtp.weights import Exponents
+from wtp.symbolic import LabeledGraph, SpongeChain, determinize, validate_digit_system
+from wtp.weights import Exponents, exponents_from_bases
 
 PHI = (1 + math.sqrt(5)) / 2
 A00 = ((0, 1, 1), (0, 0, 1), (1, 1, 0))
@@ -187,3 +191,37 @@ def test_not_aligned_chain_raises():
     assert mats[(1,)].matrix == ((2, 1), (0, 1))
     with pytest.raises(NotAligned):
         sofic_weighted_entropy_closed_form(SoficChain(g), Exponents((0.5,)))
+
+
+def _log_spectral_radius(m: np.ndarray) -> float:
+    return math.log(max(abs(np.linalg.eigvals(m))))
+
+
+def test_golden_chain_paths_outgrow_words(golden):
+    # Documents the gap between the closed form and the chain's word-based
+    # entropy; this pins today's numbers and changes no closed-form pin.
+    vertex = {v: i for i, v in enumerate(golden.graph.vertices)}
+    edges = np.zeros((len(vertex), len(vertex)))
+    for s, t, _label in golden.graph.edges:
+        edges[vertex[s], vertex[t]] += 1
+    aut = determinize(golden.graph, level=1)
+    n = len(aut.states)
+    follower = np.zeros((n, n))
+    for (s, _letter), t in aut.transitions.items():
+        follower[s, t] += 1
+    reach = np.linalg.matrix_power(np.eye(n) + follower, n) > 0
+    # the terminal component: states that every state they reach reaches back
+    terminal = [s for s in range(n) if all(reach[t, s] for t in range(n) if reach[s, t])]
+    assert len(terminal) == 6
+    graph_rate = _log_spectral_radius(edges)
+    word_rate = _log_spectral_radius(follower[np.ix_(terminal, terminal)])
+    assert graph_rate == pytest.approx(2.13678, abs=1e-5)
+    assert word_rate == pytest.approx(2.11367, abs=1e-5)
+    assert graph_rate - word_rate > 0.02
+
+    a = exponents_from_bases(golden.system.bases)
+    closed = sofic_weighted_entropy_closed_form(golden, a)
+    assert closed == pytest.approx(1.459838, abs=1e-6)
+    step = nested_count(golden, a, n=13).log_value - nested_count(golden, a, n=12).log_value
+    assert step == pytest.approx(1.4489082, abs=1e-7)
+    assert step < closed - 0.01

@@ -10,11 +10,15 @@ Core claims:
     - a two-symbol system matches a 1e-6 grid-search oracle
     - random distributions never beat the closed form (the variational
       inequality for product measures)
+    - the grouped-sum marginals agree with dense 0/1 marginal matrices
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtp.checks import random_sponge
 from wtp.errors import DidNotConverge, DistributionInvalid
@@ -22,6 +26,7 @@ from wtp.sponge import Potential, kp_recursion
 from wtp.symbolic import validate_digit_system
 from wtp.variational import (
     SymbolDistribution,
+    _marginal_groups,
     bernoulli_objective,
     maximize_bernoulli,
     optimal_measure_from_recursion,
@@ -176,3 +181,54 @@ def test_did_not_converge_reports_best(carpet, carpet_exponents):
         maximize_bernoulli(carpet, carpet_exponents, max_iters=3)
     assert exc.value.best_value is not None
     assert exc.value.best_distribution is not None
+
+
+def _dense_marginal_matrices(sys):
+    """Oracle: per level, the |D_j| x |D| 0/1 matrix whose column d has its
+    one 1 in the row of d's length-j prefix (the library keeps group indices)."""
+    digits = sys.sorted_digits
+    mats = []
+    for level in range(1, sys.rank + 1):
+        j = sys.rank - level + 1
+        pos = {x: k for k, x in enumerate(sys.prefixes(j))}
+        m = np.zeros((len(pos), len(digits)))
+        for col, d in enumerate(digits):
+            m[pos[d[:j]], col] = 1.0
+        mats.append(m)
+    return mats
+
+
+@st.composite
+def _sponge_and_point(draw):
+    rank = draw(st.integers(2, 4))
+    bases = tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=rank, max_size=rank))))
+    pool = list(itertools.product(*(range(m) for m in bases)))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16, unique=True))
+    sys = validate_digit_system(bases, digits)
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    raw = np.array(draw(st.lists(unit, min_size=len(digits), max_size=len(digits)))) + 1e-12
+    a = Exponents(tuple(draw(st.lists(unit, min_size=rank - 1, max_size=rank - 1))))
+    return sys, a, raw / raw.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sponge_and_point())
+def test_grouped_marginals_match_dense_oracle(case):
+    sys, a, raw = case
+    dist = SymbolDistribution(
+        system=sys, probs={d: float(x) for d, x in zip(sys.sorted_digits, raw)}
+    )
+    p = dist.as_array()
+    dense = _dense_marginal_matrices(sys)
+    groups = _marginal_groups(sys)
+    assert len(groups) == len(dense)
+    w = weights_from_exponents(a)
+    objective = 0.0
+    for i, ((group, k), m) in enumerate(zip(groups, dense)):
+        q = m @ p
+        np.testing.assert_allclose(np.bincount(group, weights=p, minlength=k), q, rtol=1e-15, atol=0)
+        x = -np.log(np.maximum(q, 1e-300)) - 1.0
+        assert np.array_equal(x[group], m.T @ x)
+        nz = q[q > 0]
+        objective += w[i] * float(-np.sum(nz * np.log(nz)))
+    assert bernoulli_objective(sys, a, dist).value == pytest.approx(objective, abs=1e-14)
