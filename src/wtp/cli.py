@@ -9,11 +9,15 @@ numbers bit for bit.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .checks import run_all_checks
@@ -80,7 +84,131 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        """The bytes of `json.dumps(self.to_dict(), indent=2)`, laid out by `_encode`."""
+        doc = self.to_dict()
+        try:
+            return _encode(doc, 0)
+        except (_Fallback, RecursionError, ValueError):
+            # json.dumps is the reference layout: it writes what _encode does
+            # not lay out (non-str keys, subclasses) and raises its own errors
+            # (circular references, ints past the str-digits limit)
+            return json.dumps(doc, indent=2)
+
+
+# Report writer.  json.dumps(indent=2) lays out containers in pure Python, one
+# generator step per value; the echoed digit set and the potential table of a
+# 1400-digit sponge hold over 10^4 values.  _encode writes the same bytes but
+# fills a whole list of same-shaped rows from one %-template.
+
+
+class _Fallback(Exception):
+    """A value _encode does not lay out; json.dumps writes the whole report."""
+
+
+def _float_str(x: float) -> str:
+    # json.dumps's spellings of the non-finite floats
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})  # float.__repr__ of the non-finite floats
+
+
+@lru_cache(maxsize=None)
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _container(items, depth: int, brackets: str = "[]") -> str:
+    """Encoded items laid out one per line inside `brackets`, as at `depth`."""
+    if not items:
+        return brackets
+    inner = _newline(depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + _newline(depth) + brackets[1]
+
+
+def _shape(value):
+    """Layout of a value built from lists, tuples, ints, floats and strs, else None.
+
+    A scalar's shape is its type, a list's the tuple of its items' shapes.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        shapes = tuple(map(_shape, value))
+        return None if None in shapes else shapes
+    return kind if kind is int or kind is float or kind is str else None
+
+
+@lru_cache(maxsize=256)
+def _template(shape, depth: int) -> str:
+    """%-template of a value of `shape` at `depth`: %d per int, %s per float or str."""
+    if type(shape) is not tuple:
+        return "%d" if shape is int else "%s"
+    return _container([_template(s, depth + 1) for s in shape], depth)
+
+
+@lru_cache(maxsize=16)  # a report has a few long lists; the templates are large
+def _rows_template(shape, depth: int, n: int) -> str:
+    """%-template of a list of `n` values of `shape` at `depth`."""
+    return _container((_template(shape, depth + 1),) * n, depth)
+
+
+def _columns(shape, values: list, out: list) -> bool:
+    """Append to `out` one fill column per scalar position of `shape`.
+
+    False when some value does not have `shape`.  Ints go in as they are
+    (%d writes int.__repr__), floats and strs already encoded.
+    """
+    if type(shape) is tuple:
+        if not {list, tuple}.issuperset(map(type, values)) or set(map(len, values)) != {len(shape)}:
+            return False
+        return all(_columns(s, list(map(itemgetter(k), values)), out) for k, s in enumerate(shape))
+    if set(map(type, values)) != {shape}:
+        return False
+    if shape is float:
+        text = list(map(float.__repr__, values))
+        out.append(text if _NON_FINITE.isdisjoint(text) else list(map(_float_str, values)))
+    else:
+        out.append(values if shape is int else list(map(encode_basestring_ascii, values)))
+    return True
+
+
+def _encode(value, depth: int) -> str:
+    """`value` as json.dumps(indent=2) writes it at nesting `depth`; _Fallback otherwise."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        shape = _shape(value[0])
+        columns: list = []
+        if shape is not None and _columns(shape, value, columns):
+            fill = tuple(itertools.chain.from_iterable(zip(*columns)))
+            return _rows_template(shape, depth, len(value)) % fill
+        return _container([_encode(v, depth + 1) for v in value], depth)
+    if kind is dict:
+        if not {str}.issuperset(map(type, value)):
+            raise _Fallback
+        return _container(
+            [encode_basestring_ascii(k) + ": " + _encode(v, depth + 1) for k, v in value.items()],
+            depth,
+            "{}",
+        )
+    scalar = _SCALARS.get(kind)
+    if scalar is None:
+        raise _Fallback
+    return scalar(value)
 
 
 def _expect(doc, key, kind, path):
@@ -98,12 +226,31 @@ def _integer(value, path) -> int:
     return value
 
 
+def _count(value, path) -> int:
+    if _integer(value, path) < 1:
+        raise ParseError(path, f"expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _all_of(kind, values) -> bool:
+    """Every value has exactly type `kind`; a set of types, so no Python step per value."""
+    return {kind}.issuperset(map(type, values))
+
+
 def _integers(values, path) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ParseError(path, f"expected a list of integers, got {values!r}")
-    for i, value in enumerate(values):
-        _integer(value, f"{path}[{i}]")
+    if not _all_of(int, values):
+        for i, value in enumerate(values):
+            _integer(value, f"{path}[{i}]")
     return tuple(values)
+
+
+def _integer_rows(rows, path) -> list[tuple[int, ...]]:
+    """`_integers` on each row; the paths of the rows are built only for a failing check."""
+    if _all_of(list, rows) and _all_of(int, itertools.chain.from_iterable(rows)):
+        return list(map(tuple, rows))
+    return [_integers(row, f"{path}[{k}]") for k, row in enumerate(rows)]
 
 
 def _real(value, path) -> float:
@@ -115,6 +262,29 @@ def _real(value, path) -> float:
         raise ParseError(path, f"{value} is out of float range") from None
 
 
+def _tolerance(value, path) -> float:
+    tolerance = _real(value, path)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ParseError(path, f"expected a finite number >= 0, got {value!r}")
+    return tolerance
+
+
+def _potential_table(entries) -> dict | None:
+    """The potential table when every `[word, value]` entry is well formed and
+    its value a float, checked a whole list at a time; None otherwise, and
+    `parse_config` then checks entry by entry to name the first bad one."""
+    if not (_all_of(list, entries) and set(map(len, entries)) <= {2}):
+        return None
+    words = list(map(itemgetter(0), entries))
+    values = list(map(itemgetter(1), entries))
+    if not (_all_of(list, words) and _all_of(float, values)):
+        return None
+    letters = list(itertools.chain.from_iterable(words))
+    if not (_all_of(list, letters) and _all_of(int, itertools.chain.from_iterable(letters))):
+        return None
+    return dict(zip([tuple(map(tuple, word)) for word in words], values))
+
+
 def parse_config(doc) -> RunConfig:
     """Validate a config document (dict or JSON text) and fill defaults.
 
@@ -123,7 +293,9 @@ def parse_config(doc) -> RunConfig:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # ValueError: malformed text, bad UTF-8, an int literal past the
+            # str-digits limit; RecursionError: nesting too deep to decode
             raise ParseError("$", f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
@@ -138,9 +310,7 @@ def parse_config(doc) -> RunConfig:
     bases = _integers(_expect(body, "bases", None, path), f"{path}.bases")
     if kind == "sponge":
         digits = _expect(body, "digits", list, path)
-        digit_system = validate_digit_system(
-            bases, [_integers(d, f"{path}.digits[{k}]") for k, d in enumerate(digits)]
-        )
+        digit_system = validate_digit_system(bases, _integer_rows(digits, f"{path}.digits"))
         chain: SoficChain = SpongeChain(digit_system)
     else:
         vertices = _expect(body, "vertices", list, path)
@@ -176,13 +346,15 @@ def parse_config(doc) -> RunConfig:
         pot = _expect(doc, "potential", dict, "$")
         window = _integer(_expect(pot, "window", None, "$.potential"), "$.potential.window")
         table_raw = _expect(pot, "table", list, "$.potential")
-        table = {}
-        for k, entry in enumerate(table_raw):
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
-                raise ParseError(f"$.potential.table[{k}]", "expected [word, value]")
-            word, value = entry
-            key = tuple(_integers(d, f"$.potential.table[{k}][0][{t}]") for t, d in enumerate(word))
-            table[key] = _real(value, f"$.potential.table[{k}][1]")
+        table = _potential_table(table_raw)
+        if table is None:
+            table = {}
+            for k, entry in enumerate(table_raw):
+                if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
+                    raise ParseError(f"$.potential.table[{k}]", "expected [word, value]")
+                word, value = entry
+                key = tuple(_integers(d, f"$.potential.table[{k}][0][{t}]") for t, d in enumerate(word))
+                table[key] = _real(value, f"$.potential.table[{k}][1]")
         potential = Potential(window=window, table=table)
 
     est = doc.get("estimator") or {}
@@ -196,9 +368,9 @@ def parse_config(doc) -> RunConfig:
         exponents=exponents,
         potential=potential,
         n_max=_integer(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
-        budget=_integer(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
-        max_iters=_integer(opt.get("max_iters", MAX_ITERS), "$.optimizer.max_iters"),
-        tolerance=_real(opt.get("tolerance", STALL_GAIN), "$.optimizer.tolerance"),
+        budget=_count(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
+        max_iters=_count(opt.get("max_iters", MAX_ITERS), "$.optimizer.max_iters"),
+        tolerance=_tolerance(opt.get("tolerance", STALL_GAIN), "$.optimizer.tolerance"),
     )
 
 
@@ -358,9 +530,10 @@ def main(argv=None) -> int:
         env_budget = os.environ.get("WTP_BUDGET")
         if env_budget:
             try:
-                config.budget = int(env_budget)
+                budget = int(env_budget)
             except ValueError:
                 raise ParseError("WTP_BUDGET", f"expected an integer, got {env_budget!r}") from None
+            config.budget = _count(budget, "WTP_BUDGET")
         report = run(config, args.command)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -74,20 +74,30 @@ def build_count_matrices(g: LabeledGraph, level: int = 2) -> list[CountMatrix]:
 def _power_iterate(matrix: np.ndarray):
     """Power iteration from the uniform vector, each iterate scaled to max 1.
 
-    Returns (vector, converged); the vector is None once an iterate vanishes.
+    Returns (vector, converged, iterations); the vector is None once an
+    iterate vanishes.  Each iterate is also compared with a checkpoint moved
+    at powers of two (Brent's cycle detection): an exact repeat means the
+    iterates cycle through values already tested, so the iteration stops as
+    not converged, as all POWER_MAX_ITERS iterations would.
     """
     n = matrix.shape[0]
     v = np.full(n, 1.0 / n)
-    for _ in range(POWER_MAX_ITERS):
+    checkpoint, next_move = v.tobytes(), 1  # equal bytes imply an equal iterate
+    for k in range(1, POWER_MAX_ITERS + 1):
         w = matrix @ v
         norm = w.max()
         if norm <= 0:
-            return None, False
+            return None, False, k
         w = w / norm
         if np.abs(w - v).max() <= POWER_TOL:
-            return w, True
+            return w, True, k
+        state = w.tobytes()
+        if state == checkpoint:
+            return w, False, k
+        if k == next_move:
+            checkpoint, next_move = state, 2 * next_move
         v = w
-    return v, False
+    return v, False, POWER_MAX_ITERS
 
 
 def detect_alignment(matrices) -> SpectralAlignment | None:
@@ -103,9 +113,9 @@ def detect_alignment(matrices) -> SpectralAlignment | None:
     if not nonzero:
         return None
     total = sum(nonzero)
-    v, converged = _power_iterate(total)
+    v, converged, _ = _power_iterate(total)
     if v is not None and not converged:
-        v, converged = _power_iterate(total + np.eye(len(total)))
+        v, converged, _ = _power_iterate(total + np.eye(len(total)))
     if not converged:
         return None
     if v.min() < MIN_POSITIVE * v.max():

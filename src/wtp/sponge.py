@@ -25,6 +25,21 @@ from .symbolic import Digit, DigitSystem, validate_digit_system
 from .weights import Exponents, exponents_from_bases
 
 
+def _is_clean_table(table: dict, window: int) -> bool:
+    """Keys are `window`-tuples of int tuples and values finite floats: the
+    table `Potential` would build, checked without a Python step per entry."""
+    if not ({tuple}.issuperset(map(type, table)) and set(map(len, table)) <= {window}):
+        return False
+    letters = list(itertools.chain.from_iterable(table))
+    values = table.values()
+    return (
+        {tuple}.issuperset(map(type, letters))
+        and {int}.issuperset(map(type, itertools.chain.from_iterable(letters)))
+        and {float}.issuperset(map(type, values))
+        and all(map(math.isfinite, values))
+    )
+
+
 @dataclass(frozen=True)
 class Potential:
     """Locally constant potential on the bottom system: a window-k table.
@@ -39,6 +54,9 @@ class Potential:
     def __post_init__(self):
         if self.window < 1:
             raise ValidationError(f"window must be >= 1, got {self.window}")
+        if _is_clean_table(self.table, self.window):
+            object.__setattr__(self, "table", dict(self.table))
+            return
         clean = {}
         for word, value in self.table.items():
             key = tuple(tuple(int(c) for c in d) for d in word)

@@ -18,8 +18,9 @@ convert to floats only when taking logarithms.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BasesNotSorted,
@@ -47,7 +48,7 @@ class DigitSystem:
     def rank(self) -> int:
         return len(self.bases)
 
-    @property
+    @cached_property
     def sorted_digits(self) -> tuple[Digit, ...]:
         return tuple(sorted(self.digits))
 
@@ -55,7 +56,11 @@ class DigitSystem:
         """Distinct length-j prefixes of the digit set, sorted."""
         if not 1 <= j <= self.rank:
             raise LevelOutOfRange(f"prefix length {j} not in 1..{self.rank}")
-        return tuple(sorted({d[:j] for d in self.digits}))
+        return self._prefixes[j - 1]
+
+    @cached_property
+    def _prefixes(self) -> tuple[tuple[Digit, ...], ...]:
+        return tuple(tuple(sorted({d[:j] for d in self.digits})) for j in range(1, self.rank + 1))
 
 
 def validate_digit_system(bases, digits) -> DigitSystem:
@@ -67,16 +72,24 @@ def validate_digit_system(bases, digits) -> DigitSystem:
         raise ValidationError(f"every base must be >= 2, got {bases}")
     if any(bases[i] > bases[i + 1] for i in range(len(bases) - 1)):
         raise BasesNotSorted(f"bases {bases} not nondecreasing")
-    dedup = {tuple(int(c) for c in d) for d in digits}
+    dedup = set(map(tuple, digits))
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(dedup))):
+        dedup = {tuple(int(c) for c in d) for d in dedup}
     if not dedup:
         raise EmptyDigits("digit set is empty")
-    for d in sorted(dedup):
-        if len(d) != len(bases):
-            raise DigitOutOfRange(d, len(d))
-        for i, (c, m) in enumerate(zip(d, bases)):
-            if not 0 <= c < m:
-                raise DigitOutOfRange(d, i)
-    return DigitSystem(bases=bases, digits=frozenset(dedup))
+    system = DigitSystem(bases=bases, digits=frozenset(dedup))
+    ordered = system.sorted_digits
+    # one pass per coordinate; the loop below names the first bad digit
+    if set(map(len, ordered)) != {len(bases)} or any(
+        min(column) < 0 or max(column) >= m for column, m in zip(zip(*ordered), bases)
+    ):
+        for d in ordered:
+            if len(d) != len(bases):
+                raise DigitOutOfRange(d, len(d))
+            for i, (c, m) in enumerate(zip(d, bases)):
+                if not 0 <= c < m:
+                    raise DigitOutOfRange(d, i)
+    return system
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,22 @@ def test_invalid_json_rejected():
         parse_config("{not json")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"system": ' + "1" * 5000 + "}",  # past the int str-digits limit
+        "[" * 100_000,  # nesting too deep to decode
+        b"\xff\xfe{",  # not UTF-8
+    ],
+    ids=["huge-int", "deep-nesting", "bad-utf8"],
+)
+def test_undecodable_config_is_parse_error(text):
+    # json.loads raises ValueError or RecursionError here, not JSONDecodeError
+    with pytest.raises(ParseError) as info:
+        parse_config(text)
+    assert info.value.path == "$"
+
+
 def test_sofic_digit_set_comes_from_edge_labels():
     doc = {
         "system": {
@@ -142,6 +158,27 @@ def _setter(*keys, value):
             None,
         ),
         ("WTP_BUDGET", _carpet_config, _setter("exponents", value="from-bases"), "1e6"),
+        # whole lists are checked at once; the path still names the first bad value
+        ("$.system.sponge.digits[2][0]", _carpet_config, _setter("system", "sponge", "digits", 2, 0, value=0.0), None),
+        (
+            "$.potential.table[1][0][0][1]",
+            _carpet_config,
+            _setter("potential", value={"window": 1, "table": [[[[0, 0]], 1.0], [[[1, True]], 2.0]]}),
+            None,
+        ),
+        # settings that cannot work: no stall rule, no iteration, no word
+        *(
+            pytest.param(path, _carpet_config, _setter(section, value=value), env, id=f"{path}={value if env is None else env}")
+            for path, section, value, env in [
+                ("$.optimizer.tolerance", "optimizer", {"tolerance": float("nan")}, None),
+                ("$.optimizer.tolerance", "optimizer", {"tolerance": float("inf")}, None),
+                ("$.optimizer.tolerance", "optimizer", {"tolerance": -1e-12}, None),
+                ("$.optimizer.max_iters", "optimizer", {"max_iters": -5}, None),
+                ("$.optimizer.max_iters", "optimizer", {"max_iters": 0}, None),
+                ("$.estimator.budget", "estimator", {"budget": -1}, None),
+                ("WTP_BUDGET", "exponents", "from-bases", "-1"),
+            ]
+        ),
     ],
 )
 def test_untyped_field_is_parse_error(tmp_path, capsys, monkeypatch, path, make, mutate, env_budget):

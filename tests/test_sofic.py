@@ -9,7 +9,8 @@ Core claims:
       the exponent product makes the last term sqrt(2 + sqrt 5) exactly
     - a full shift encoded on one vertex reproduces the sponge closed form
     - matrices without a common positive eigenvector are reported as absent;
-      periodic matrices that share one are aligned
+      periodic matrices that share one are aligned, and power iteration on
+      a periodic matrix stops at its first exact cycle
     - the frozen chain's presentation is not finite-to-one: graph paths grow
       faster than words, and the word count's growth rate at N = 13 sits
       more than 0.01 below the closed form (which counts paths)
@@ -23,7 +24,9 @@ import pytest
 from wtp.errors import NotAligned
 from wtp.estimator import nested_count
 from wtp.sofic import (
+    POWER_MAX_ITERS,
     CountMatrix,
+    _power_iterate,
     build_count_matrices,
     detect_alignment,
     sofic_dimension_report,
@@ -124,6 +127,14 @@ def test_periodic_matrices_align():
         (0,): pytest.approx(math.sqrt(2), abs=1e-12),
         (1,): pytest.approx(2 * math.sqrt(2), abs=1e-12),
     }
+
+
+def test_power_iteration_stops_at_an_exact_cycle():
+    # the iterates alternate between (1, 1/2) and (1, 1) for ever; the plain
+    # loop would spend all POWER_MAX_ITERS iterations before the I + M rerun
+    v, converged, iterations = _power_iterate(np.array([[0.0, 2.0], [1.0, 0.0]]))
+    assert v is not None and not converged
+    assert iterations < 100 < POWER_MAX_ITERS
 
 
 def test_golden_closed_form_value(golden):

@@ -1,7 +1,8 @@
 """Digit systems, labeled graphs, follower automata, and preimage counting.
 
 Core claims:
-    - digit-system validation catches empty sets, range violations, bad bases
+    - digit-system validation catches empty sets, range violations, bad bases,
+      and names the first bad digit that a per-digit loop would name
     - prefix projection is surjective level to level
     - the subset automaton counts exactly the words brute-force path
       enumeration produces after label deduplication
@@ -15,6 +16,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtp.errors import (
     BasesNotSorted,
@@ -61,6 +64,33 @@ def test_digit_out_of_range_rejected():
         validate_digit_system((2, 3), [(0, 3)])
     with pytest.raises(DigitOutOfRange):
         validate_digit_system((2, 3), [(2, 0)])
+
+
+def _first_bad_digit(bases, digits):
+    """Oracle: the first digit, in sorted order, that a per-digit loop rejects."""
+    for d in sorted({tuple(int(c) for c in d) for d in digits}):
+        if len(d) != len(bases):
+            return d, len(d)
+        for i, (c, m) in enumerate(zip(d, bases)):
+            if not 0 <= c < m:
+                return d, i
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-1, 4), min_size=1, max_size=4), min_size=1, max_size=30))
+def test_digit_validation_matches_per_digit_loop(digits):
+    bases = (2, 3, 4)
+    bad = _first_bad_digit(bases, digits)
+    if bad is not None:
+        with pytest.raises(DigitOutOfRange) as info:
+            validate_digit_system(bases, digits)
+        assert (info.value.digit, info.value.index) == bad
+        return
+    system = validate_digit_system(bases, digits)
+    assert system.sorted_digits == tuple(sorted(set(map(tuple, digits))))
+    for j in (1, 2, 3):
+        assert system.prefixes(j) == tuple(sorted({d[:j] for d in system.digits}))
 
 
 def test_rank_one_rejected():
