@@ -13,16 +13,26 @@ One walk over the bottom automaton builds the transfer matrices and, for
 window-k potentials, the max-plus tails of the windows that overhang the
 word end.  The series starts at N = k, the first length holding a window.
 
-Every level-2 word is enumerated.  The bottom DP runs over blocks of at
-most about BLOCK entries (words x states): the first positions of a word as
-one array, the later ones depth first.  Only the per-word weights are held
-whole, so memory is about 8 bytes per level-2 word plus O((N - q) * BLOCK)
-for the DP buffers, q being the positions in a block.  The nested groupings
-then run over those weights in chunks, in word order, so results are
-independent of block sizes and of any worker scheduling.  A budget caps the
-number of enumerated words.  Counts stay integer-exact: float64 carries
-them while the largest possible count fits a 52-bit mantissa, otherwise
-exact big-integer arrays are used until the first exponentiation.  Float
+Every level-2 word is enumerated, by one of two routes chosen from the
+input.  Without a potential a word's weight is its count of bottom words,
+an exact integer, and so is every product and partial sum on the way: any
+grouping of the products gives the same bits.  So all counts come from one
+product of the prefix DP vectors of the first N // 2 positions with the
+suffix vectors of the others, about 2 |A_2|^N states flops in one matrix
+product.  Float weights of a potential depend on the order of their
+products, so they keep the blocked DP, which fixes that order: it runs over
+blocks of at most about BLOCK entries (words x states), the first positions
+of a word as one array, the later ones depth first.  Either route gives the
+same bits under any BLAS thread count.  Only the per-word weights are held
+whole, so memory is about 8 bytes per level-2 word, plus O(|A_2|^ceil(N/2)
+* states) for the count vectors or O((N - q) * BLOCK) for the DP buffers, q
+being the positions in a block.  The nested groupings then run over those
+weights in chunks, in word order, so results are independent of block
+sizes and of any worker scheduling.  A budget caps the number of enumerated
+words; a series checks it for every N before it counts the first.  Counts
+stay integer-exact: float64 carries them while the largest possible count
+fits a 52-bit mantissa, otherwise Python ints are, about BLOCK at a time,
+until each is rounded to a float for the first exponentiation.  Float
 weights that overflow are not dropped (NaN ** 0 still counts a word); an S_N
 that is not finite is a ComputationError naming N.
 """
@@ -180,7 +190,7 @@ def _tail_weight(state: int, windows, steps: int) -> float:
         raise ComputationError(f"exp of potential value {top} past the word end overflows a float") from None
 
 
-def _level2_weights(start, mats, tail, exact: bool, n: int) -> np.ndarray:
+def _level2_weights(start, mats, tail, n: int) -> np.ndarray:
     """Weight of every level-2 word of length n, by blocked depth-first DP.
 
     Row k_1 + k_2 * base + ... + k_n * base**(n-1) holds the word
@@ -195,21 +205,19 @@ def _level2_weights(start, mats, tail, exact: bool, n: int) -> np.ndarray:
     rows of a call apart from the rest, and a product of few rows can run on
     a small-matrix kernel.  So blocks get zero rows up to a multiple of four,
     the last len % 4 weights are redone as the remainder of a call, and a
-    block has at least MIN_ROWS rows.
+    block has at least MIN_ROWS rows.  Word counts take `_count_weights`;
+    this DP is kept for them as its oracle in the tests.
     """
     base, states = len(mats), len(start)
     q = 1
     while q < n and (base**q < MIN_ROWS or base ** (q + 1) * states <= BLOCK):
         q += 1
-    block = start[None, :]
-    for _ in range(q):
-        block = np.concatenate([block.dot(m.T) for m in mats], axis=0)
+    block = _prefix_vectors(start, mats, q)
     if q == n:
-        weights = block.dot(tail)
-        return np.array([float(x) for x in weights]) if exact else weights
+        return block.dot(tail)
 
     width = len(block)
-    block = np.concatenate([block, np.zeros((-width % 4, states), dtype=block.dtype)])
+    block = np.concatenate([block, np.zeros((-width % 4, states))])
     buffers = [np.empty_like(block) for _ in range(n - q)]
     scratch = np.empty(len(block))
     weights = np.empty(base**n)
@@ -222,23 +230,51 @@ def _level2_weights(start, mats, tail, exact: bool, n: int) -> np.ndarray:
         first = 0 if prev is None else next(t for t in range(depth) if digits[t] != prev[t])
         for t in range(first, depth):
             vectors = block if t == 0 else buffers[t - 1]
-            m = mats[digits[t]]
-            if exact:
-                buffers[t] = vectors.dot(m.T)
-            else:
-                np.dot(vectors, m.T, out=buffers[t])
+            np.dot(vectors, mats[digits[t]].T, out=buffers[t])
         prev = digits
         offset = width * sum(k * base**t for t, k in enumerate(digits))
-        if exact:
-            weights[offset : offset + width] = [float(x) for x in buffers[-1][:width].dot(tail)]
-        else:
-            np.dot(buffers[-1], tail, out=scratch)
-            weights[offset : offset + width] = scratch[:width]
+        np.dot(buffers[-1], tail, out=scratch)
+        weights[offset : offset + width] = scratch[:width]
     rem = len(weights) % 4
-    if rem and not exact:
+    if rem:
         # the last leaf's rows are still in the deepest buffer
         last = np.concatenate([np.zeros((4, states)), buffers[-1][width - rem : width]])
         weights[-rem:] = last.dot(tail)[4:]
+    return weights
+
+
+def _prefix_vectors(start, mats, q: int) -> np.ndarray:
+    """DP row vectors of all base**q words of length q, first position least significant."""
+    block = start[None, :]
+    for _ in range(q):
+        block = np.concatenate([block.dot(m.T) for m in mats], axis=0)
+    return block
+
+
+def _count_weights(start, mats, tail, n: int) -> np.ndarray:
+    """Word count of every level-2 word of length n, as one prefix x suffix product.
+
+    The h = n // 2 first positions give the prefix row vectors, the others
+    the suffix vectors (tail . M_{k_n} ... M_{k_(h+1)}, position h+1 least
+    significant), and word (prefix i, suffix j) sits in row i + j * base**h,
+    the row order of `_level2_weights`.  Every product and partial sum of a
+    count is an exact integer, so any grouping, BLAS kernel or thread count
+    gives the same bits.  Python-int counts are multiplied in blocks of
+    suffixes, about BLOCK counts each, and each block is rounded to floats
+    at once, so only one block of products is alive at a time.
+    """
+    prefix = _prefix_vectors(start, mats, n // 2)
+    suffix = tail[None, :]
+    for _ in range(n - n // 2):
+        suffix = np.stack([suffix.dot(m) for m in mats], axis=1).reshape(-1, len(tail))
+    if suffix.dtype != object:
+        return suffix.dot(prefix.T).reshape(-1)
+    width = len(prefix)
+    step = max(1, BLOCK // width)
+    weights = np.empty(len(suffix) * width)
+    for j in range(0, len(suffix), step):
+        block = suffix[j : j + step].dot(prefix.T)
+        weights[j * width : (j + len(block)) * width] = block.astype(float).reshape(-1)
     return weights
 
 
@@ -293,6 +329,45 @@ def _log_total(values: np.ndarray, exponent: float, n: int) -> float:
     return math.log(total)
 
 
+def _word_weights(chain: SoficChain, bottom, n: int) -> np.ndarray:
+    """Float weight of every level-2 word of length n from `_bottom_matrices`' output.
+
+    Word counts (no potential) take the prefix x suffix product, as floats
+    while the largest possible count fits a 52-bit mantissa and as Python
+    ints otherwise; potential weights take the blocked DP.
+    """
+    start, mats, tail, exact = bottom
+    if not exact:
+        return _level2_weights(start, mats, tail, n)
+    max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
+    if max_fiber**n <= 2**52:
+        start, tail = start.astype(float), tail.astype(float)
+        mats = [m.astype(float) for m in mats]
+    return _count_weights(start, mats, tail, n)
+
+
+def _log_nested(chain: SoficChain, avals, bottom, n: int) -> float:
+    """log S_N: the level-2 weights, folded upward through the exponents."""
+    r = chain.rank
+    # an overflow surfaces as a non-finite S_N, which _log_total raises as a
+    # ComputationError; numpy's warnings would only print ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = _word_weights(chain, bottom, n)
+
+        # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
+        # Level-2 rows put the first position least significant; the codes of
+        # level 3 and above put it most significant.
+        for lvl in range(2, r):
+            coarse = {x: k for k, x in enumerate(chain.alphabet(lvl + 1))}
+            j = chain.prefix_length(lvl)
+            letter_proj = np.array([coarse[x[: j - 1]] for x in chain.alphabet(lvl)], dtype=np.int64)
+            size_hi = len(coarse)
+            powers = [size_hi**e for e in range(n)]
+            multipliers = powers if lvl == 2 else powers[::-1]
+            current = _fold(current, letter_proj, multipliers, avals[lvl - 2], size_hi**n)
+        return _log_total(current, avals[-1], n)
+
+
 def nested_count(
     chain: SoficChain,
     a: Exponents,
@@ -304,38 +379,11 @@ def nested_count(
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     avals = _check_exponents(chain, a)
-    r = chain.rank
-    alphabets = {lvl: chain.alphabet(lvl) for lvl in range(2, r + 1)}
-    base = len(alphabets[2])
+    base = len(chain.alphabet(2))
     if base**n > budget:
         raise ComplexityBudgetExceeded(base**n, budget)
-
-    start, mats, tail, exact = _bottom_matrices(chain, potential, n)
-    if exact:
-        max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
-        if max_fiber**n <= 2**52:
-            start = start.astype(float)
-            mats = [m.astype(float) for m in mats]
-            tail = tail.astype(float)
-            exact = False
-    # an overflow surfaces as a non-finite S_N, which _log_total raises as a
-    # ComputationError; numpy's warnings would only print ahead of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        current = _level2_weights(start, mats, tail, exact, n)
-
-        # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
-        # Level-2 rows put the first position least significant; the codes of
-        # level 3 and above put it most significant.
-        for lvl in range(2, r):
-            coarse = {x: k for k, x in enumerate(alphabets[lvl + 1])}
-            j = chain.prefix_length(lvl)
-            letter_proj = np.array([coarse[x[: j - 1]] for x in alphabets[lvl]], dtype=np.int64)
-            size_hi = len(coarse)
-            powers = [size_hi**e for e in range(n)]
-            multipliers = powers if lvl == 2 else powers[::-1]
-            current = _fold(current, letter_proj, multipliers, avals[lvl - 2], size_hi**n)
-        log_value = _log_total(current, avals[-1], n)
-    return NestedCount(n=n, log_value=log_value, potential=potential)
+    bottom = _bottom_matrices(chain, potential, n)
+    return NestedCount(n=n, log_value=_log_nested(chain, avals, bottom, n), potential=potential)
 
 
 def entropy_estimate(
@@ -348,17 +396,24 @@ def entropy_estimate(
     """log S_N / N for N = window..n_max with running Fekete upper bounds.
 
     S_N needs a whole window inside the word, so the series starts at the
-    potential's window (N = 1 without a potential or with window 1).
+    potential's window (N = 1 without a potential or with window 1).  Each
+    entry is the nested_count(N) value; the budget is checked for every N,
+    and the transfer matrices built once, before the first N is counted.
     """
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")
     window = potential.window if potential is not None else 1
     if n_max < window:
         raise PotentialWindowTooLarge(f"window {window} exceeds n_max {n_max}")
+    avals = _check_exponents(chain, a)
+    base = len(chain.alphabet(2))
+    over = next((n for n in range(window, n_max + 1) if base**n > budget), None)
+    if over is not None:
+        raise ComplexityBudgetExceeded(base**over, budget)
+    bottom = _bottom_matrices(chain, potential, window)
     series = EstimateSeries()
     for n in range(window, n_max + 1):
-        count = nested_count(chain, a, potential, n, budget)
-        series.append(n, count.per_symbol)
+        series.append(n, _log_nested(chain, avals, bottom, n) / n)
     return series
 
 

@@ -8,7 +8,8 @@ Core claims:
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
       a chain with no admissible word of length N, or an S_N that overflows,
       exits 2, not with a traceback or Infinity, and stderr holds only the
-      error line
+      error line; an estimate whose n_max is past the budget exits 2
+      before it counts any N
     - a sponge's dimensions are reported under a window-2 potential
     - a window-2 config is estimated from N = 2
     - numeric report fields reproduce pinned values bit for bit
@@ -21,6 +22,7 @@ import time
 
 import pytest
 
+from wtp import estimator
 from wtp.cli import main, parse_config, run
 from wtp.errors import DigitOutOfRange, ParseError, UnsupportedCombination
 from wtp.sofic import golden_mean_chain
@@ -426,6 +428,21 @@ def test_cli_budget_env_triggers_computation_error(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("WTP_BUDGET", "100")
     assert main(["estimate", "--config", str(path)]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_budget_fails_before_counting(tmp_path, capsys, monkeypatch):
+    """n_max 16 on the golden chain: N = 15 is past the budget, and the error
+    (exit 2) comes before N = 1..14 are counted."""
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(_golden_config()))
+    monkeypatch.setenv("WTP_BUDGET", str(3**14))
+
+    def never(*_args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(estimator, "_log_nested", never)
+    assert main(["estimate", "--config", str(path), "--n-max", "16"]) == 2
+    assert f"enumeration needs {3**15} words, budget is {3**14}" in capsys.readouterr().err
 
 
 def test_cli_n_max_flag_overrides(tmp_path, capsys):

@@ -19,7 +19,9 @@ Core claims:
       matches brute force
     - a sponge is the one-vertex sofic chain: same transfer matrices, same
       bits
-    - the series starts at N = window
+    - the series starts at N = window; each row keeps the bits of
+      nested_count at its N, and a budget overflow at any N raises before
+      the first N is counted
 """
 import itertools
 import math
@@ -386,6 +388,42 @@ def test_series_starts_at_window(carpet_chain, carpet_exponents):
         entropy_estimate(carpet_chain, carpet_exponents, pot, n_max=1)
 
 
+def test_series_rows_are_nested_counts(rng):
+    """The series builds its transfer matrices once; each row keeps the bits
+    of nested_count at that N, for windows 0-2 and on the big-integer path."""
+    sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=6)
+    chains = [SpongeChain(sys), _random_graph_chain(rng, (2, 3), 3, 6)]
+    cases = []
+    for chain in chains:
+        a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=chain.rank - 1)))
+        for window in (0, 1, 2):
+            cases.append((chain, a, _random_potential(rng, chain.system.sorted_digits, window), 5))
+    big = validate_digit_system((2, 36), [(i, j) for i in range(2) for j in range(36)])
+    cases.append((SpongeChain(big), exponents_from_bases(big.bases), None, 12))  # 36^11 > 2^52
+    for chain, a, pot, n_max in cases:
+        series = entropy_estimate(chain, a, pot, n_max=n_max)
+        assert [n for n, _v in series.entries] == list(range(pot.window if pot else 1, n_max + 1))
+        for n, value in series.entries:
+            assert repr(value) == repr(nested_count(chain, a, pot, n=n).per_symbol), (pot, n)
+
+
+def test_series_budget_fails_before_counting(golden, monkeypatch):
+    """N = 15 is the first N past the budget; nothing is built or counted first."""
+    a = exponents_from_bases(golden.system.bases)
+    budget = 3**14
+    with pytest.raises(ComplexityBudgetExceeded) as single:
+        nested_count(golden, a, n=15, budget=budget)
+
+    def never(*_args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(estimator, "_bottom_matrices", never)
+    monkeypatch.setattr(estimator, "_log_nested", never)
+    with pytest.raises(ComplexityBudgetExceeded) as series:
+        entropy_estimate(golden, a, n_max=16, budget=budget)
+    assert str(series.value) == str(single.value) == f"enumeration needs {3**15} words, budget is {budget}"
+
+
 def test_block_chain_reproduces_matched_length(rng):
     from wtp.sponge import m_fold_potential, m_fold_system
 
@@ -484,7 +522,7 @@ def test_blocked_weights_match_all_at_once(monkeypatch, rng, block):
                 continue
             start, mats, tail, _exact = estimator._bottom_matrices(chain, pot, n)
             monkeypatch.setattr(estimator, "BLOCK", 2**62)
-            whole = estimator._level2_weights(start, mats, tail, False, n)
+            whole = estimator._level2_weights(start, mats, tail, n)
             monkeypatch.setattr(estimator, "BLOCK", block)
-            blocked = estimator._level2_weights(start, mats, tail, False, n)
+            blocked = estimator._level2_weights(start, mats, tail, n)
             assert blocked.tobytes() == whole.tobytes(), (len(start), n)
