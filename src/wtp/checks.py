@@ -174,17 +174,16 @@ def _golden_word_and_path_counts(n_max=10):
     transfer = dict(zip(chain.alphabet(2), (m.astype(float) for m in bottom)))
 
     words = start.astype(float)[None, :]
-    paths = np.eye(len(chain.graph.vertices))[None, :, :]
+    paths = np.ones((1, len(chain.graph.vertices)))
     lam = np.ones(1)
     for n in range(1, n_max + 1):
         words = np.concatenate([words @ transfer[lab].T for lab in labels], axis=0)
-        # left-multiplying keeps entry sums counting paths that read the word
-        # in append order, so the pairing with `words` is positionwise exact
-        paths = np.concatenate(
-            [np.einsum("ij,kjl->kil", arrays[lab], paths) for lab in labels], axis=0
-        )
+        # rows are P 1 for the path-count matrix P = A_{k_n} ... A_{k_1}:
+        # appending a letter left-multiplies P, so the pairing with `words` is
+        # positionwise exact, and the entry sum of P is that of P 1
+        paths = np.concatenate([paths @ arrays[lab].T for lab in labels], axis=0)
         lam = np.concatenate([lam * alignment.eigenvalues[lab] for lab in labels])
-        yield n, words.sum(axis=1), paths.sum(axis=(1, 2)), lam, alignment
+        yield n, words.sum(axis=1), paths.sum(axis=1), lam, alignment
 
 
 def check_golden_growth_sandwich(n_max=10) -> CheckResult:

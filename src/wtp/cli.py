@@ -367,7 +367,7 @@ def parse_config(doc) -> RunConfig:
         chain=chain,
         exponents=exponents,
         potential=potential,
-        n_max=_integer(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
+        n_max=_count(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
         budget=_count(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
         max_iters=_count(opt.get("max_iters", MAX_ITERS), "$.optimizer.max_iters"),
         tolerance=_tolerance(opt.get("tolerance", STALL_GAIN), "$.optimizer.tolerance"),
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
         if args.n_max is not None:
-            config.n_max = args.n_max
+            config.n_max = _count(args.n_max, "--n-max")
         env_budget = os.environ.get("WTP_BUDGET")
         if env_budget:
             try:

@@ -13,28 +13,37 @@ One walk over the bottom automaton builds the transfer matrices and, for
 window-k potentials, the max-plus tails of the windows that overhang the
 word end.  The series starts at N = k, the first length holding a window.
 
-Every level-2 word is enumerated, by one of two routes chosen from the
+Every level-2 word is enumerated, by one of three routes chosen from the
 input.  Without a potential a word's weight is its count of bottom words,
 an exact integer, and so is every product and partial sum on the way: any
 grouping of the products gives the same bits.  So all counts come from one
 product of the prefix DP vectors of the first N // 2 positions with the
 suffix vectors of the others, about 2 |A_2|^N states flops in one matrix
-product.  Float weights of a potential depend on the order of their
-products, so they keep the blocked DP, which fixes that order: it runs over
-blocks of at most about BLOCK entries (words x states), the first positions
-of a word as one array, the later ones depth first.  Either route gives the
-same bits under any BLAS thread count.  Only the per-word weights are held
-whole, so memory is about 8 bytes per level-2 word, plus O(|A_2|^ceil(N/2)
-* states) for the count vectors or O((N - q) * BLOCK) for the DP buffers, q
-being the positions in a block.  The nested groupings then run over those
+product.  When the bottom DP has one state (every sponge, and a sofic chain
+whose follower automaton has one state) a count is a scalar prefix count
+times a scalar suffix count, and both sides repeat a handful of values: each
+distinct product is formed, rounded and raised to a_1 once, and the powers
+are laid out by word.  That keeps the bits of the general route because the
+rounded count is the same float (an IEEE product of exact float factors is
+correctly rounded, so it equals float(s * p)) and numpy's `**` gives one
+value for one input wherever it sits in an array.  Float weights of a
+potential depend on the order of their products, so they keep the blocked
+DP, which fixes that order: it runs over blocks of at most about BLOCK
+entries (words x states), the first positions of a word as one array, the
+later ones depth first.  Every route gives the same bits under any BLAS
+thread count.  Only the per-word weights are held whole, so memory is about
+8 bytes per level-2 word, plus O(|A_2|^ceil(N/2) * states) for the count
+vectors or O((N - q) * BLOCK) for the DP buffers, q being the positions in
+a block.  The nested groupings then run over those
 weights in chunks, in word order, so results are independent of block
 sizes and of any worker scheduling.  A budget caps the number of enumerated
 words; a series checks it for every N before it counts the first.  Counts
 stay integer-exact: float64 carries them while the largest possible count
 fits a 52-bit mantissa, otherwise Python ints are, about BLOCK at a time,
-until each is rounded to a float for the first exponentiation.  Float
-weights that overflow are not dropped (NaN ** 0 still counts a word); an S_N
-that is not finite is a ComputationError naming N.
+until each is rounded to a float for the first exponentiation; a count past
+float range is a ComputationError naming N.  Float weights that overflow
+are not dropped (NaN ** 0 still counts a word); an S_N that is not finite is
+a ComputationError naming N.
 """
 from __future__ import annotations
 
@@ -251,22 +260,30 @@ def _prefix_vectors(start, mats, q: int) -> np.ndarray:
     return block
 
 
-def _count_weights(start, mats, tail, n: int) -> np.ndarray:
-    """Word count of every level-2 word of length n, as one prefix x suffix product.
+def _count_factors(start, mats, tail, n: int):
+    """Prefix row vectors of the first n // 2 positions and suffix vectors of the others.
 
-    The h = n // 2 first positions give the prefix row vectors, the others
-    the suffix vectors (tail . M_{k_n} ... M_{k_(h+1)}, position h+1 least
-    significant), and word (prefix i, suffix j) sits in row i + j * base**h,
-    the row order of `_level2_weights`.  Every product and partial sum of a
-    count is an exact integer, so any grouping, BLAS kernel or thread count
-    gives the same bits.  Python-int counts are multiplied in blocks of
-    suffixes, about BLOCK counts each, and each block is rounded to floats
-    at once, so only one block of products is alive at a time.
+    Suffix j is tail . M_{k_n} ... M_{k_(h+1)}, position h+1 least
+    significant, so word (prefix i, suffix j) sits in row i + j * base**h,
+    the row order of `_level2_weights`.
     """
     prefix = _prefix_vectors(start, mats, n // 2)
     suffix = tail[None, :]
     for _ in range(n - n // 2):
         suffix = np.stack([suffix.dot(m) for m in mats], axis=1).reshape(-1, len(tail))
+    return prefix, suffix
+
+
+def _count_weights(start, mats, tail, n: int) -> np.ndarray:
+    """Word count of every level-2 word of length n, as one prefix x suffix product.
+
+    Every product and partial sum of a count is an exact integer, so any
+    grouping, BLAS kernel or thread count gives the same bits.  Python-int
+    counts are multiplied in blocks of suffixes, about BLOCK counts each,
+    and each block is rounded to floats at once, so only one block of
+    products is alive at a time.
+    """
+    prefix, suffix = _count_factors(start, mats, tail, n)
     if suffix.dtype != object:
         return suffix.dot(prefix.T).reshape(-1)
     width = len(prefix)
@@ -274,8 +291,42 @@ def _count_weights(start, mats, tail, n: int) -> np.ndarray:
     weights = np.empty(len(suffix) * width)
     for j in range(0, len(suffix), step):
         block = suffix[j : j + step].dot(prefix.T)
-        weights[j * width : (j + len(block)) * width] = block.astype(float).reshape(-1)
+        weights[j * width : (j + len(block)) * width] = _floats(block, n).reshape(-1)
     return weights
+
+
+def _one_state_powers(start, mats, tail, n: int, exponent: float) -> np.ndarray:
+    """Count ** exponent of every level-2 word of length n over a one-state bottom.
+
+    A count is then the product of a scalar prefix and a scalar suffix
+    count, and both sides hold few distinct values.  Each distinct product
+    is rounded to a float once and raised once, with numpy's `**` as in
+    `_fold`, and the powers are laid out in the row order of
+    `_count_weights`.  numpy gives one value for one input wherever it sits
+    in an array, so every power has the bits that the general route
+    computes for it.  Zero counts stay 0 and, as a_1 >= 0, every other
+    power is at least 1, so the sums above skip the same words.
+    """
+    prefix, suffix = _count_factors(start, mats, tail, n)
+    p_vals, pinv = np.unique(prefix[:, 0], return_inverse=True)
+    s_vals, sinv = np.unique(suffix[:, 0], return_inverse=True)
+    if s_vals.dtype == object and max(s_vals[-1], p_vals[-1]) <= 2**53:
+        # exact float factors: the IEEE product of exact operands is
+        # correctly rounded, so it is float(s * p)
+        s_vals, p_vals = s_vals.astype(float), p_vals.astype(float)
+    table = _floats(s_vals[:, None] * p_vals[None, :], n)
+    nonzero = table != 0
+    table[nonzero] **= exponent
+    # row gathers: 2-D fancy indexing is slower
+    return table[:, pinv][sinv].reshape(-1)
+
+
+def _floats(counts: np.ndarray, n: int) -> np.ndarray:
+    """Counts rounded to float64; a count past float range is a ComputationError."""
+    try:
+        return counts.astype(float, copy=False)
+    except OverflowError:
+        raise ComputationError(f"a word count at N = {n} overflows a float") from None
 
 
 def _digit_codes(letter_proj: np.ndarray, multipliers) -> np.ndarray:
@@ -290,15 +341,17 @@ def _digit_codes(letter_proj: np.ndarray, multipliers) -> np.ndarray:
 
 
 def _fold(
-    values: np.ndarray, letter_proj: np.ndarray, multipliers, exponent: float, bins: int
+    values: np.ndarray, letter_proj: np.ndarray, multipliers, exponent: float | None, bins: int
 ) -> np.ndarray:
     """out[code(i)] += values[i] ** exponent over nonzero values, in index order.
 
-    `multipliers` gives each index digit's weight in the projected code, most
-    significant digit first.  Chunks of consecutive indices share their high
-    digits; adding each chunk in index order keeps every bin's summation
-    order that of one bincount over the whole array, without whole-array
-    masked copies or code arrays.
+    With exponent None the values are already powers, added as they are.
+    `multipliers` gives each index digit's weight in the projected code,
+    most significant digit first.  Chunks of consecutive indices share their
+    high digits; adding each chunk in index order keeps every bin's
+    summation order that of one bincount over the whole array, without
+    whole-array masked copies or code arrays; a chunk without zeros is
+    added without a masked copy.
     """
     n = len(multipliers)
     p = n
@@ -310,15 +363,21 @@ def _fold(
     width = len(low)
     for h, code in enumerate(high):
         chunk = values[h * width : (h + 1) * width]
+        codes = low
         mask = chunk != 0
-        np.add.at(out, low[mask] + code, chunk[mask] ** exponent)
+        if not mask.all():
+            chunk, codes = chunk[mask], low[mask]
+        if exponent is not None:
+            chunk = chunk ** exponent
+        np.add.at(out, codes + code, chunk)
     return out
 
 
-def _log_total(values: np.ndarray, exponent: float, n: int) -> float:
-    """log of the pairwise sum of values ** exponent over nonzero values."""
+def _log_total(values: np.ndarray, exponent: float | None, n: int) -> float:
+    """log of the pairwise sum of values ** exponent over nonzero values (None: values as they are)."""
     top = values[values != 0]
-    top **= exponent
+    if exponent is not None:
+        top **= exponent
     total = float(np.sum(top))
     if total == 0:
         raise ComputationError(
@@ -329,30 +388,47 @@ def _log_total(values: np.ndarray, exponent: float, n: int) -> float:
     return math.log(total)
 
 
-def _word_weights(chain: SoficChain, bottom, n: int) -> np.ndarray:
-    """Float weight of every level-2 word of length n from `_bottom_matrices`' output.
-
-    Word counts (no potential) take the prefix x suffix product, as floats
-    while the largest possible count fits a 52-bit mantissa and as Python
-    ints otherwise; potential weights take the blocked DP.
-    """
-    start, mats, tail, exact = bottom
-    if not exact:
-        return _level2_weights(start, mats, tail, n)
+def _count_operands(chain: SoficChain, bottom, n: int):
+    """start, mats, tail of a count bottom: floats while the largest possible
+    count fits a 52-bit mantissa, Python ints otherwise."""
+    start, mats, tail, _exact = bottom
     max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
     if max_fiber**n <= 2**52:
         start, tail = start.astype(float), tail.astype(float)
         mats = [m.astype(float) for m in mats]
-    return _count_weights(start, mats, tail, n)
+    return start, mats, tail
+
+
+def _word_weights(chain: SoficChain, bottom, n: int) -> np.ndarray:
+    """Float weight of every level-2 word of length n from `_bottom_matrices`' output.
+
+    Word counts (no potential) take the prefix x suffix product, potential
+    weights the blocked DP.
+    """
+    start, mats, tail, exact = bottom
+    if not exact:
+        return _level2_weights(start, mats, tail, n)
+    return _count_weights(*_count_operands(chain, bottom, n), n)
 
 
 def _log_nested(chain: SoficChain, avals, bottom, n: int) -> float:
-    """log S_N: the level-2 weights, folded upward through the exponents."""
+    """log S_N: the level-2 weights, folded upward through the exponents.
+
+    Counts over a one-state bottom are raised to a_1 as distinct values
+    (`_one_state_powers`), other counts come from the prefix x suffix
+    product and potential weights from the blocked DP.
+    """
     r = chain.rank
+    exponents = list(avals)
+    start, _mats, _tail, exact = bottom
     # an overflow surfaces as a non-finite S_N, which _log_total raises as a
     # ComputationError; numpy's warnings would only print ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
-        current = _word_weights(chain, bottom, n)
+        if exact and len(start) == 1:
+            current = _one_state_powers(*_count_operands(chain, bottom, n), n, exponents[0])
+            exponents[0] = None  # a_1 is spent: the first grouping adds the powers as they are
+        else:
+            current = _word_weights(chain, bottom, n)
 
         # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
         # Level-2 rows put the first position least significant; the codes of
@@ -364,8 +440,8 @@ def _log_nested(chain: SoficChain, avals, bottom, n: int) -> float:
             size_hi = len(coarse)
             powers = [size_hi**e for e in range(n)]
             multipliers = powers if lvl == 2 else powers[::-1]
-            current = _fold(current, letter_proj, multipliers, avals[lvl - 2], size_hi**n)
-        return _log_total(current, avals[-1], n)
+            current = _fold(current, letter_proj, multipliers, exponents[lvl - 2], size_hi**n)
+        return _log_total(current, exponents[-1], n)
 
 
 def nested_count(

@@ -1,15 +1,16 @@
 """Config parsing, command dispatch, report round-trips, and exit codes.
 
 Core claims:
-    - the carpet and sofic configs parse; malformed ones raise with a path
+    - the carpet and sofic configs parse; malformed ones, an n_max < 1 in
+      the config or on the command line included, raise with a path
     - dimension/entropy/estimate/variational reports carry the documented
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
-      a chain with no admissible word of length N, or an S_N that overflows,
-      exits 2, not with a traceback or Infinity, and stderr holds only the
-      error line; an estimate whose n_max is past the budget exits 2
-      before it counts any N
+      a chain with no admissible word of length N, an S_N that overflows,
+      or a word count past float range exits 2, not with a traceback or
+      Infinity, and stderr holds only the error line; an estimate whose
+      n_max is past the budget exits 2 before it counts any N
     - a sponge's dimensions are reported under a window-2 potential
     - a window-2 config is estimated from N = 2
     - numeric report fields reproduce pinned values bit for bit
@@ -134,6 +135,11 @@ def _setter(*keys, value):
     return mutate
 
 
+def _cli_args(*argv):
+    """Leaves the config as it is and passes `argv` on the command line."""
+    return lambda doc: list(argv)
+
+
 @pytest.mark.parametrize(
     "path, make, mutate, env_budget",
     [
@@ -178,19 +184,23 @@ def _setter(*keys, value):
                 ("$.optimizer.max_iters", "optimizer", {"max_iters": -5}, None),
                 ("$.optimizer.max_iters", "optimizer", {"max_iters": 0}, None),
                 ("$.estimator.budget", "estimator", {"budget": -1}, None),
+                ("$.estimator.n_max", "estimator", {"n_max": 0}, None),
+                ("$.estimator.n_max", "estimator", {"n_max": -3}, None),
                 ("WTP_BUDGET", "exponents", "from-bases", "-1"),
             ]
         ),
+        pytest.param("--n-max", _carpet_config, _cli_args("--n-max", "0"), None, id="--n-max=0"),
+        pytest.param("--n-max", _golden_config, _cli_args("--n-max", "-1"), None, id="--n-max=-1"),
     ],
 )
 def test_untyped_field_is_parse_error(tmp_path, capsys, monkeypatch, path, make, mutate, env_budget):
     doc = make()
-    mutate(doc)
+    argv = mutate(doc) or []
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
     if env_budget is not None:
         monkeypatch.setenv("WTP_BUDGET", env_budget)
-    assert main(["dimension", "--config", str(config_path)]) == 1
+    assert main(["dimension", "--config", str(config_path), *argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
 
 
@@ -227,18 +237,33 @@ def test_overflowing_weights_are_computation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_overflow_stderr_is_the_error_line_only(tmp_path):
+def _estimate_in_subprocess(path):
     # a fresh interpreter, so numpy's RuntimeWarnings would reach the real stderr
-    path = _overflowing_weights_config(tmp_path)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "wtp.cli", "estimate", "--config", str(path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_overflow_stderr_is_the_error_line_only(tmp_path):
+    proc = _estimate_in_subprocess(_overflowing_weights_config(tmp_path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: S_N at N = 2 is inf: the weights overflow a float\n"
+
+
+def test_count_past_float_range_is_the_error_line_only(tmp_path):
+    # 1000**103 word counts do not fit a float; exit 2 naming N, not a traceback
+    doc = {"system": {"sponge": {"bases": [2, 1000], "digits": [[0, k] for k in range(1000)]}},
+           "estimator": {"n_max": 110}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = _estimate_in_subprocess(path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: a word count at N = 103 overflows a float\n"
 
 
 @pytest.mark.parametrize("command", ["entropy", "estimate"])

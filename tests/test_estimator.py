@@ -8,7 +8,8 @@ Core claims:
       the closed form
     - a window-2 potential matches an in-test brute-force sup-over-cylinder
       computation exactly
-    - counts survive the exact big-integer path when they exceed 2^52
+    - counts survive the exact big-integer path when they exceed 2^52, and a
+      count past float range is a ComputationError naming N
     - the enumeration budget and window preconditions are enforced
     - the blocked depth-first DP gives the same floats as holding every
       level-2 DP vector at once
@@ -35,7 +36,7 @@ from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWind
 from wtp.estimator import entropy_estimate, nested_count, submultiplicativity_check
 from wtp.sofic import sofic_weighted_entropy_closed_form
 from wtp.sponge import Potential, kp_recursion, weighted_entropy_closed_form
-from wtp.symbolic import SpongeChain, validate_digit_system
+from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases, weights_from_exponents
 
 L32 = math.log(2) / math.log(3)
@@ -209,8 +210,6 @@ def _brute_nested_rank2(g, a, n):
 
 
 def test_rank_two_sofic_bottom_matches_brute_force():
-    from wtp.symbolic import LabeledGraph, SoficChain
-
     sys = validate_digit_system((2, 2), list(itertools.product(range(2), range(2))))
     dense = LabeledGraph(
         vertices=("a", "b"),
@@ -281,8 +280,6 @@ def _brute_sofic_windowed(g, a, pot, n):
 
 
 def test_sofic_window_two_matches_brute_force(rng):
-    from wtp.symbolic import LabeledGraph, SoficChain
-
     sys = validate_digit_system((2, 2), list(itertools.product(range(2), range(2))))
     g = LabeledGraph(
         vertices=("a", "b"),
@@ -308,8 +305,6 @@ def test_sofic_window_two_matches_brute_force(rng):
 
 
 def test_sofic_window_three_with_dead_ends_matches_brute_force(rng):
-    from wtp.symbolic import LabeledGraph, SoficChain
-
     sys = validate_digit_system((2, 2), list(itertools.product(range(2), range(2))))
     # c continues one letter, to the dead vertex d: a word ending only at c
     # has no two-letter overhang and weighs 0
@@ -338,8 +333,6 @@ def test_sofic_window_three_with_dead_ends_matches_brute_force(rng):
 
 
 def test_sponge_is_the_one_vertex_sofic_chain(rng):
-    from wtp.symbolic import LabeledGraph, SoficChain
-
     for rank in (2, 3):
         while True:
             sys = random_sponge(rng, max_rank=3, max_base=4, max_digits=8)
@@ -376,6 +369,28 @@ def test_overflowing_level2_weights_still_count_words(carpet_chain, carpet_expon
     assert math.isfinite(nested_count(carpet_chain, carpet_exponents, pot1, n=1).log_value)
     with pytest.raises(ComputationError, match="N = 2 is inf"):
         nested_count(carpet_chain, carpet_exponents, pot1, n=2)
+
+
+def test_count_past_float_range_is_computation_error():
+    """A word count that no float holds is a ComputationError naming N, on the
+    one-state route and in the multi-state big-integer blocks."""
+    # one level-2 letter over 1000 digits: the only word of length N has 1000**N bottom words
+    sponge = SpongeChain(validate_digit_system((2, 1000), [(0, k) for k in range(1000)]))
+    # the same letters on two vertices, one entered and left by its own digit:
+    # three follower states, and more than 1000**N words
+    edges = [("a", "a", (0, k)) for k in range(1000)] + [("a", "b", (0, 1000)), ("b", "a", (0, 1001))]
+    graph = LabeledGraph(
+        vertices=("a", "b"), edges=tuple(edges), system=validate_digit_system((2, 1002), [e[2] for e in edges])
+    )
+    sofic = SoficChain(graph)
+    assert len(estimator._bottom_matrices(sofic, None, 1)[0]) > 1
+    for chain in (sponge, sofic):
+        a = exponents_from_bases(chain.system.bases)
+        assert math.isfinite(nested_count(chain, a, n=100).log_value)
+        with pytest.raises(ComputationError, match="a word count at N = 103 overflows a float"):
+            nested_count(chain, a, n=103)
+        with pytest.raises(ComputationError, match="N = 103"):
+            entropy_estimate(chain, a, n_max=110)
 
 
 def test_series_starts_at_window(carpet_chain, carpet_exponents):
@@ -445,8 +460,6 @@ def test_overflowing_tail_weight_is_computation_error(carpet_chain, carpet_expon
 
 def _random_graph_chain(rng, bases, nverts, extra):
     """Sofic chain on a random graph with a cycle through every vertex."""
-    from wtp.symbolic import LabeledGraph, SoficChain
-
     pool = list(itertools.product(*(range(m) for m in bases)))
     verts = tuple(str(v) for v in range(nverts))
 

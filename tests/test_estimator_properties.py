@@ -10,6 +10,15 @@ Core claims:
       counts on the big-integer path, at one-suffix blocks too
     - at max_fiber**N == 2**52 (the last float-carried N) and one N above,
       counts are the floats of the exact Python-int products
+    - on one-state bottoms (sponges, rank 2-4, N <= 6, float-carried and
+      big-integer counts), the distinct-value route's level-2 powers and
+      log S_N are byte-equal to the general route's, which the same bottom
+      takes with an unreachable second state added
+    - the distinct-value powers equal numpy's powers of the floats of the
+      brute-force Python-int counts, across factors of exactly 2**53 and
+      just above, Python-int products, zero counts and exponent 0
+    - every row of an estimate series on that route is repr-equal to
+      nested_count at its N
 """
 import itertools
 import math
@@ -21,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtp import estimator
-from wtp.estimator import nested_count
+from wtp.estimator import entropy_estimate, nested_count
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents
 
@@ -153,3 +162,113 @@ def test_counts_at_the_float_threshold(n):
     assert weights.tolist() == expected
     if n == 5:  # 8191**5 is not a float: the rounding is float(int)'s
         assert expected[-1] != 8191**5 and expected[-1] == float(8191**5)
+
+
+@st.composite
+def _sponges(draw):
+    """A sponge of rank 2-4 over bases 2-4."""
+    rank = draw(st.integers(2, 4))
+    bases = tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=rank, max_size=rank))))
+    pool = list(itertools.product(*(range(m) for m in bases)))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True))
+    return SpongeChain(validate_digit_system(bases, digits))
+
+
+@st.composite
+def _wide_sponges(draw):
+    """A sponge of rank 2 or 3 with fibers of up to 600 digits: counts pass 2**52 by N = 6."""
+    bases = (2, 3, 600)[-draw(st.integers(2, 3)) :]
+    prefixes = draw(st.lists(st.sampled_from(list(itertools.product(*(range(m) for m in bases[:-1])))),
+                             min_size=1, max_size=3, unique=True))
+    digits = [p + (k,) for p in prefixes for k in range(draw(st.integers(1, 600)))]
+    return SpongeChain(validate_digit_system(bases, digits))
+
+
+def _exponents(draw, chain):
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))
+    return Exponents(tuple(draw(st.lists(value, min_size=chain.rank - 1, max_size=chain.rank - 1))))
+
+
+def _general_route(bottom):
+    """The same bottom with a second, unreachable state, so its counts take the general route."""
+    start, mats, tail, exact = bottom
+    grow = lambda v: np.concatenate([v, np.zeros(1, dtype=v.dtype)])
+    return grow(start), [np.pad(m, (0, 1)) for m in mats], grow(tail), exact
+
+
+def _powers(weights, exponent):
+    """weights ** exponent over nonzero weights, zeros kept: numpy's `**`, as in `_fold`."""
+    out = weights.copy()
+    nonzero = out != 0
+    out[nonzero] **= exponent
+    return out
+
+
+def _assert_routes_agree(chain, a, n):
+    bottom = estimator._bottom_matrices(chain, None, n)
+    general = _general_route(bottom)
+    assert len(bottom[0]) == 1 and len(general[0]) == 2
+    powers = estimator._one_state_powers(*estimator._count_operands(chain, bottom, n), n, a.values[0])
+    oracle = _powers(estimator._word_weights(chain, general, n), a.values[0])
+    assert powers.tobytes() == oracle.tobytes()
+    one_state = estimator._log_nested(chain, a.values, bottom, n)
+    assert repr(one_state) == repr(estimator._log_nested(chain, a.values, general, n))
+    assert repr(one_state) == repr(nested_count(chain, a, n=n).log_value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=_sponges(), n=st.integers(1, 6), data=st.data())
+def test_one_state_route_matches_general_route(chain, n, data):
+    while len(chain.alphabet(2)) ** n > 2 * 10**5:
+        n -= 1
+    _assert_routes_agree(chain, _exponents(data.draw, chain), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=_wide_sponges(), n=st.integers(4, 6), data=st.data())
+def test_one_state_route_matches_general_route_on_big_integers(chain, n, data):
+    _assert_routes_agree(chain, _exponents(data.draw, chain), n)
+
+
+_FACTORS = [0, 1, 3, 2**26 + 1, 2**53 - 1, 2**53, 2**53 + 1, 10**20 + 7, 2**60 + 12345]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fibers=st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3),
+    n=st.integers(1, 4),
+    exponent=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+)
+def test_one_state_powers_match_brute_force_big_integers(fibers, n, exponent):
+    """Python-int 1x1 transfer matrices: factors up to 2**53 are multiplied as
+    floats, larger ones as Python ints, and each product is rounded once."""
+    one = np.ones(1, dtype=object)
+    mats = [np.full((1, 1), f, dtype=object) for f in fibers]
+    powers = estimator._one_state_powers(one, mats, one, n, exponent)
+    # row k_1 + k_2 * base + ...: the first position least significant
+    words = (reversed(w) for w in itertools.product(range(len(fibers)), repeat=n))
+    counts = np.array([float(math.prod(fibers[k] for k in w)) for w in words])
+    assert powers.tobytes() == _powers(counts, exponent).tobytes()
+
+
+def test_one_state_factor_boundary():
+    """2**53 is the largest factor multiplied as a float: float(2**53 + 1) * 3.0
+    is 3 * 2**53, but the count rounds to 3 * 2**53 + 4."""
+    one = np.ones(1, dtype=object)
+    for f, expected in [(2**53, 3 * 2**53), (2**53 - 1, 3 * 2**53 - 4), (2**53 + 1, 3 * 2**53 + 4)]:
+        mats = [np.full((1, 1), f, dtype=object), np.full((1, 1), 3, dtype=object)]
+        powers = estimator._one_state_powers(one, mats, one, 2, 1.0)
+        assert powers.tolist() == [float(f * f), float(3 * f), float(f * 3), 9.0]
+        assert powers[1] == float(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=st.one_of(_sponges(), _wide_sponges()), n_max=st.integers(1, 5), data=st.data())
+def test_one_state_series_rows_are_nested_counts(chain, n_max, data):
+    while len(chain.alphabet(2)) ** n_max > 10**5:
+        n_max -= 1
+    a = _exponents(data.draw, chain)
+    series = entropy_estimate(chain, a, n_max=n_max)
+    assert [n for n, _v in series.entries] == list(range(1, n_max + 1))
+    for n, value in series.entries:
+        assert repr(value) == repr(nested_count(chain, a, n=n).per_symbol)

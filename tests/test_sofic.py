@@ -14,6 +14,8 @@ Core claims:
     - the frozen chain's presentation is not finite-to-one: graph paths grow
       faster than words, and the word count's growth rate at N = 13 sits
       more than 0.01 below the closed form (which counts paths)
+    - the golden check's path totals equal those of the path-count
+      matrices (the oracle) byte for byte up to N = 10
 """
 import itertools
 import math
@@ -21,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from wtp.checks import _golden_word_and_path_counts
 from wtp.errors import NotAligned
 from wtp.estimator import nested_count
 from wtp.sofic import (
@@ -29,6 +32,7 @@ from wtp.sofic import (
     _power_iterate,
     build_count_matrices,
     detect_alignment,
+    golden_mean_chain,
     sofic_dimension_report,
     sofic_weighted_entropy_closed_form,
 )
@@ -236,3 +240,16 @@ def test_golden_chain_paths_outgrow_words(golden):
     step = nested_count(golden, a, n=13).log_value - nested_count(golden, a, n=12).log_value
     assert step == pytest.approx(1.4489082, abs=1e-7)
     assert step < closed - 0.01
+
+
+def test_golden_path_totals_match_einsum_oracle():
+    # Oracle: the path-count matrices themselves, left-multiplied by einsum as
+    # the check once carried them; the check carries only their row sums.
+    chain = golden_mean_chain()
+    mats = build_count_matrices(chain.graph, level=2)
+    labels = sorted(detect_alignment(mats).eigenvalues)
+    arrays = {m.label: m.as_array().astype(float) for m in mats if not m.is_zero}
+    paths = np.eye(len(chain.graph.vertices))[None, :, :]
+    for n, _words, totals, _lam, _alignment in _golden_word_and_path_counts(10):
+        paths = np.concatenate([np.einsum("ij,kjl->kil", arrays[lab], paths) for lab in labels], axis=0)
+        assert totals.tobytes() == paths.sum(axis=(1, 2)).tobytes(), n
