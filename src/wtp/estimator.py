@@ -23,12 +23,11 @@ product.  When the bottom DP has one state (every sponge, and a sofic chain
 whose follower automaton has one state) a count is a scalar prefix count
 times a scalar suffix count, and both sides repeat a handful of values: each
 distinct product is formed, rounded and raised to a_1 once, and the powers
-are laid out by word.  That keeps the bits of the general route because the
-rounded count is the same float (an IEEE product of exact float factors is
-correctly rounded, so it equals float(s * p)) and numpy's `**` gives one
-value for one input wherever it sits in an array.  Float weights of a
-potential depend on the order of their products, so they keep the blocked
-DP, which fixes that order: it runs over blocks of at most about BLOCK
+are laid out by word.  That keeps the bits of the general route because
+each distinct product is the same exact integer, rounded once by the same
+blocked product, and numpy's `**` gives one value for one input wherever it
+sits in an array.  Float weights of a potential depend on the order of
+their products, so they keep the blocked DP, which fixes that order: it runs over blocks of at most about BLOCK
 entries (words x states), the first positions of a word as one array, the
 later ones depth first.  Every route gives the same bits under any BLAS
 thread count.  Only the per-word weights are held whole, so memory is about
@@ -275,7 +274,13 @@ def _count_factors(start, mats, tail, n: int):
 
 
 def _count_weights(start, mats, tail, n: int) -> np.ndarray:
-    """Word count of every level-2 word of length n, as one prefix x suffix product.
+    """Word count of every level-2 word of length n, as one prefix x suffix product."""
+    prefix, suffix = _count_factors(start, mats, tail, n)
+    return _count_products(suffix, prefix, n).reshape(-1)
+
+
+def _count_products(suffix, prefix, n: int) -> np.ndarray:
+    """suffix . prefix.T rounded to float64, one row per suffix.
 
     Every product and partial sum of a count is an exact integer, so any
     grouping, BLAS kernel or thread count gives the same bits.  Python-int
@@ -283,16 +288,14 @@ def _count_weights(start, mats, tail, n: int) -> np.ndarray:
     and each block is rounded to floats at once, so only one block of
     products is alive at a time.
     """
-    prefix, suffix = _count_factors(start, mats, tail, n)
     if suffix.dtype != object:
-        return suffix.dot(prefix.T).reshape(-1)
+        return suffix.dot(prefix.T)
     width = len(prefix)
     step = max(1, BLOCK // width)
-    weights = np.empty(len(suffix) * width)
+    out = np.empty((len(suffix), width))
     for j in range(0, len(suffix), step):
-        block = suffix[j : j + step].dot(prefix.T)
-        weights[j * width : (j + len(block)) * width] = _floats(block, n).reshape(-1)
-    return weights
+        out[j : j + step] = _floats(suffix[j : j + step].dot(prefix.T), n)
+    return out
 
 
 def _one_state_powers(start, mats, tail, n: int, exponent: float) -> np.ndarray:
@@ -310,11 +313,7 @@ def _one_state_powers(start, mats, tail, n: int, exponent: float) -> np.ndarray:
     prefix, suffix = _count_factors(start, mats, tail, n)
     p_vals, pinv = np.unique(prefix[:, 0], return_inverse=True)
     s_vals, sinv = np.unique(suffix[:, 0], return_inverse=True)
-    if s_vals.dtype == object and max(s_vals[-1], p_vals[-1]) <= 2**53:
-        # exact float factors: the IEEE product of exact operands is
-        # correctly rounded, so it is float(s * p)
-        s_vals, p_vals = s_vals.astype(float), p_vals.astype(float)
-    table = _floats(s_vals[:, None] * p_vals[None, :], n)
+    table = _count_products(s_vals[:, None], p_vals[:, None], n)
     nonzero = table != 0
     table[nonzero] **= exponent
     # row gathers: 2-D fancy indexing is slower

@@ -405,7 +405,8 @@ def test_series_starts_at_window(carpet_chain, carpet_exponents):
 
 def test_series_rows_are_nested_counts(rng):
     """The series builds its transfer matrices once; each row keeps the bits
-    of nested_count at that N, for windows 0-2 and on the big-integer path."""
+    of nested_count at that N, for windows 0-2 and on the big-integer path,
+    with fibers of equal and of distinct sizes."""
     sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=6)
     chains = [SpongeChain(sys), _random_graph_chain(rng, (2, 3), 3, 6)]
     cases = []
@@ -415,6 +416,8 @@ def test_series_rows_are_nested_counts(rng):
             cases.append((chain, a, _random_potential(rng, chain.system.sorted_digits, window), 5))
     big = validate_digit_system((2, 36), [(i, j) for i in range(2) for j in range(36)])
     cases.append((SpongeChain(big), exponents_from_bases(big.bases), None, 12))  # 36^11 > 2^52
+    wide = validate_digit_system((3, 600), [(i, j) for i, f in enumerate((600, 7, 250)) for j in range(f)])
+    cases.append((SpongeChain(wide), exponents_from_bases(wide.bases), None, 6))  # 600^6 > 2^52
     for chain, a, pot, n_max in cases:
         series = entropy_estimate(chain, a, pot, n_max=n_max)
         assert [n for n, _v in series.entries] == list(range(pot.window if pot else 1, n_max + 1))
