@@ -14,8 +14,8 @@ window-k potentials, the max-plus tails of the windows that overhang the
 word end.  The series starts at N = k, the first length holding a window.
 
 Every level-2 word is enumerated, by one of three routes chosen from the
-input.  Without a potential a word's weight is its count of bottom words,
-an exact integer, and so is every product and partial sum on the way: any
+input.  Without a potential a word's weight is its count of bottom words, an
+exact integer, and so is every product and partial sum on the way: any
 grouping of the products gives the same bits.  So all counts come from one
 product of the prefix DP vectors of the first N // 2 positions with the
 suffix vectors of the others, about 2 |A_2|^N states flops in one matrix
@@ -23,26 +23,26 @@ product.  When the bottom DP has one state (every sponge, and a sofic chain
 whose follower automaton has one state) a count is a scalar prefix count
 times a scalar suffix count, and both sides repeat a handful of values: each
 distinct product is formed, rounded and raised to a_1 once, and the powers
-are laid out by word.  That keeps the bits of the general route because
-each distinct product is the same exact integer, rounded once by the same
-blocked product, and numpy's `**` gives one value for one input wherever it
-sits in an array.  Float weights of a potential depend on the order of
-their products, so they keep the blocked DP, which fixes that order: it runs over blocks of at most about BLOCK
-entries (words x states), the first positions of a word as one array, the
-later ones depth first.  Every route gives the same bits under any BLAS
-thread count.  Only the per-word weights are held whole, so memory is about
-8 bytes per level-2 word, plus O(|A_2|^ceil(N/2) * states) for the count
-vectors or O((N - q) * BLOCK) for the DP buffers, q being the positions in
-a block.  The nested groupings then run over those
-weights in chunks, in word order, so results are independent of block
-sizes and of any worker scheduling.  A budget caps the number of enumerated
-words; a series checks it for every N before it counts the first.  Counts
-stay integer-exact: float64 carries them while the largest possible count
-fits a 52-bit mantissa, otherwise Python ints are, about BLOCK at a time,
-until each is rounded to a float for the first exponentiation; a count past
-float range is a ComputationError naming N.  Float weights that overflow
-are not dropped (NaN ** 0 still counts a word); an S_N that is not finite is
-a ComputationError naming N.
+are laid out by word.  That keeps the bits of the general route because each
+distinct product is the same exact integer, rounded once by the same blocked
+product, and numpy's `**` gives one value for one input wherever it sits in
+an array.  Float weights of a potential depend on the order of their
+products, so they keep the blocked DP, which fixes that order: it runs over
+blocks of at most about BLOCK entries (words x states), the first positions
+of a word as one array, the later ones depth first.  Every route gives the
+same bits under any BLAS thread count.  Only the per-word weights are held
+whole, so memory is about 8 bytes per level-2 word, plus O(|A_2|^ceil(N/2) *
+states) for the count vectors or O((N - q) * BLOCK) for the DP buffers, q
+being the positions in a block.  The nested groupings then run over those
+weights in chunks, in word order, so results are independent of block sizes
+and of any worker scheduling.  A budget caps the number of enumerated words;
+a series checks it for every N before it counts the first.  Counts stay
+integer-exact: float64 carries them while the largest possible count fits a
+52-bit mantissa, otherwise Python ints are, about BLOCK at a time, until
+each is rounded to a float for the first exponentiation; a count past float
+range is a ComputationError naming N.  Float weights that overflow are not
+dropped (NaN ** 0 still counts a word); an S_N that is not finite is a
+ComputationError naming N.
 """
 from __future__ import annotations
 
