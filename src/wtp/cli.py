@@ -20,17 +20,22 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from . import __version__
-from .checks import run_all_checks
+from .defaults import (
+    AMBIGUITY_WARNING,
+    DEFAULT_BUDGET,
+    DEFAULT_N_MAX,
+    MAX_ITERS,
+    STALL_GAIN,
+)
 from .errors import (
     ComputationError,
+    DuplicateLabelAtVertex,
     NotAligned,
     ParseError,
     UnsupportedCombination,
     ValidationError,
     WtpError,
 )
-from .estimator import DEFAULT_BUDGET, DEFAULT_N_MAX, entropy_estimate
-from .sofic import AMBIGUITY_WARNING, sofic_weighted_entropy_closed_form
 from .sponge import (
     Potential,
     hausdorff_dimension,
@@ -41,13 +46,47 @@ from .symbolic import (
     LabeledGraph,
     SoficChain,
     SpongeChain,
+    check_right_resolving,
     validate_digit_system,
 )
-from .variational import MAX_ITERS, STALL_GAIN, maximize_bernoulli
 from .weights import Exponents, exponents_from_bases
+
+
+# Entry points of the modules that load numpy, which config parsing and the
+# sponge closed forms do without: each imports its module at the first call.
+# `run` looks these names up at call time, so a caller may replace them here.
+
+
+def run_all_checks():
+    from .checks import run_all_checks
+
+    return run_all_checks()
+
+
+def entropy_estimate(*args, **kwargs):
+    from .estimator import entropy_estimate
+
+    return entropy_estimate(*args, **kwargs)
+
+
+def maximize_bernoulli(*args, **kwargs):
+    from .variational import maximize_bernoulli
+
+    return maximize_bernoulli(*args, **kwargs)
+
+
+def sofic_weighted_entropy_closed_form(*args, **kwargs):
+    from .sofic import sofic_weighted_entropy_closed_form
+
+    return sofic_weighted_entropy_closed_form(*args, **kwargs)
+
 
 COMMANDS = ("entropy", "dimension", "estimate", "variational", "check")
 WINDOW_K_WARNING = "closed form unavailable: potentials wider than window 1 are estimator-only"
+PATH_COUNT_WARNING = (
+    "presentation not right-resolving ({}): this value counts graph paths and may "
+    "exceed the chain's word-based entropy; compare the estimate series"
+)
 
 
 @dataclass
@@ -391,9 +430,15 @@ def _window_k(config: RunConfig) -> bool:
     return config.potential is not None and config.potential.window != 1
 
 
-def _sofic_closed_form(config: RunConfig) -> dict:
+def _sofic_closed_form(config: RunConfig, report: Report) -> dict:
     chain = config.chain
     h = sofic_weighted_entropy_closed_form(chain, config.exponents)
+    report.warnings.append(AMBIGUITY_WARNING)
+    try:
+        check_right_resolving(chain.graph)
+    except DuplicateLabelAtVertex as e:
+        # more paths than words: the eigenvalues count paths
+        report.warnings.append(PATH_COUNT_WARNING.format(e))
     return {
         "h_a_nats": h,
         "h_over_log_m1": h / math.log(chain.system.bases[0]),
@@ -451,8 +496,7 @@ def run(config: RunConfig, command: str) -> Report:
         elif sponge:
             report.closed_form = _sponge_closed_form(config)
         else:
-            report.closed_form = _sofic_closed_form(config)
-            report.warnings.append(AMBIGUITY_WARNING)
+            report.closed_form = _sofic_closed_form(config, report)
         return report
 
     # entropy: closed form when available, estimator fallback otherwise;
@@ -483,12 +527,10 @@ def _closed_form_or_none(config: RunConfig, report: Report, sponge: bool) -> dic
         report.warnings.append("closed form unavailable: sofic chains with potentials are estimator-only")
         return None
     try:
-        closed = _sofic_closed_form(config)
+        return _sofic_closed_form(config, report)
     except (NotAligned, ComputationError) as e:
         report.warnings.append(f"closed form unavailable: {e}")
         return None
-    report.warnings.append(AMBIGUITY_WARNING)
-    return closed
 
 
 def _format_table(report: Report) -> str:
@@ -542,7 +584,15 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    print(report.to_json() if args.format == "json" else _format_table(report))
+    try:
+        print(report.to_json() if args.format == "json" else _format_table(report))
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        # the reader has gone; what is still buffered goes to devnull, so
+        # the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     if report.checks is not None and not all(r["passed"] for r in report.checks):
         return 3
     return 0

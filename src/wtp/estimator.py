@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .defaults import DEFAULT_BUDGET, DEFAULT_N_MAX
 from .errors import (
     ComplexityBudgetExceeded,
     ComputationError,
@@ -63,8 +64,6 @@ from .sponge import Potential
 from .symbolic import SoficChain
 from .weights import Exponents
 
-DEFAULT_BUDGET = 10**7
-DEFAULT_N_MAX = 12
 BLOCK = 2**16  # DP entries (words x states) computed as one array
 MIN_ROWS = 64  # fewest words in a block of the depth-first DP
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import AMBIGUITY_WARNING
 from .errors import ExponentLengthMismatch, NotAligned, UpperLevelsNotFullShift
 from .sponge import contract
 from .symbolic import Digit, LabeledGraph, SoficChain, validate_digit_system
@@ -169,14 +170,6 @@ class SoficDimensionReport:
     h_a_nats: float
     h_over_log_m1: float
     warning: str
-
-
-AMBIGUITY_WARNING = (
-    "dimension ambiguity: the weighted entropy h (nats) and the quotient "
-    "h / log m_1 are both reported; the sponge dimension formula divides by "
-    "log m_1, while the nats value itself also circulates as the dimension "
-    "of this family; this report does not choose between them"
-)
 
 
 def sofic_dimension_report(chain: SoficChain, a: Exponents | None = None) -> SoficDimensionReport:

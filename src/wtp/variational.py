@@ -18,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import MAX_ITERS, STALL_GAIN
 from .errors import DidNotConverge, DistributionInvalid, WindowUnsupported
 from .sponge import Potential, kp_recursion
 from .symbolic import Digit, DigitSystem
 from .weights import Exponents, weights_from_exponents
 
 PROB_TOL = 1e-12
-STALL_GAIN = 1e-12
 STALL_SPAN = 50
-MAX_ITERS = 100_000
 OVERSHOOT_TOL = 1e-9
 
 

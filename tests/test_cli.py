@@ -10,12 +10,16 @@ Core claims:
       a chain with no admissible word of length N, an S_N that overflows,
       or a word count past float range exits 2, not with a traceback or
       Infinity, and stderr holds only the error line; an estimate whose
-      n_max is past the budget exits 2 before it counts any N
+      n_max is past the budget exits 2 before it counts any N; a reader
+      that closes stdout early gets one error line and exit 1
+    - a sofic closed form on a presentation that is not right-resolving
+      carries a caveat that it counts paths; a right-resolving one does not
     - a sponge's dimensions are reported under a window-2 potential
     - a window-2 config is estimated from N = 2
     - numeric report fields reproduce pinned values bit for bit
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,6 +383,39 @@ def test_dimension_on_golden_chain_reports_both():
     assert any("ambiguity" in w for w in report.warnings)
 
 
+GOLDEN_PATH_COUNT_WARNING = (
+    "presentation not right-resolving (vertex '2' has two outgoing edges labeled (1, 0, 3)): "
+    "this value counts graph paths and may exceed the chain's word-based entropy; "
+    "compare the estimate series"
+)
+
+
+@pytest.mark.parametrize("command", ["entropy", "dimension", "estimate"])
+def test_golden_closed_form_carries_path_count_caveat(command):
+    # two edges out of vertex 2 share a label, so the eigenvalues count paths
+    config = parse_config(_golden_config())
+    config.n_max = 3
+    report = run(config, command)
+    assert report.closed_form["h_a_nats"] == pytest.approx(1.4598, abs=5e-5)
+    assert report.warnings[-1] == GOLDEN_PATH_COUNT_WARNING
+    assert sum("right-resolving" in w for w in report.warnings) == 1
+
+
+@pytest.mark.parametrize("command", ["entropy", "dimension", "estimate"])
+def test_right_resolving_closed_form_has_no_caveat(command):
+    # per-label count matrices [[1,1],[1,1]] and [[0,1],[1,0]] share the
+    # eigenvector (1, 1); no vertex repeats a label
+    edges = [
+        ["1", "1", [0, 0]], ["1", "2", [0, 1]], ["1", "2", [1, 0]],
+        ["2", "1", [0, 0]], ["2", "2", [0, 1]], ["2", "1", [1, 0]],
+    ]
+    doc = {"system": {"sofic": {"bases": [2, 2], "vertices": ["1", "2"], "edges": edges}}}
+    doc["estimator"] = {"n_max": 3}
+    report = run(parse_config(doc), command)
+    assert report.closed_form["h_a_nats"] == pytest.approx(math.log(3))
+    assert len(report.warnings) == 1 and "ambiguity" in report.warnings[0]
+
+
 def test_estimate_series_matches_library():
     from wtp.estimator import entropy_estimate
     from wtp.weights import exponents_from_bases
@@ -489,6 +526,25 @@ def test_cli_check_failure_exit_code(tmp_path, capsys, monkeypatch):
         cli_module, "run_all_checks", lambda: [CheckResult("stub", False, "forced")]
     )
     assert main(["check", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_closed_stdout_is_one_error_line(fmt):
+    # the reader closes its end of the pipe before wtp writes a byte
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wtp.cli", "dimension", "--config", os.path.join(CONFIG_DIR, "carpet.json"),
+             "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.slow
