@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     ComputationError,
@@ -83,6 +84,17 @@ class Potential:
             raise ComputationError(f"exp of potential value {v} for {tuple(word)} overflows a float") from None
 
 
+def _window1_weights(potential: Potential, digits) -> list[float]:
+    """exp f(d) for each digit, read with one table pass; on overflow,
+    `Potential.weight` names the first digit whose weight overflows."""
+    try:
+        return list(map(math.exp, map(potential.table.get, zip(digits), itertools.repeat(0.0))))
+    except OverflowError:
+        for d in digits:
+            potential.weight((d,))
+        raise
+
+
 @dataclass(frozen=True)
 class ZTable:
     """Per-prefix tables of the contraction, level r (indicator) down to 0 (scalar)."""
@@ -124,11 +136,12 @@ def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = N
         raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
     if potential is not None and potential.window != 1:
         raise WindowUnsupported("closed form supports window-1 potentials only")
-    indicator = {d: 1.0 for d in sys.sorted_digits}
+    digits = sys.sorted_digits
+    indicator = dict.fromkeys(digits, 1.0)
+    weights = itertools.repeat(1.0) if potential is None else _window1_weights(potential, digits)
     table: dict[Digit, float] = {}
-    for d in sys.sorted_digits:
-        weight = potential.weight((d,)) if potential is not None else 1.0
-        table[d[: r - 1]] = table.get(d[: r - 1], 0.0) + weight
+    for prefix, weight in zip(map(itemgetter(slice(r - 1)), digits), weights):
+        table[prefix] = table.get(prefix, 0.0) + weight
     levels = [indicator, table, *contract(table, a.values, r)]
     return ZTable(levels=tuple(reversed(levels)))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import (
     BasesNotSorted,
@@ -60,7 +61,13 @@ class DigitSystem:
 
     @cached_property
     def _prefixes(self) -> tuple[tuple[Digit, ...], ...]:
-        return tuple(tuple(sorted({d[:j] for d in self.digits})) for j in range(1, self.rank + 1))
+        # cutting a sorted sequence keeps it sorted, so dropping repeats of the
+        # cut (dict keys keep their first order) leaves the distinct prefixes
+        # sorted; each length is cut from the next longer, shortest last
+        levels = [self.sorted_digits]
+        for j in range(self.rank, 0, -1):
+            levels.append(tuple(dict.fromkeys(map(itemgetter(slice(j)), levels[-1]))))
+        return tuple(reversed(levels[1:]))
 
 
 def validate_digit_system(bases, digits) -> DigitSystem:
@@ -103,6 +110,21 @@ class Word:
         return len(self.letters)
 
 
+def _is_clean_edges(edges, vertices: set, digits: frozenset) -> bool:
+    """Every edge is a (source, target, label) tuple between `vertices` with
+    a digit tuple as label: the checks of `LabeledGraph`, made a whole list
+    at a time, so that its loop runs only to name the first bad edge."""
+    if not ({tuple}.issuperset(map(type, edges)) and set(map(len, edges)) <= {3}):
+        return False
+    labels = list(map(itemgetter(2), edges))
+    return (
+        vertices.issuperset(map(itemgetter(0), edges))
+        and vertices.issuperset(map(itemgetter(1), edges))
+        and {tuple}.issuperset(map(type, labels))
+        and digits.issuperset(labels)
+    )
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Directed multigraph with D-labeled edges presenting a sofic shift.
@@ -123,6 +145,8 @@ class LabeledGraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValidationError("duplicate vertex names")
         vs = set(self.vertices)
+        if _is_clean_edges(self.edges, vs, self.system.digits):
+            return
         for s, t, lab in self.edges:
             if s not in vs or t not in vs:
                 raise ValidationError(f"edge ({s!r}, {t!r}) references unknown vertex")

@@ -9,12 +9,17 @@ from the contraction tables, and by exponentiated-gradient ascent.
 Each level marginal is a grouped sum over the digits' prefix indices, so an
 ascent iteration costs O(|D|) per level.  Its rounding differs from a dense
 0/1 matrix product, so values may differ from such an evaluation in the
-last bits.
+last bits.  An iterate's marginals are formed once (level 1 is the symbol
+distribution itself) and serve both its objective and the gradient of the
+next step; while every entry is at least TINY one `log` per level serves
+both, which gives the same bits as taking them apart.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .weights import Exponents, weights_from_exponents
 PROB_TOL = 1e-12
 STALL_SPAN = 50
 OVERSHOOT_TOL = 1e-9
+TINY = 1e-300  # the gradient takes log max(q, TINY)
 
 
 @dataclass(frozen=True)
@@ -37,14 +43,26 @@ class SymbolDistribution:
     probs: dict
 
     def __post_init__(self):
-        clean = {}
-        for d, p in self.probs.items():
-            key = tuple(int(c) for c in d)
-            if key not in self.system.digits:
-                raise DistributionInvalid(f"{key} is not a digit of the system")
-            if p < -PROB_TOL:
-                raise DistributionInvalid(f"negative probability {p} for {key}")
-            clean[key] = float(p)
+        probs = self.probs
+        values = probs.values()
+        # whole lists first; the loop names the first bad entry
+        if (
+            {tuple}.issuperset(map(type, probs))
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(probs)))
+            and {float}.issuperset(map(type, values))
+            and self.system.digits.issuperset(probs)
+            and min(values, default=0.0) >= -PROB_TOL
+        ):
+            clean = dict(probs)
+        else:
+            clean = {}
+            for d, p in probs.items():
+                key = tuple(int(c) for c in d)
+                if key not in self.system.digits:
+                    raise DistributionInvalid(f"{key} is not a digit of the system")
+                if p < -PROB_TOL:
+                    raise DistributionInvalid(f"negative probability {p} for {key}")
+                clean[key] = float(p)
         total = sum(clean.values())
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionInvalid(f"probabilities sum to {total}, not 1")
@@ -77,14 +95,11 @@ def _marginal_groups(sys: DigitSystem) -> list[tuple[np.ndarray, int]]:
     groups = []
     for level in range(1, sys.rank + 1):
         j = sys.rank - level + 1
-        pos = {x: k for k, x in enumerate(sys.prefixes(j))}
-        group = np.fromiter((pos[d[:j]] for d in digits), dtype=np.intp, count=len(digits))
-        groups.append((group, len(pos)))
+        prefixes = sys.prefixes(j)
+        pos = dict(zip(prefixes, range(len(prefixes))))
+        heads = map(pos.__getitem__, map(itemgetter(slice(j)), digits))
+        groups.append((np.fromiter(heads, dtype=np.intp, count=len(digits)), len(prefixes)))
     return groups
-
-
-def _marginal(p: np.ndarray, group: np.ndarray, k: int) -> np.ndarray:
-    return np.bincount(group, weights=p, minlength=k)
 
 
 def _entropy(q: np.ndarray) -> float:
@@ -92,12 +107,46 @@ def _entropy(q: np.ndarray) -> float:
     return float(-np.sum(q * np.log(q)))
 
 
+def _level_terms(p: np.ndarray, groups) -> list[tuple[float, np.ndarray]]:
+    """Each level marginal of p formed once: its entropy, and the log the
+    gradient takes of it (log max(q, TINY), 0 where q is 0).
+
+    Level 1's prefixes are the digits, so its marginal is p itself.  When
+    every entry is at least TINY, one `log` serves both; otherwise each takes
+    its own expression, so the bits are those of taking them apart.
+    """
+    terms = []
+    for level, (group, k) in enumerate(groups, start=1):
+        q = p if level == 1 else np.bincount(group, weights=p, minlength=k)
+        if q.min() >= TINY:
+            logq = np.log(q)
+            terms.append((float(-np.sum(q * logq)), logq))
+        else:
+            terms.append((_entropy(q), np.where(q > 0, np.log(np.maximum(q, TINY)), 0.0)))
+    return terms
+
+
 def _potential_vector(sys: DigitSystem, potential: Potential | None) -> np.ndarray:
+    digits = sys.sorted_digits
     if potential is None:
-        return np.zeros(len(sys.sorted_digits))
+        return np.zeros(len(digits))
     if potential.window != 1:
         raise WindowUnsupported("Bernoulli objective takes window-1 potentials")
-    return np.array([potential.value((d,)) for d in sys.sorted_digits])
+    values = map(potential.table.get, zip(digits), itertools.repeat(0.0))
+    return np.fromiter(values, dtype=float, count=len(digits))
+
+
+def _value(w, entropies, potential_term: float) -> VariationalValue:
+    """Per-level terms w_i H_i, then w_1 E[f], added left to right."""
+    breakdown = []
+    total = 0.0
+    for i, h in enumerate(entropies, start=1):
+        contribution = w[i - 1] * h
+        breakdown.append((f"w{i}*H(level {i})", contribution))
+        total += contribution
+    breakdown.append(("w1*E[f]", potential_term))
+    total += potential_term
+    return VariationalValue(value=total, breakdown=tuple(breakdown))
 
 
 def bernoulli_objective(
@@ -110,16 +159,8 @@ def bernoulli_objective(
     w = weights_from_exponents(a)
     p = dist.as_array()
     fvec = _potential_vector(sys, potential)
-    breakdown = []
-    total = 0.0
-    for i, (group, k) in enumerate(_marginal_groups(sys), start=1):
-        contribution = w[i - 1] * _entropy(_marginal(p, group, k))
-        breakdown.append((f"w{i}*H(level {i})", contribution))
-        total += contribution
-    potential_term = w[0] * float(fvec @ p)
-    breakdown.append(("w1*E[f]", potential_term))
-    total += potential_term
-    return VariationalValue(value=total, breakdown=tuple(breakdown))
+    entropies = [h for h, _logq in _level_terms(p, _marginal_groups(sys))]
+    return _value(w, entropies, w[0] * float(fvec @ p))
 
 
 def optimal_measure_from_recursion(
@@ -170,37 +211,46 @@ def maximize_bernoulli(
     more than 1e-9 (that bound is an internal assertion, not a convergence
     failure); running out of iterations raises DidNotConverge with the best
     point found.  Pass `trace` to record the per-iteration objective values.
+
+    The returned value is the evaluation stored with the best iterate, its
+    terms added left to right, so it equals `bernoulli_objective` on the
+    returned distribution bit for bit.
     """
     digits = sys.sorted_digits
     w = weights_from_exponents(a)
     groups = _marginal_groups(sys)
     fvec = _potential_vector(sys, potential)
+    potential_slope = w[0] * fvec
     closed_form = math.log(kp_recursion(sys, a, potential).z0)
 
-    def objective(p: np.ndarray) -> float:
-        total = sum(w[i] * _entropy(_marginal(p, group, k)) for i, (group, k) in enumerate(groups))
-        return total + w[0] * float(fvec @ p)
+    def evaluate(p: np.ndarray):
+        """The objective at p, its terms for `_value`, and the per-level logs
+        the gradient at p takes, from one pass over the level marginals."""
+        terms = _level_terms(p, groups)
+        entropies = [h for h, _logq in terms]
+        potential_term = w[0] * float(fvec @ p)
+        value = sum(w[i] * h for i, h in enumerate(entropies)) + potential_term
+        return value, (entropies, potential_term), [logq for _h, logq in terms]
 
-    def gradient(p: np.ndarray) -> np.ndarray:
-        g = w[0] * fvec.copy()
-        for i, (group, k) in enumerate(groups):
-            q = _marginal(p, group, k)
-            logq = np.where(q > 0, np.log(np.maximum(q, 1e-300)), 0.0)
-            g += w[i] * (-logq - 1.0)[group]
+    def gradient(logs: list) -> np.ndarray:
+        g = potential_slope.copy()
+        for i, ((group, _k), logq) in enumerate(zip(groups, logs)):
+            slope = -logq - 1.0
+            g += w[i] * (slope if i == 0 else slope[group])  # level 1 is per digit
         return g
 
     p = np.full(len(digits), 1.0 / len(digits))
-    best_p = p.copy()
-    best = objective(p)
+    best, best_terms, logs = evaluate(p)
+    best_p = p
     if trace is not None:
         trace.append(best)
     stall = 0
     for it in range(max_iters):
-        g = gradient(p)
+        g = gradient(logs)
         eta = 0.5 / (1.0 + it / 100.0)
         q = p * np.exp(eta * (g - g.max()))
         q = q / q.sum()
-        value = objective(q)
+        value, terms, logs = evaluate(q)
         if trace is not None:
             trace.append(value)
         if value > closed_form + OVERSHOOT_TOL:
@@ -212,18 +262,13 @@ def maximize_bernoulli(
         else:
             stall = 0
         if value > best:
-            best = value
-            best_p = q.copy()
+            best, best_terms, best_p = value, terms, q
         p = q
         if stall >= STALL_SPAN:
             break
-    else:
+    dist = SymbolDistribution(system=sys, probs=dict(zip(digits, best_p.tolist())))
+    if stall < STALL_SPAN:
         raise DidNotConverge(
-            f"no convergence in {max_iters} iterations",
-            best_value=best,
-            best_distribution=SymbolDistribution(
-                system=sys, probs={d: float(x) for d, x in zip(digits, best_p)}
-            ),
+            f"no convergence in {max_iters} iterations", best_value=best, best_distribution=dist
         )
-    dist = SymbolDistribution(system=sys, probs={d: float(x) for d, x in zip(digits, best_p)})
-    return dist, bernoulli_objective(sys, a, dist, potential)
+    return dist, _value(w, *best_terms)

@@ -221,6 +221,16 @@ def test_overflowing_potential_is_computation_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_overflowing_potential_names_the_digit(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        doc = json.load(fh)
+    doc["potential"]["table"] = [[[[1, 1]], 900.0], [[[0, 2]], 710.5], [[[0, 0]], 1.0]]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dimension", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: exp of potential value 710.5 for ((0, 2),) overflows a float\n"
+
+
 def _overflowing_weights_config(tmp_path):
     # exp(700) is finite, but two letters of it overflow S_2
     with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:

@@ -11,11 +11,12 @@ Core claims:
 """
 import itertools
 import math
+import re
 
 import pytest
 
 from wtp.checks import random_sponge
-from wtp.errors import ExponentLengthMismatch, WindowUnsupported
+from wtp.errors import ComputationError, ExponentLengthMismatch, WindowUnsupported
 from wtp.estimator import nested_count
 from wtp.sponge import (
     Potential,
@@ -208,3 +209,11 @@ def test_random_sponge_dimension_cross_checked_by_estimator(rng):
     for n in (1, 3, 5):
         assert nested_count(chain, a, n=n).per_symbol == pytest.approx(h, abs=1e-10)
     assert hausdorff_dimension(sys) == pytest.approx(h / math.log(2), abs=1e-15)
+
+
+def test_overflowing_weight_names_the_first_digit(carpet, carpet_exponents):
+    f = Potential(window=1, table={((1, 1),): 800.0, ((0, 2),): 710.5, ((0, 0),): 1.0})
+    # (0, 2) comes before (1, 1) in digit order
+    message = "exp of potential value 710.5 for ((0, 2),) overflows a float"
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        kp_recursion(carpet, carpet_exponents, f)

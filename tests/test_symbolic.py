@@ -13,6 +13,7 @@ Core claims:
       DP on the sofic bottom, multiplicative under concatenation
 """
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from wtp.errors import (
     InadmissibleWord,
     LevelOutOfRange,
     RankTooSmall,
+    ValidationError,
 )
 from wtp.sofic import build_count_matrices
 from wtp.symbolic import (
@@ -93,6 +95,17 @@ def test_digit_validation_matches_per_digit_loop(digits):
         assert system.prefixes(j) == tuple(sorted({d[:j] for d in system.digits}))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefixes_match_sorted_set_oracle(data):
+    bases = tuple(sorted(data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))))
+    pool = st.tuples(*(st.integers(0, m - 1) for m in bases))
+    digits = data.draw(st.lists(pool, min_size=1, max_size=20))
+    system = validate_digit_system(bases, digits)
+    for j in range(1, len(bases) + 1):
+        assert system.prefixes(j) == tuple(sorted({d[:j] for d in digits}))
+
+
 def test_rank_one_rejected():
     with pytest.raises(RankTooSmall):
         validate_digit_system((5,), [(0,)])
@@ -155,6 +168,37 @@ def test_duplicate_label_detected():
         check_right_resolving(g)
     assert exc.value.vertex == "a"
     assert exc.value.label == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (
+            (("a", "a", (0, 0)), ("a", "c", (1, 1)), ("d", "a", (0, 0))),
+            "edge ('a', 'c') references unknown vertex",
+        ),
+        (
+            (("a", "b", (0, 0)), ("b", "a", (1, 0)), ("b", "b", (2, 2))),
+            "edge label (1, 0) is not a digit of the system",
+        ),
+        ((("a", "b", (0, 0)), ("b", "a", [1, 0])), "edge label [1, 0] is not a digit of the system"),
+        ((("a", "b", (0, 0)), ("b", "a", (0, 0, 0))), "edge label (0, 0, 0) is not a digit of the system"),
+    ],
+)
+def test_bad_edge_is_named(edges, message):
+    # the first bad edge in edge order, as a per-edge loop names it
+    sys = validate_digit_system((2, 2), [(0, 0), (1, 1)])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        LabeledGraph(vertices=("a", "b"), edges=edges, system=sys)
+
+
+def test_digit_labels_as_lists_or_numpy_ints_are_accepted():
+    sys = validate_digit_system((2, 2), [(0, 0), (1, 1)])
+    edges = (("a", "b", [0, 0]), ("b", "a", (np.int64(1), np.int64(1))), ("a", "a", (0, 0)))
+    plain = (("a", "b", (0, 0)), ("b", "a", (1, 1)), ("a", "a", (0, 0)))
+    g = LabeledGraph(vertices=("a", "b"), edges=edges, system=sys)
+    h = LabeledGraph(vertices=("a", "b"), edges=plain, system=sys)
+    assert determinize(g).count_words(3) == determinize(h).count_words(3)
 
 
 def test_dead_vertex_detected():

@@ -11,9 +11,15 @@ Core claims:
     - random distributions never beat the closed form (the variational
       inequality for product measures)
     - the grouped-sum marginals agree with dense 0/1 marginal matrices
+    - the ascent returns, bit for bit, what an ascent that forms every
+      marginal twice per iterate returns (maximizer, value, breakdown,
+      trace, best value on non-convergence), also when marginals fall below
+      1e-300 or to 0; its value is `bernoulli_objective` on its maximizer
+    - distributions keep their coercions and errors
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtp.checks import random_sponge
+from wtp.defaults import STALL_GAIN
 from wtp.errors import DidNotConverge, DistributionInvalid
 from wtp.sponge import Potential, kp_recursion
 from wtp.symbolic import validate_digit_system
 from wtp.variational import (
+    STALL_SPAN,
     SymbolDistribution,
+    VariationalValue,
     _marginal_groups,
     bernoulli_objective,
     maximize_bernoulli,
@@ -232,3 +241,171 @@ def test_grouped_marginals_match_dense_oracle(case):
         nz = q[q > 0]
         objective += w[i] * float(-np.sum(nz * np.log(nz)))
     assert bernoulli_objective(sys, a, dist).value == pytest.approx(objective, abs=1e-14)
+
+
+def test_distribution_coerces_numpy_keys_and_values(carpet):
+    probs = {(np.int64(0), np.int64(0)): np.float64(0.25), (1, 1): 0.5, (0, np.int32(2)): np.float64(0.25)}
+    dist = SymbolDistribution(system=carpet, probs=probs)
+    assert dist.probs == {(0, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25}
+    assert {type(c) for d in dist.probs for c in d} == {int}
+    assert {type(p) for p in dist.probs.values()} == {float}
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ({(0, 0): 1.5, (1, 1): -0.5}, "negative probability -0.5 for (1, 1)"),
+        ({(0, 0): 0.5, (1, 1): 0.25}, "probabilities sum to 0.75, not 1"),
+        ({(0, 0): 0.5, (1, 0): 0.5}, "(1, 0) is not a digit of the system"),
+        ({(0, 0): 0.5, (np.int64(1), 0): 0.5}, "(1, 0) is not a digit of the system"),
+        ({(0, 0): 0.5, (0, 0, 0): 0.5}, "(0, 0, 0) is not a digit of the system"),
+    ],
+)
+def test_distribution_errors_name_the_entry(carpet, probs, message):
+    with pytest.raises(DistributionInvalid, match=re.escape(message)):
+        SymbolDistribution(system=carpet, probs=probs)
+
+
+def _reference_ascent(sys, a, potential, max_iters, trace):
+    """Oracle: the ascent written with an `objective` and a `gradient` that
+    each form every level marginal, and the value recomputed at the best
+    point.  Returns (value or None on non-convergence, best value, best
+    point, whether a marginal fell below 1e-300)."""
+    digits = sys.sorted_digits
+    w = weights_from_exponents(a)
+    groups = []
+    for level in range(1, sys.rank + 1):
+        j = sys.rank - level + 1
+        pos = {x: k for k, x in enumerate(sorted({d[:j] for d in digits}))}
+        groups.append((np.array([pos[d[:j]] for d in digits], dtype=np.intp), len(pos)))
+    fvec = np.array([potential.value((d,)) if potential else 0.0 for d in digits])
+    tiny = []
+
+    def entropy(q):
+        q = q[q > 0]
+        return float(-np.sum(q * np.log(q)))
+
+    def objective(p):
+        total = sum(
+            w[i] * entropy(np.bincount(g, weights=p, minlength=k)) for i, (g, k) in enumerate(groups)
+        )
+        return total + w[0] * float(fvec @ p)
+
+    def gradient(p):
+        g = w[0] * fvec.copy()
+        for i, (group, k) in enumerate(groups):
+            q = np.bincount(group, weights=p, minlength=k)
+            tiny.append(q.min() < 1e-300)
+            logq = np.where(q > 0, np.log(np.maximum(q, 1e-300)), 0.0)
+            g += w[i] * (-logq - 1.0)[group]
+        return g
+
+    p = np.full(len(digits), 1.0 / len(digits))
+    best_p = p.copy()
+    best = objective(p)
+    trace.append(best)
+    stall = 0
+    for it in range(max_iters):
+        g = gradient(p)
+        eta = 0.5 / (1.0 + it / 100.0)
+        q = p * np.exp(eta * (g - g.max()))
+        q = q / q.sum()
+        value = objective(q)
+        trace.append(value)
+        if value - best < STALL_GAIN:
+            stall += 1
+        else:
+            stall = 0
+        if value > best:
+            best = value
+            best_p = q.copy()
+        p = q
+        if stall >= STALL_SPAN:
+            break
+    else:
+        return None, best, best_p, any(tiny)
+    breakdown = []
+    total = 0.0
+    for i, (group, k) in enumerate(groups, start=1):
+        contribution = w[i - 1] * entropy(np.bincount(group, weights=best_p, minlength=k))
+        breakdown.append((f"w{i}*H(level {i})", contribution))
+        total += contribution
+    potential_term = w[0] * float(fvec @ best_p)
+    breakdown.append(("w1*E[f]", potential_term))
+    total += potential_term
+    return VariationalValue(value=total, breakdown=tuple(breakdown)), best, best_p, any(tiny)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def _assert_ascent_matches_reference(sys, a, potential, max_iters):
+    """Run both ascents; return whether a marginal fell below 1e-300."""
+    expected_trace = []
+    expected, best, best_p, tiny = _reference_ascent(sys, a, potential, max_iters, expected_trace)
+    trace = []
+    if expected is None:
+        with pytest.raises(DidNotConverge) as info:
+            maximize_bernoulli(sys, a, potential, max_iters=max_iters, trace=trace)
+        assert _bits([info.value.best_value]) == _bits([best])
+        dist = info.value.best_distribution
+    else:
+        dist, value = maximize_bernoulli(sys, a, potential, max_iters=max_iters, trace=trace)
+        assert _bits([value.value]) == _bits([expected.value])
+        assert [label for label, _c in value.breakdown] == [label for label, _c in expected.breakdown]
+        assert _bits(c for _label, c in value.breakdown) == _bits(c for _label, c in expected.breakdown)
+        assert value == bernoulli_objective(sys, a, dist, potential)
+        assert _bits([value.value]) == _bits([bernoulli_objective(sys, a, dist, potential).value])
+    assert _bits(dist.probs[d] for d in sys.sorted_digits) == _bits(best_p)
+    assert _bits(trace) == _bits(expected_trace)
+    return tiny
+
+
+def test_ascent_matches_reference_where_marginals_vanish(carpet, carpet_exponents):
+    # f pushes (0, 0) below 1e-300 and then to 0 within a few steps
+    f = Potential(window=1, table={((0, 0),): -700.0, ((1, 1),): 200.0})
+    assert _assert_ascent_matches_reference(carpet, carpet_exponents, f, 3000)
+    # here (0, 0) stays in (0, 1e-300), where log q and log 1e-300 differ,
+    # while the other digits still move the best point
+    sys = validate_digit_system((2, 3), [(0, 0), (0, 1), (1, 1), (1, 2)])
+    f = Potential(window=1, table={((0, 0),): -700.0})
+    assert _assert_ascent_matches_reference(sys, Exponents((0.63,)), f, 3000)
+    sys = validate_digit_system((2, 3, 4), [(0, 0, 1), (0, 1, 0), (0, 1, 3), (1, 2, 2)])
+    f = Potential(window=1, table={((0, 1, 0),): -700.0, ((0, 1, 3),): -700.0, ((1, 2, 2),): 150.0})
+    assert _assert_ascent_matches_reference(sys, Exponents((0.95, 0.9)), f, 3000)
+
+
+def test_ascent_matches_reference_when_it_does_not_converge(carpet, carpet_exponents):
+    _assert_ascent_matches_reference(carpet, carpet_exponents, None, 5)
+    f = Potential(window=1, table={((0, 0),): -700.0, ((0, 2),): 3.0})
+    _assert_ascent_matches_reference(carpet, carpet_exponents, f, 7)
+
+
+@st.composite
+def _ascent_case(draw):
+    rank = draw(st.integers(2, 3))
+    bases = tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=rank, max_size=rank))))
+    pool = list(itertools.product(*(range(m) for m in bases)))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    sys = validate_digit_system(bases, digits)
+    a = Exponents(tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=rank - 1, max_size=rank - 1))))
+    values = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.floats(-3.0, 3.0), min_size=len(digits), max_size=len(digits)),
+            st.lists(
+                st.sampled_from([-700.0, -300.0, 0.0, 50.0]), min_size=len(digits), max_size=len(digits)
+            ),
+        )
+    )
+    potential = None
+    if values is not None:
+        potential = Potential(window=1, table={(d,): v for d, v in zip(sys.sorted_digits, values)})
+    return sys, a, potential, draw(st.sampled_from([3, 60, 400]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ascent_case())
+def test_ascent_matches_reference_on_random_sponges(case):
+    _assert_ascent_matches_reference(*case)
