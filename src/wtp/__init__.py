@@ -1,9 +1,9 @@
 """Weighted topological entropy and pressure of chains of symbolic systems.
 
-Closed forms for full-shift sponge chains and eigenvector-aligned sofic
-chains, exact finite-N nested cylinder counts with Fekete upper bounds for
-general chains, and a numerical certification of the variational principle
-over Bernoulli measures.
+One closed form (`closed_form`) for full-shift sponge chains and
+eigenvector-aligned sofic chains, exact finite-N nested cylinder counts
+with Fekete upper bounds for general chains, and a numerical certification
+of the variational principle over Bernoulli measures.
 
 The names below and the submodules are imported on first access (PEP 562),
 so `import wtp` loads neither numpy nor a module it does not use.
@@ -28,17 +28,15 @@ _EXPORTS = {
         "build_count_matrices",
         "detect_alignment",
         "golden_mean_chain",
-        "sofic_dimension_report",
-        "sofic_weighted_entropy_closed_form",
     ),
     "sponge": (
+        "ClosedForm",
         "Potential",
         "ZTable",
+        "closed_form",
         "hausdorff_dimension",
         "kp_recursion",
         "minkowski_dimension",
-        "weighted_entropy_closed_form",
-        "weighted_pressure_closed_form",
     ),
     "symbolic": (
         "DigitSystem",

@@ -16,13 +16,7 @@ import numpy as np
 
 from .estimator import _bottom_matrices, nested_count, submultiplicativity_check
 from .sofic import build_count_matrices, detect_alignment, golden_mean_chain
-from .sponge import (
-    Potential,
-    m_fold_potential,
-    m_fold_system,
-    weighted_entropy_closed_form,
-    weighted_pressure_closed_form,
-)
+from .sponge import Potential, closed_form, m_fold_potential, m_fold_system
 from .symbolic import DigitSystem, SpongeChain, validate_digit_system
 from .weights import (
     Exponents,
@@ -69,6 +63,7 @@ def check_pressure_shift(rng) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         sys = random_sponge(rng)
+        chain = SpongeChain(sys)
         a = random_exponents(rng, sys.rank)
         w1 = weights_from_exponents(a)[0]
         f = Potential(
@@ -78,15 +73,15 @@ def check_pressure_shift(rng) -> CheckResult:
         c = float(rng.normal())
         shifted = Potential(window=1, table={k: v + c for k, v in f.table.items()})
         err = abs(
-            weighted_pressure_closed_form(sys, a, shifted)
-            - weighted_pressure_closed_form(sys, a, f)
+            closed_form(chain, a, shifted).h_a_nats
+            - closed_form(chain, a, f).h_a_nats
             - w1 * c
         )
         worst = max(worst, err)
         # estimator route: f == c against f == 0 is exact
         const = Potential(window=1, table={(d,): c for d in sys.sorted_digits})
-        lhs = nested_count(SpongeChain(sys), a, const, n=3).per_symbol
-        rhs = nested_count(SpongeChain(sys), a, None, n=3).per_symbol + w1 * c
+        lhs = nested_count(chain, a, const, n=3).per_symbol
+        rhs = nested_count(chain, a, None, n=3).per_symbol + w1 * c
         worst = max(worst, abs(lhs - rhs))
     return CheckResult(
         "pressure-shift", worst <= SHIFT_TOL, f"max |P(f+c) - P(f) - w1*c| = {worst:.3e}"
@@ -97,12 +92,13 @@ def check_monotonicity(rng) -> CheckResult:
     min_increase = math.inf
     for _ in range(MONOTONE_TRIALS):
         sys = random_sponge(rng)
+        chain = SpongeChain(sys)
         a = random_exponents(rng, sys.rank)
         i = int(rng.integers(0, sys.rank - 1))
         bumped = list(a.values)
         bumped[i] = float(rng.uniform(bumped[i], 1.0))
-        low = weighted_entropy_closed_form(sys, a)
-        high = weighted_entropy_closed_form(sys, Exponents(tuple(bumped)))
+        low = closed_form(chain, a).h_a_nats
+        high = closed_form(chain, Exponents(tuple(bumped))).h_a_nats
         min_increase = min(min_increase, high - low)
     return CheckResult(
         "entropy-monotone-in-a",
@@ -115,20 +111,21 @@ def check_degenerate_collapses(rng) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         sys = random_sponge(rng)
+        chain = SpongeChain(sys)
         r = sys.rank
         ones = Exponents((1.0,) * (r - 1))
-        err = abs(weighted_entropy_closed_form(sys, ones) - math.log(len(sys.digits)))
+        err = abs(closed_form(chain, ones).h_a_nats - math.log(len(sys.digits)))
         worst = max(worst, err)
         zero_top = list(random_exponents(rng, r).values)
         zero_top[-1] = 0.0
         err = abs(
-            weighted_entropy_closed_form(sys, Exponents(tuple(zero_top)))
+            closed_form(chain, Exponents(tuple(zero_top))).h_a_nats
             - math.log(len(sys.prefixes(1)))
         )
         worst = max(worst, err)
         # estimator collapse: all-zero exponents count admissible top words
         zeros = Exponents((0.0,) * (r - 1))
-        count = nested_count(SpongeChain(sys), zeros, n=2).log_value
+        count = nested_count(chain, zeros, n=2).log_value
         err = abs(count - 2 * math.log(len(sys.prefixes(1))))
         worst = max(worst, err)
     return CheckResult("degenerate-collapses", worst <= COLLAPSE_TOL, f"max error = {worst:.3e}")
@@ -215,11 +212,11 @@ def check_power_scaling(rng) -> CheckResult:
         sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=4)
         a = random_exponents(rng, sys.rank)
         f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits})
-        base_value = weighted_pressure_closed_form(sys, a, f)
+        base_value = closed_form(SpongeChain(sys), a, f).h_a_nats
         for m in (2, 3):
             folded = m_fold_system(sys, m)
             folded_f = m_fold_potential(sys, f, m)
-            err = abs(weighted_pressure_closed_form(folded, a, folded_f) - m * base_value)
+            err = abs(closed_form(SpongeChain(folded), a, folded_f).h_a_nats - m * base_value)
             worst = max(worst, err)
             # estimator at matched total length
             lhs = nested_count(SpongeChain(folded), a, folded_f, n=2).log_value

@@ -21,39 +21,36 @@ from operator import itemgetter
 
 from . import __version__
 from .defaults import (
-    AMBIGUITY_WARNING,
     DEFAULT_BUDGET,
     DEFAULT_N_MAX,
     MAX_ITERS,
     STALL_GAIN,
 )
 from .errors import (
-    ComputationError,
-    DuplicateLabelAtVertex,
-    NotAligned,
+    ClosedFormUnavailable,
     ParseError,
     UnsupportedCombination,
     ValidationError,
+    WindowUnsupported,
     WtpError,
 )
 from .sponge import (
     Potential,
+    closed_form,
     hausdorff_dimension,
-    kp_recursion,
     minkowski_dimension,
 )
 from .symbolic import (
     LabeledGraph,
     SoficChain,
     SpongeChain,
-    check_right_resolving,
     validate_digit_system,
 )
 from .weights import Exponents, exponents_from_bases
 
 
-# Entry points of the modules that load numpy, which config parsing and the
-# sponge closed forms do without: each imports its module at the first call.
+# Entry points of the modules that load numpy, which config parsing and
+# `closed_form` on a sponge do without: each imports its module at the first call.
 # `run` looks these names up at call time, so a caller may replace them here.
 
 
@@ -75,18 +72,15 @@ def maximize_bernoulli(*args, **kwargs):
     return maximize_bernoulli(*args, **kwargs)
 
 
-def sofic_weighted_entropy_closed_form(*args, **kwargs):
-    from .sofic import sofic_weighted_entropy_closed_form
-
-    return sofic_weighted_entropy_closed_form(*args, **kwargs)
-
-
 COMMANDS = ("entropy", "dimension", "estimate", "variational", "check")
-WINDOW_K_WARNING = "closed form unavailable: potentials wider than window 1 are estimator-only"
-PATH_COUNT_WARNING = (
-    "presentation not right-resolving ({}): this value counts graph paths and may "
-    "exceed the chain's word-based entropy; compare the estimate series"
-)
+# report warning for each caveat code of a ClosedForm, filled with its detail
+CAVEAT_WARNINGS = {
+    "dimension-ambiguity": "{}",
+    "not-right-resolving": (
+        "presentation not right-resolving ({}): this value counts graph paths and may "
+        "exceed the chain's word-based entropy; compare the estimate series"
+    ),
+}
 
 
 @dataclass
@@ -413,7 +407,7 @@ def parse_config(doc) -> RunConfig:
     )
 
 
-def _sponge_dimensions(config: RunConfig) -> dict:
+def _dimensions(config: RunConfig) -> dict:
     sys_ = config.chain.system
     return {
         "hausdorff_dimension": hausdorff_dimension(sys_),
@@ -421,27 +415,17 @@ def _sponge_dimensions(config: RunConfig) -> dict:
     }
 
 
-def _sponge_closed_form(config: RunConfig) -> dict:
-    table = kp_recursion(config.chain.system, config.exponents, config.potential)
-    return {"h_a_nats": math.log(table.z0), "z0": table.z0, **_sponge_dimensions(config)}
-
-
-def _window_k(config: RunConfig) -> bool:
-    return config.potential is not None and config.potential.window != 1
-
-
-def _sofic_closed_form(config: RunConfig, report: Report) -> dict:
-    chain = config.chain
-    h = sofic_weighted_entropy_closed_form(chain, config.exponents)
-    report.warnings.append(AMBIGUITY_WARNING)
-    try:
-        check_right_resolving(chain.graph)
-    except DuplicateLabelAtVertex as e:
-        # more paths than words: the eigenvalues count paths
-        report.warnings.append(PATH_COUNT_WARNING.format(e))
+def _closed_form_fields(config: RunConfig, report: Report) -> dict:
+    """`closed_form` on the config, laid out as its route's report fields;
+    its caveats become report warnings."""
+    result = closed_form(config.chain, config.exponents, config.potential)
+    report.warnings += [CAVEAT_WARNINGS[code].format(detail) for code, detail in result.caveats]
+    h = result.h_a_nats
+    if result.route == "sponge":
+        return {"h_a_nats": h, "z0": result.z0, **_dimensions(config)}
     return {
         "h_a_nats": h,
-        "h_over_log_m1": h / math.log(chain.system.bases[0]),
+        "h_over_log_m1": h / math.log(config.chain.system.bases[0]),
         "bracket_value": math.exp(h),
     }
 
@@ -468,9 +452,10 @@ def run(config: RunConfig, command: str) -> Report:
     if command == "variational":
         if not sponge:
             raise UnsupportedCombination("variational optimization is restricted to sponge chains")
-        if _window_k(config):
-            raise UnsupportedCombination("variational optimization takes window-1 potentials")
-        closed = _sponge_closed_form(config)
+        try:
+            closed = _closed_form_fields(config, report)
+        except WindowUnsupported as e:
+            raise UnsupportedCombination("variational optimization takes window-1 potentials") from e
         dist, value = maximize_bernoulli(
             config.chain.system,
             config.exponents,
@@ -488,20 +473,21 @@ def run(config: RunConfig, command: str) -> Report:
         }
         return report
 
+    try:
+        report.closed_form = _closed_form_fields(config, report)
+    except ClosedFormUnavailable as e:
+        unavailable = f"closed form unavailable: {e}"
+        if command == "dimension" and not sponge:
+            raise ClosedFormUnavailable(unavailable) from e
+        report.warnings.append(unavailable)
+        if command == "dimension":
+            # a sponge's dimensions do not depend on the potential; h_a does
+            report.closed_form = _dimensions(config)
     if command == "dimension":
-        if sponge and _window_k(config):
-            # the dimensions do not depend on the potential; h_a does
-            report.closed_form = _sponge_dimensions(config)
-            report.warnings.append(WINDOW_K_WARNING)
-        elif sponge:
-            report.closed_form = _sponge_closed_form(config)
-        else:
-            report.closed_form = _sofic_closed_form(config, report)
         return report
 
     # entropy: closed form when available, estimator fallback otherwise;
     # estimate: closed form when available, estimator series always
-    report.closed_form = _closed_form_or_none(config, report, sponge)
     if command == "estimate" or report.closed_form is None:
         series = entropy_estimate(
             config.chain,
@@ -515,22 +501,6 @@ def run(config: RunConfig, command: str) -> Report:
             for (n, v), b in zip(series.entries, series.fekete_bounds)
         ]
     return report
-
-
-def _closed_form_or_none(config: RunConfig, report: Report, sponge: bool) -> dict | None:
-    if sponge:
-        if _window_k(config):
-            report.warnings.append(WINDOW_K_WARNING)
-            return None
-        return _sponge_closed_form(config)
-    if config.potential is not None:
-        report.warnings.append("closed form unavailable: sofic chains with potentials are estimator-only")
-        return None
-    try:
-        return _sofic_closed_form(config, report)
-    except (NotAligned, ComputationError) as e:
-        report.warnings.append(f"closed form unavailable: {e}")
-        return None
 
 
 def _format_table(report: Report) -> str:

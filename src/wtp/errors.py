@@ -65,7 +65,11 @@ class ExponentLengthMismatch(ValidationError):
     pass
 
 
-class WindowUnsupported(ComputationError):
+class ClosedFormUnavailable(ComputationError):
+    """No closed form covers this chain, exponents and potential; the estimator does."""
+
+
+class WindowUnsupported(ClosedFormUnavailable):
     pass
 
 
@@ -80,11 +84,11 @@ class ComplexityBudgetExceeded(ComputationError):
         super().__init__(f"enumeration needs {needed} words, budget is {budget}")
 
 
-class NotAligned(ComputationError):
+class NotAligned(ClosedFormUnavailable):
     pass
 
 
-class UpperLevelsNotFullShift(ComputationError):
+class UpperLevelsNotFullShift(ClosedFormUnavailable):
     pass
 
 

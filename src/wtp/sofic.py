@@ -2,21 +2,18 @@
 
 Per projected label, the count matrix records edge multiplicities; when all
 nonzero matrices share one strictly positive eigenvector, per-symbol growth
-rates replace word counts and the weighted entropy collapses to a nested
-finite sum over the projected alphabets.
+rates replace word counts.  `aligned_table` hands them to the one
+contraction, `sponge.closed_form`, and the weighted entropy collapses to a
+nested finite sum over the projected alphabets.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import AMBIGUITY_WARNING
-from .errors import ExponentLengthMismatch, NotAligned, UpperLevelsNotFullShift
-from .sponge import contract
+from .errors import NotAligned, UpperLevelsNotFullShift
 from .symbolic import Digit, LabeledGraph, SoficChain, validate_digit_system
-from .weights import Exponents, exponents_from_bases
 
 POWER_TOL = 1e-13
 POWER_MAX_ITERS = 100_000
@@ -136,51 +133,21 @@ def detect_alignment(matrices) -> SpectralAlignment | None:
     return SpectralAlignment(vector=tuple(float(x) for x in v), eigenvalues=eigenvalues)
 
 
-def sofic_weighted_entropy_closed_form(chain: SoficChain, a: Exponents) -> float:
-    """Nested-sum entropy with per-symbol eigenvalues in place of word counts.
+def aligned_table(chain: SoficChain) -> dict:
+    """Eigenvalue of each level-2 count matrix, keyed by its length-(r-1) label.
 
-    Valid when the count matrices align and every level above the bottom is a
-    full shift over its projected alphabet (alignment forces the latter; it
-    is still checked).  The contraction is the sponge recursion with the
-    length-(r-1) table replaced by the eigenvalues.
+    In the contraction (`sponge.closed_form`) these per-symbol growth rates
+    replace a sponge's digit counts.  Valid when the count matrices align
+    and every level above the bottom is a full shift over its projected
+    alphabet (alignment forces the latter; it is still checked).
     """
-    r = chain.rank
-    if len(a) != r - 1:
-        raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
     alignment = detect_alignment(build_count_matrices(chain.graph, level=2))
     if alignment is None:
         raise NotAligned("count matrices share no positive eigenvector")
-    for level in range(2, r + 1):
+    for level in range(2, chain.rank + 1):
         if not chain.is_full_shift(level):
             raise UpperLevelsNotFullShift(f"level {level} is not a full shift")
-    table = alignment.eigenvalues  # keyed by length-(r-1) prefixes
-    return math.log(contract(table, a.values, r)[-1][()])
-
-
-@dataclass(frozen=True)
-class SoficDimensionReport:
-    """Both dimension candidates for an aligned sofic chain.
-
-    The sponge dimension formula divides the weighted entropy by log m_1,
-    yet the nats value itself is also in circulation as "the" dimension of
-    this family.  The two differ by the factor log m_1; neither is silently
-    preferred here.
-    """
-
-    h_a_nats: float
-    h_over_log_m1: float
-    warning: str
-
-
-def sofic_dimension_report(chain: SoficChain, a: Exponents | None = None) -> SoficDimensionReport:
-    if a is None:
-        a = exponents_from_bases(chain.system.bases)
-    h = sofic_weighted_entropy_closed_form(chain, a)
-    return SoficDimensionReport(
-        h_a_nats=h,
-        h_over_log_m1=h / math.log(chain.system.bases[0]),
-        warning=AMBIGUITY_WARNING,
-    )
+    return alignment.eigenvalues
 
 
 def golden_mean_chain() -> SoficChain:

@@ -1,8 +1,9 @@
-"""Closed-form weighted entropy, pressure, and dimensions for full-shift sponge chains.
+"""The one closed form of weighted entropy and pressure; sponge dimensions.
 
-The backward recursion contracts prefix tables: start from the 0/1 indicator
-on full digits, sum (optionally weighted by exp f) down to length r-1, then
-repeatedly apply `sum of previous ** exponent` until a scalar remains.
+The backward recursion contracts prefix tables: start from a table of
+length-(r-1) prefixes (a sponge's digit counts, optionally weighted by
+exp f, or an aligned sofic chain's per-label eigenvalues), then repeatedly
+apply `sum of previous ** exponent` until a scalar remains.
 
 Index bookkeeping, fixed once here: contracting prefixes of length j to
 length j-1 raises to the power a_{r-j} (1-based).  With base-derived
@@ -16,13 +17,23 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .defaults import AMBIGUITY_WARNING
 from .errors import (
+    ClosedFormUnavailable,
     ComputationError,
+    DuplicateLabelAtVertex,
     ExponentLengthMismatch,
     ValidationError,
     WindowUnsupported,
 )
-from .symbolic import Digit, DigitSystem, validate_digit_system
+from .symbolic import (
+    Digit,
+    DigitSystem,
+    SoficChain,
+    SpongeChain,
+    check_right_resolving,
+    validate_digit_system,
+)
 from .weights import Exponents, exponents_from_bases
 
 
@@ -125,41 +136,81 @@ def contract(table: dict, avals, r: int) -> list[dict]:
     return levels
 
 
-def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = None) -> ZTable:
-    """Contract the digit tree into a scalar; log of the result is the entropy/pressure.
+def _digit_table(sys: DigitSystem, potential: Potential | None) -> dict:
+    """Length-(r-1) prefix sums over the digits, each digit e weighted by
+    exp(f(e)) under a window-1 potential and by 1 without one."""
+    if potential is not None and potential.window != 1:
+        raise WindowUnsupported("potentials wider than window 1 are estimator-only")
+    digits = sys.sorted_digits
+    weights = itertools.repeat(1.0) if potential is None else _window1_weights(potential, digits)
+    table: dict[Digit, float] = {}
+    for prefix, weight in zip(map(itemgetter(slice(sys.rank - 1)), digits), weights):
+        table[prefix] = table.get(prefix, 0.0) + weight
+    return table
 
-    With a window-1 potential, a digit e enters the first sum with weight
-    exp(f(e)) instead of 1.
-    """
+
+def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = None) -> ZTable:
+    """Every table of the sponge contraction, from the digit indicator down to Z_0."""
     r = sys.rank
     if len(a) != r - 1:
         raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
-    if potential is not None and potential.window != 1:
-        raise WindowUnsupported("closed form supports window-1 potentials only")
-    digits = sys.sorted_digits
-    indicator = dict.fromkeys(digits, 1.0)
-    weights = itertools.repeat(1.0) if potential is None else _window1_weights(potential, digits)
-    table: dict[Digit, float] = {}
-    for prefix, weight in zip(map(itemgetter(slice(r - 1)), digits), weights):
-        table[prefix] = table.get(prefix, 0.0) + weight
-    levels = [indicator, table, *contract(table, a.values, r)]
+    table = _digit_table(sys, potential)
+    levels = [dict.fromkeys(sys.sorted_digits, 1.0), table, *contract(table, a.values, r)]
     return ZTable(levels=tuple(reversed(levels)))
 
 
-def weighted_entropy_closed_form(sys: DigitSystem, a: Exponents) -> float:
-    """log Z_0 in nats."""
-    return math.log(kp_recursion(sys, a).z0)
+@dataclass(frozen=True)
+class ClosedForm:
+    """log Z_0 of one contraction, with the route that built its first table.
+
+    `route` is "sponge" (digit counts) or "aligned" (per-label eigenvalues of
+    the aligned count matrices).  `caveats` holds (reason code, detail)
+    pairs: "dimension-ambiguity" on the aligned route, and
+    "not-right-resolving" when two edges from one vertex share a label, so
+    that the eigenvalues count graph paths rather than words.
+    """
+
+    h_a_nats: float
+    z0: float
+    route: str
+    caveats: tuple
 
 
-def weighted_pressure_closed_form(sys: DigitSystem, a: Exponents, potential: Potential) -> float:
-    """log Z_0(f) for a window-1 potential f."""
-    return math.log(kp_recursion(sys, a, potential).z0)
+def closed_form(chain: SoficChain, a: Exponents, potential: Potential | None = None) -> ClosedForm:
+    """Weighted entropy (pressure, under a window-1 potential) in nats.
+
+    A SpongeChain contracts its digit counts, weighted by exp f; any other
+    chain contracts the eigenvalues of its aligned count matrices, which
+    `wtp.sofic` computes (imported here, so sponges load no numpy).  The
+    route follows the class, not the vertex count: a one-vertex graph with
+    a repeated label counts paths.  A potential wider than window 1, and a
+    sofic chain with any potential, raise ClosedFormUnavailable.
+    """
+    r = chain.rank
+    if len(a) != r - 1:
+        raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
+    if isinstance(chain, SpongeChain):
+        route, caveats = "sponge", []
+        table = _digit_table(chain.system, potential)
+    else:
+        if potential is not None:
+            raise ClosedFormUnavailable("sofic chains with potentials are estimator-only")
+        from .sofic import aligned_table
+
+        route, caveats = "aligned", [("dimension-ambiguity", AMBIGUITY_WARNING)]
+        table = aligned_table(chain)
+        try:
+            check_right_resolving(chain.graph)
+        except DuplicateLabelAtVertex as e:
+            caveats.append(("not-right-resolving", str(e)))
+    z0 = contract(table, a.values, r)[-1][()]
+    return ClosedForm(h_a_nats=math.log(z0), z0=z0, route=route, caveats=tuple(caveats))
 
 
 def hausdorff_dimension(sys: DigitSystem) -> float:
     """log Z_0 / log m_1 with the base-derived exponents."""
     a = exponents_from_bases(sys.bases)
-    return weighted_entropy_closed_form(sys, a) / math.log(sys.bases[0])
+    return math.log(kp_recursion(sys, a).z0) / math.log(sys.bases[0])
 
 
 def minkowski_dimension(sys: DigitSystem) -> float:

@@ -33,8 +33,8 @@ from wtp.checks import (
 from wtp.cli import parse_config, run
 from wtp.errors import DidNotConverge
 from wtp.estimator import entropy_estimate, nested_count
-from wtp.sofic import build_count_matrices, golden_mean_chain, sofic_weighted_entropy_closed_form
-from wtp.sponge import kp_recursion, weighted_entropy_closed_form
+from wtp.sofic import build_count_matrices, golden_mean_chain
+from wtp.sponge import closed_form, kp_recursion
 from wtp.symbolic import SpongeChain
 from wtp.variational import (
     bernoulli_objective,
@@ -125,7 +125,7 @@ def test_criterion_5_estimator_oracle():
                 sys = random_sponge(rng)
             chain = SpongeChain(sys)
             a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=sys.rank - 1)))
-            h = weighted_entropy_closed_form(sys, a)
+            h = closed_form(chain, a).h_a_nats
             for n in range(1, 7):
                 worst = max(worst, abs(nested_count(chain, a, n=n).per_symbol - h))
         assert worst <= 1e-10
@@ -147,7 +147,7 @@ def test_criterion_6_sofic_estimator_convergence():
     def body():
         chain = golden_mean_chain()
         a = exponents_from_bases((2, 3, 4))
-        h = sofic_weighted_entropy_closed_form(chain, a)
+        h = closed_form(chain, a).h_a_nats
         series = entropy_estimate(chain, a, n_max=12)
         values = [v for _n, v in series.entries]
         assert series.fekete_bounds == sorted(series.fekete_bounds, reverse=True)

@@ -14,7 +14,9 @@ Core claims:
       that closes stdout early gets one error line and exit 1
     - a sofic closed form on a presentation that is not right-resolving
       carries a caveat that it counts paths; a right-resolving one does not
-    - a sponge's dimensions are reported under a window-2 potential
+    - a sponge's dimensions are reported under a window-2 potential; a
+      sofic `dimension` under any potential, or on unaligned count
+      matrices, exits 2 with one "closed form unavailable" line
     - a window-2 config is estimated from N = 2
     - numeric report fields reproduce pinned values bit for bit
 """
@@ -390,9 +392,46 @@ def test_dimension_on_golden_chain_reports_both():
     report = run(parse_config(_golden_config()), "dimension")
     assert report.closed_form["h_a_nats"] == pytest.approx(1.4598, abs=5e-5)
     assert report.closed_form["h_over_log_m1"] == pytest.approx(2.1062, abs=1e-3)
+    quotient = report.closed_form["h_a_nats"] / math.log(2)
+    assert report.closed_form["h_over_log_m1"] == pytest.approx(quotient, abs=1e-15)
     assert any("ambiguity" in w for w in report.warnings)
 
 
+@pytest.mark.parametrize("window", [1, 2])
+def test_sofic_dimension_under_a_potential_has_no_closed_form(tmp_path, capsys, window):
+    # the potential used to be dropped: the report gave the potential-free h_a
+    doc = _golden_config()
+    word = [[0, 0, 0], [0, 0, 1]][:window]
+    doc["potential"] = {"window": window, "table": [[word, 5.0]]}
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dimension", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed form unavailable: sofic chains with potentials are estimator-only\n"
+
+
+def test_unaligned_sofic_dimension_is_one_error_line(tmp_path, capsys):
+    # count matrices [[1,0],[0,1]] and [[2,1],[0,1]] share no positive eigenvector
+    edges = [
+        ["a", "a", [0, 0]], ["b", "b", [0, 0]], ["a", "a", [1, 0]],
+        ["a", "a", [1, 1]], ["b", "a", [1, 0]], ["b", "b", [1, 1]],
+    ]
+    doc = {"system": {"sofic": {"bases": [2, 2], "vertices": ["a", "b"], "edges": edges}}}
+    path = tmp_path / "unaligned.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dimension", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed form unavailable: count matrices share no positive eigenvector\n"
+
+
+AMBIGUITY_WARNING = (
+    "dimension ambiguity: the weighted entropy h (nats) and the quotient "
+    "h / log m_1 are both reported; the sponge dimension formula divides by "
+    "log m_1, while the nats value itself also circulates as the dimension "
+    "of this family; this report does not choose between them"
+)
 GOLDEN_PATH_COUNT_WARNING = (
     "presentation not right-resolving (vertex '2' has two outgoing edges labeled (1, 0, 3)): "
     "this value counts graph paths and may exceed the chain's word-based entropy; "
@@ -409,6 +448,7 @@ def test_golden_closed_form_carries_path_count_caveat(command):
     assert report.closed_form["h_a_nats"] == pytest.approx(1.4598, abs=5e-5)
     assert report.warnings[-1] == GOLDEN_PATH_COUNT_WARNING
     assert sum("right-resolving" in w for w in report.warnings) == 1
+    assert report.warnings == [AMBIGUITY_WARNING, GOLDEN_PATH_COUNT_WARNING]
 
 
 @pytest.mark.parametrize("command", ["entropy", "dimension", "estimate"])
@@ -424,6 +464,7 @@ def test_right_resolving_closed_form_has_no_caveat(command):
     report = run(parse_config(doc), command)
     assert report.closed_form["h_a_nats"] == pytest.approx(math.log(3))
     assert len(report.warnings) == 1 and "ambiguity" in report.warnings[0]
+    assert report.warnings == [AMBIGUITY_WARNING]
 
 
 def test_estimate_series_matches_library():

@@ -34,8 +34,7 @@ from wtp import estimator
 from wtp.checks import random_sponge
 from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge
 from wtp.estimator import entropy_estimate, nested_count, submultiplicativity_check
-from wtp.sofic import sofic_weighted_entropy_closed_form
-from wtp.sponge import Potential, kp_recursion, weighted_entropy_closed_form
+from wtp.sponge import Potential, closed_form, kp_recursion
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases, weights_from_exponents
 
@@ -74,7 +73,7 @@ def test_all_one_exponents_count_bottom_words(carpet_chain):
 
 def test_golden_series_decreases_toward_closed_form(golden):
     a = exponents_from_bases(golden.system.bases)
-    h = sofic_weighted_entropy_closed_form(golden, a)
+    h = closed_form(golden, a).h_a_nats
     series = entropy_estimate(golden, a, n_max=8)
     values = [v for _n, v in series.entries]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
@@ -128,7 +127,7 @@ def test_oracle_equivalence_on_random_sponges(rng):
         sys = random_sponge(rng)
         chain = SpongeChain(sys)
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=sys.rank - 1)))
-        h = weighted_entropy_closed_form(sys, a)
+        h = closed_form(chain, a).h_a_nats
         for n in range(1, 7):
             assert nested_count(chain, a, n=n).per_symbol == pytest.approx(h, abs=1e-10)
 

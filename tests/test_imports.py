@@ -1,9 +1,9 @@
 """The package root resolves its re-exports lazily; cold commands load only what they run.
 
 Core claims:
-    - `wtp` re-exports the same 42 names as when its root imported every
-      module, each the very object its defining module holds, and lists
-      them in `__all__` and `dir(wtp)`; an unknown name is an AttributeError
+    - `wtp` re-exports 40 names, each the very object its defining module
+      holds, and lists them in `__all__` and `dir(wtp)`; an unknown name is
+      an AttributeError
     - every submodule resolves as an attribute of `wtp` on first access
     - in a fresh interpreter, `import wtp`, `import wtp.cli` and the sponge
       `dimension` and `entropy` commands load no numpy and only the modules
@@ -26,11 +26,11 @@ REEXPORTS = {
     "estimator": ["EstimateSeries", "NestedCount", "entropy_estimate", "nested_count", "submultiplicativity_check"],
     "sofic": [
         "CountMatrix", "SpectralAlignment", "build_count_matrices", "detect_alignment",
-        "golden_mean_chain", "sofic_dimension_report", "sofic_weighted_entropy_closed_form",
+        "golden_mean_chain",
     ],
     "sponge": [
-        "Potential", "ZTable", "hausdorff_dimension", "kp_recursion", "minkowski_dimension",
-        "weighted_entropy_closed_form", "weighted_pressure_closed_form",
+        "ClosedForm", "Potential", "ZTable", "closed_form", "hausdorff_dimension", "kp_recursion",
+        "minkowski_dimension",
     ],
     "symbolic": [
         "DigitSystem", "FollowerAutomaton", "LabeledGraph", "SoficChain", "SpongeChain", "Word",
@@ -53,7 +53,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_reexports_are_the_defining_modules_objects():
-    assert len(NAMES) == len(set(NAMES)) == 42
+    assert len(NAMES) == len(set(NAMES)) == 40
     for module, names in REEXPORTS.items():
         defining = importlib.import_module(f"wtp.{module}")
         for name in names:

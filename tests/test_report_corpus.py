@@ -1,0 +1,56 @@
+"""Every report on the shipped configs is pinned by the sha256 of its bytes.
+
+Core claims:
+    - `wtp dimension`, `entropy`, `estimate` and `variational` on each
+      shipped config print exactly the pinned report (11 reports), so the
+      README's bit-for-bit promise holds across refactors
+    - `variational` on the sofic config exits 1 with one error line
+
+An intended report change updates its pin here and records in CHANGES.md
+why the bytes changed.
+"""
+import hashlib
+import os
+
+import pytest
+
+from wtp.cli import main
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# sha256 of the standard output of `wtp <command> --config configs/<name>`
+REPORT_SHA256 = {
+    ("carpet.json", "dimension"): "00aba8f4d0de0d56e7d4a976435087a0d6bc0f30ca1073ce21e8a2fca879c531",
+    ("carpet.json", "entropy"): "8810f09c21ffb9c9dc148160389456eae0d7c74c18a8c6bfb466ae85ce36aef9",
+    ("carpet.json", "estimate"): "6e445e15f007f0791f1fef07ac0b2ffaea97af4e526e919dff24c5712b8a874b",
+    ("carpet.json", "variational"): "8349f11572e5a9e5e42d0a9bd862d4a06c9a59304decb2cbc73bcfee61b23867",
+    ("carpet_pressure.json", "dimension"): "6ecc9dce75e8c338422fb83ceb4bc7e4bff511d6c31d05515c3f10762477c630",
+    ("carpet_pressure.json", "entropy"): "d325f8bb1ba13338f994fd3f7e8a84faedcd5151f19545fb855c15f144085eee",
+    ("carpet_pressure.json", "estimate"): "a0f3997611a2a0adeaabf7e5fb1bbe69e302ca46776e0aae3a8ba7d31f7cf141",
+    ("carpet_pressure.json", "variational"): "399cac2d966dbeabfd1b92124e9302168379d61ad5b8c606213b9979d0c0eef5",
+    ("golden_sofic.json", "dimension"): "330a95d9a5a97059c29906cf0056c9d716163f3393e054c3c8739539aede8c2c",
+    ("golden_sofic.json", "entropy"): "f16c92bee442cb785ea215013d8770e4b31e916de6ed4674a2218ec8be680171",
+    ("golden_sofic.json", "estimate"): "27cffdd186f0864cd808a59ccf2b20d70b1474619fcc24b133da090eceba7508",
+}
+
+
+def test_every_shipped_config_is_pinned():
+    configs = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
+    commands = ("dimension", "entropy", "estimate", "variational")
+    expected = {(name, c) for name in configs for c in commands} - {("golden_sofic.json", "variational")}
+    assert set(REPORT_SHA256) == expected
+
+
+@pytest.mark.parametrize("name, command", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(name, command, capsys):
+    assert main([command, "--config", os.path.join(CONFIG_DIR, name)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == REPORT_SHA256[name, command]
+
+
+def test_sofic_variational_is_rejected(capsys):
+    assert main(["variational", "--config", os.path.join(CONFIG_DIR, "golden_sofic.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: variational optimization is restricted to sponge chains\n"

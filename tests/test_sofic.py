@@ -7,7 +7,11 @@ Core claims:
       phi, phi^2, phi^3 (phi the golden ratio)
     - the closed form evaluates the nested bracket, about 1.4598 nats, and
       the exponent product makes the last term sqrt(2 + sqrt 5) exactly
-    - a full shift encoded on one vertex reproduces the sponge closed form
+    - a full shift encoded on one vertex reproduces the sponge closed form,
+      bit for bit on random sponges (an oracle between the two routes)
+    - the aligned route carries its caveats as reason codes: always the
+      dimension ambiguity, and the path count when a vertex repeats a label;
+      a sofic chain with a potential has no closed form
     - matrices without a common positive eigenvector are reported as absent;
       periodic matrices that share one are aligned, and power iteration on
       a periodic matrix stops at its first exact cycle
@@ -22,9 +26,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wtp.checks import _golden_word_and_path_counts
-from wtp.errors import NotAligned
+from wtp.checks import _golden_word_and_path_counts, random_sponge
+from wtp.errors import ClosedFormUnavailable, NotAligned
 from wtp.estimator import nested_count
 from wtp.sofic import (
     POWER_MAX_ITERS,
@@ -33,11 +39,9 @@ from wtp.sofic import (
     build_count_matrices,
     detect_alignment,
     golden_mean_chain,
-    sofic_dimension_report,
-    sofic_weighted_entropy_closed_form,
 )
-from wtp.sponge import hausdorff_dimension, weighted_entropy_closed_form
-from wtp.symbolic import LabeledGraph, SpongeChain, determinize, validate_digit_system
+from wtp.sponge import Potential, closed_form, hausdorff_dimension
+from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, determinize, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -144,7 +148,7 @@ def test_power_iteration_stops_at_an_exact_cycle():
 def test_golden_closed_form_value(golden):
     a1 = math.log(3) / math.log(4)
     a2 = math.log(2) / math.log(3)
-    h = sofic_weighted_entropy_closed_form(golden, Exponents((a1, a2)))
+    h = closed_form(golden, Exponents((a1, a2))).h_a_nats
     bracket = (PHI**a1 + PHI ** (2 * a1)) ** a2 + PHI ** (3 * a1 * a2)
     assert h == pytest.approx(math.log(bracket), abs=1e-12)
     assert h == pytest.approx(1.4598, abs=5e-5)
@@ -155,32 +159,75 @@ def test_golden_closed_form_value(golden):
 
 
 def test_golden_closed_form_collapses_at_ones(golden):
-    h = sofic_weighted_entropy_closed_form(golden, Exponents((1.0, 1.0)))
+    h = closed_form(golden, Exponents((1.0, 1.0))).h_a_nats
     assert h == pytest.approx(math.log(PHI + PHI**2 + PHI**3), abs=1e-10)
 
 
 def test_dimension_report(golden):
-    report = sofic_dimension_report(golden)
-    assert report.h_a_nats == pytest.approx(1.4598, abs=5e-5)
-    assert report.h_over_log_m1 == pytest.approx(report.h_a_nats / math.log(2), abs=1e-15)
-    assert report.h_over_log_m1 == pytest.approx(2.1062, abs=1e-3)
-    assert "ambiguity" in report.warning
+    result = closed_form(golden, exponents_from_bases(golden.system.bases))
+    assert result.route == "aligned"
+    assert result.h_a_nats == pytest.approx(1.4598, abs=5e-5)
+    assert math.log(result.z0) == result.h_a_nats
+    assert result.h_a_nats / math.log(2) == pytest.approx(2.1062, abs=1e-3)
+    # two edges out of vertex 2 share a label, so the eigenvalues count paths
+    assert [code for code, _detail in result.caveats] == ["dimension-ambiguity", "not-right-resolving"]
+    assert "ambiguity" in result.caveats[0][1]
+    assert result.caveats[1][1] == "vertex '2' has two outgoing edges labeled (1, 0, 3)"
+
+
+def test_right_resolving_closed_form_carries_only_the_ambiguity():
+    # per-label count matrices [[1,1],[1,1]] and [[0,1],[1,0]] share the
+    # eigenvector (1, 1); no vertex repeats a label
+    sys = validate_digit_system((2, 2), [(0, 0), (0, 1), (1, 0)])
+    edges = (
+        ("1", "1", (0, 0)), ("1", "2", (0, 1)), ("1", "2", (1, 0)),
+        ("2", "1", (0, 0)), ("2", "2", (0, 1)), ("2", "1", (1, 0)),
+    )
+    result = closed_form(SoficChain(LabeledGraph(("1", "2"), edges, sys)), Exponents((0.5,)))
+    assert result.h_a_nats == pytest.approx(math.log(2**0.5 + 1))
+    assert [code for code, _detail in result.caveats] == ["dimension-ambiguity"]
+
+
+def test_sofic_closed_form_takes_no_potential(golden):
+    a = exponents_from_bases(golden.system.bases)
+    for window, word in ((1, ((0, 0, 0),)), (2, ((0, 0, 0), (0, 0, 1)))):
+        f = Potential(window=window, table={word: 5.0})
+        with pytest.raises(ClosedFormUnavailable, match="^sofic chains with potentials are estimator-only$"):
+            closed_form(golden, a, f)
 
 
 def test_carpet_as_one_vertex_chain_matches_sponge(carpet, carpet_exponents):
+    # the same one-vertex graph, routed by class: SpongeChain counts digits,
+    # SoficChain takes the eigenvalues of its 1 x 1 count matrices
     chain = SpongeChain(carpet)
-    h = sofic_weighted_entropy_closed_form(chain, carpet_exponents)
-    assert h == pytest.approx(weighted_entropy_closed_form(carpet, carpet_exponents), abs=1e-15)
-    report = sofic_dimension_report(chain)
-    assert report.h_over_log_m1 == pytest.approx(hausdorff_dimension(carpet), abs=1e-15)
+    sponge = closed_form(chain, carpet_exponents)
+    aligned = closed_form(SoficChain(chain.graph), carpet_exponents)
+    assert (sponge.route, aligned.route) == ("sponge", "aligned")
+    assert aligned.h_a_nats == pytest.approx(sponge.h_a_nats, abs=1e-15)
+    assert aligned.h_a_nats / math.log(2) == pytest.approx(hausdorff_dimension(carpet), abs=1e-15)
 
 
 def test_full_product_on_one_vertex_gives_rank():
     bases = (2, 2)
     digits = list(itertools.product(*(range(m) for m in bases)))
     sys = validate_digit_system(bases, digits)
-    report = sofic_dimension_report(SpongeChain(sys))
-    assert report.h_over_log_m1 == pytest.approx(len(bases), abs=1e-12)
+    h = closed_form(SoficChain(SpongeChain(sys).graph), exponents_from_bases(bases)).h_a_nats
+    assert h / math.log(bases[0]) == pytest.approx(len(bases), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_aligned_route_reproduces_sponge_route(seed, exponents):
+    # Oracle, kept on purpose: the eigenvalue table builder, run on a
+    # sponge's own one-vertex graph, must give the digit-count route's bits,
+    # so the sofic route stays tested against the sponge route
+    sys = random_sponge(np.random.default_rng(seed), max_rank=4, max_base=6, max_digits=40)
+    chain = SpongeChain(sys)
+    a = Exponents(tuple(exponents[: sys.rank - 1]))
+    sponge = closed_form(chain, a)
+    aligned = closed_form(SoficChain(chain.graph), a)
+    assert (sponge.route, aligned.route) == ("sponge", "aligned")
+    assert repr(aligned.h_a_nats) == repr(sponge.h_a_nats)
 
 
 def test_not_aligned_chain_raises():
@@ -198,14 +245,14 @@ def test_not_aligned_chain_raises():
         ),
         system=sys,
     )
-    from wtp.symbolic import SoficChain, check_right_resolving
+    from wtp.symbolic import check_right_resolving
 
     check_right_resolving(g)
     mats = _matrix_map(SoficChain(g))
     assert mats[(0,)].matrix == ((1, 0), (0, 1))
     assert mats[(1,)].matrix == ((2, 1), (0, 1))
     with pytest.raises(NotAligned):
-        sofic_weighted_entropy_closed_form(SoficChain(g), Exponents((0.5,)))
+        closed_form(SoficChain(g), Exponents((0.5,)))
 
 
 def _log_spectral_radius(m: np.ndarray) -> float:
@@ -235,7 +282,7 @@ def test_golden_chain_paths_outgrow_words(golden):
     assert graph_rate - word_rate > 0.02
 
     a = exponents_from_bases(golden.system.bases)
-    closed = sofic_weighted_entropy_closed_form(golden, a)
+    closed = closed_form(golden, a).h_a_nats
     assert closed == pytest.approx(1.459838, abs=1e-6)
     step = nested_count(golden, a, n=13).log_value - nested_count(golden, a, n=12).log_value
     assert step == pytest.approx(1.4489082, abs=1e-7)

@@ -24,10 +24,9 @@ from wtp.sponge import (
     hausdorff_dimension,
     kp_recursion,
     m_fold_potential,
+    closed_form,
     m_fold_system,
     minkowski_dimension,
-    weighted_entropy_closed_form,
-    weighted_pressure_closed_form,
 )
 from wtp.symbolic import SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases, weights_from_exponents
@@ -53,7 +52,7 @@ def test_exponent_placement_is_pinned():
 def test_all_ones_gives_digit_count(rng):
     for _ in range(20):
         sys = random_sponge(rng)
-        h = weighted_entropy_closed_form(sys, Exponents((1.0,) * (sys.rank - 1)))
+        h = closed_form(SpongeChain(sys), Exponents((1.0,) * (sys.rank - 1))).h_a_nats
         assert h == pytest.approx(math.log(len(sys.digits)), abs=1e-12)
 
 
@@ -62,12 +61,12 @@ def test_zero_top_exponent_gives_bottom_alphabet(rng):
         sys = random_sponge(rng)
         vals = list(rng.uniform(0, 1, size=sys.rank - 1))
         vals[-1] = 0.0
-        h = weighted_entropy_closed_form(sys, Exponents(tuple(vals)))
+        h = closed_form(SpongeChain(sys), Exponents(tuple(vals))).h_a_nats
         assert h == pytest.approx(math.log(len(sys.prefixes(1))), abs=1e-12)
 
 
 def test_carpet_entropy(carpet, carpet_exponents):
-    h = weighted_entropy_closed_form(carpet, carpet_exponents)
+    h = closed_form(SpongeChain(carpet), carpet_exponents).h_a_nats
     assert h == pytest.approx(math.log(CARPET_Z0), abs=1e-15)
     assert h == pytest.approx(0.93553, abs=1e-5)
 
@@ -83,8 +82,8 @@ def test_constant_potential_factors_through(carpet, carpet_exponents, rng):
 
 def test_pressure_reduces_to_entropy_at_zero(carpet, carpet_exponents):
     zero = Potential(window=1, table={})
-    assert weighted_pressure_closed_form(carpet, carpet_exponents, zero) == pytest.approx(
-        weighted_entropy_closed_form(carpet, carpet_exponents), abs=0
+    assert closed_form(SpongeChain(carpet), carpet_exponents, zero).h_a_nats == pytest.approx(
+        closed_form(SpongeChain(carpet), carpet_exponents).h_a_nats, abs=0
     )
 
 
@@ -96,14 +95,14 @@ def test_pressure_shift_identity(rng):
         f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits})
         c = float(rng.normal())
         shifted = Potential(window=1, table={k: v + c for k, v in f.table.items()})
-        lhs = weighted_pressure_closed_form(sys, a, shifted)
-        rhs = weighted_pressure_closed_form(sys, a, f) + w1 * c
+        lhs = closed_form(SpongeChain(sys), a, shifted).h_a_nats
+        rhs = closed_form(SpongeChain(sys), a, f).h_a_nats + w1 * c
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_carpet_pressure_against_estimator(carpet, carpet_exponents):
     f = Potential(window=1, table={((0, 0),): 1.0})
-    closed = weighted_pressure_closed_form(carpet, carpet_exponents, f)
+    closed = closed_form(SpongeChain(carpet), carpet_exponents, f).h_a_nats
     chain = SpongeChain(carpet)
     for n in range(1, 5):
         est = nested_count(chain, carpet_exponents, f, n=n).per_symbol
@@ -113,7 +112,7 @@ def test_carpet_pressure_against_estimator(carpet, carpet_exponents):
 def test_window_two_rejected_in_closed_form(carpet, carpet_exponents):
     f = Potential(window=2, table={((0, 0), (0, 0)): 1.0})
     with pytest.raises(WindowUnsupported):
-        weighted_pressure_closed_form(carpet, carpet_exponents, f)
+        closed_form(SpongeChain(carpet), carpet_exponents, f)
 
 
 def test_exponent_length_checked(carpet):
@@ -172,9 +171,9 @@ def test_entropy_monotone_in_each_exponent(rng):
         sys = random_sponge(rng)
         vals = list(rng.uniform(0, 1, size=sys.rank - 1))
         i = int(rng.integers(0, sys.rank - 1))
-        low = weighted_entropy_closed_form(sys, Exponents(tuple(vals)))
+        low = closed_form(SpongeChain(sys), Exponents(tuple(vals))).h_a_nats
         vals[i] = float(rng.uniform(vals[i], 1.0))
-        high = weighted_entropy_closed_form(sys, Exponents(tuple(vals)))
+        high = closed_form(SpongeChain(sys), Exponents(tuple(vals))).h_a_nats
         assert high >= low - 1e-12
 
 
@@ -183,11 +182,11 @@ def test_block_coding_multiplies_pressure(rng):
         sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=4)
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=sys.rank - 1)))
         f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits})
-        value = weighted_pressure_closed_form(sys, a, f)
+        value = closed_form(SpongeChain(sys), a, f).h_a_nats
         for m in (2, 3):
             folded = m_fold_system(sys, m)
             assert len(folded.digits) == len(sys.digits) ** m
-            folded_value = weighted_pressure_closed_form(folded, a, m_fold_potential(sys, f, m))
+            folded_value = closed_form(SpongeChain(folded), a, m_fold_potential(sys, f, m)).h_a_nats
             assert folded_value == pytest.approx(m * value, abs=1e-9)
 
 
@@ -204,8 +203,8 @@ def test_random_sponge_dimension_cross_checked_by_estimator(rng):
         (2, 3, 4), [(0, 0, 0), (0, 1, 2), (1, 0, 3), (1, 2, 1), (0, 2, 2)]
     )
     a = exponents_from_bases(sys.bases)
-    h = weighted_entropy_closed_form(sys, a)
     chain = SpongeChain(sys)
+    h = closed_form(chain, a).h_a_nats
     for n in (1, 3, 5):
         assert nested_count(chain, a, n=n).per_symbol == pytest.approx(h, abs=1e-10)
     assert hausdorff_dimension(sys) == pytest.approx(h / math.log(2), abs=1e-15)
