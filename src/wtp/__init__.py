@@ -23,7 +23,6 @@ _EXPORTS = {
         "submultiplicativity_check",
     ),
     "sofic": (
-        "CountMatrix",
         "SpectralAlignment",
         "build_count_matrices",
         "detect_alignment",
@@ -44,7 +43,6 @@ _EXPORTS = {
         "LabeledGraph",
         "SoficChain",
         "SpongeChain",
-        "Word",
         "check_right_resolving",
         "determinize",
         "preimage_count",

@@ -43,16 +43,12 @@ class CheckResult:
 
 
 def random_sponge(rng, max_rank=4, max_base=5, max_digits=10) -> DigitSystem:
-    while True:
-        r = int(rng.integers(2, max_rank + 1))
-        bases = tuple(sorted(int(rng.integers(2, max_base + 1)) for _ in range(r)))
-        pool = list(itertools.product(*(range(m) for m in bases)))
-        k = int(rng.integers(1, min(max_digits, len(pool)) + 1))
-        picked = rng.choice(len(pool), size=k, replace=False)
-        try:
-            return validate_digit_system(bases, [pool[i] for i in picked])
-        except Exception:
-            continue
+    r = int(rng.integers(2, max_rank + 1))
+    bases = tuple(sorted(int(rng.integers(2, max_base + 1)) for _ in range(r)))
+    pool = list(itertools.product(*(range(m) for m in bases)))
+    k = int(rng.integers(1, min(max_digits, len(pool)) + 1))
+    picked = rng.choice(len(pool), size=k, replace=False)
+    return validate_digit_system(bases, [pool[i] for i in picked])
 
 
 def random_exponents(rng, r) -> Exponents:
@@ -163,10 +159,9 @@ def _golden_word_and_path_counts(n_max=10):
     """Word counts, eigenvalue products, and path totals for every admissible
     level-2 word of the golden-mean chain up to length n_max."""
     chain = golden_mean_chain()
-    mats = build_count_matrices(chain.graph, level=2)
+    mats = build_count_matrices(chain.graph)
     alignment = detect_alignment(mats)
     labels = sorted(alignment.eigenvalues)
-    arrays = {m.label: m.as_array().astype(float) for m in mats if not m.is_zero}
     start, bottom, _tail, _exact = _bottom_matrices(chain, None, 1)
     transfer = dict(zip(chain.alphabet(2), (m.astype(float) for m in bottom)))
 
@@ -178,7 +173,7 @@ def _golden_word_and_path_counts(n_max=10):
         # rows are P 1 for the path-count matrix P = A_{k_n} ... A_{k_1}:
         # appending a letter left-multiplies P, so the pairing with `words` is
         # positionwise exact, and the entry sum of P is that of P 1
-        paths = np.concatenate([paths @ arrays[lab].T for lab in labels], axis=0)
+        paths = np.concatenate([paths @ mats[lab].T for lab in labels], axis=0)
         lam = np.concatenate([lam * alignment.eigenvalues[lab] for lab in labels])
         yield n, words.sum(axis=1), paths.sum(axis=1), lam, alignment
 

@@ -1,10 +1,12 @@
 """Transfer-matrix machinery for sofic chains.
 
-Per projected label, the count matrix records edge multiplicities; when all
-nonzero matrices share one strictly positive eigenvector, per-symbol growth
-rates replace word counts.  `aligned_table` hands them to the one
-contraction, `sponge.closed_form`, and the weighted entropy collapses to a
-nested finite sum over the projected alphabets.
+`build_count_matrices` maps each level-2 label to its count matrix, a numpy
+array of edge multiplicities; `detect_alignment` takes any such dict of
+nonnegative arrays, int or float.  When all nonzero matrices share one
+strictly positive eigenvector, per-symbol growth rates replace word counts.
+`aligned_table` hands them to the one contraction, `sponge.closed_form`,
+and the weighted entropy collapses to a nested finite sum over the
+projected alphabets.
 """
 from __future__ import annotations
 
@@ -22,21 +24,6 @@ MIN_POSITIVE = 1e-9
 
 
 @dataclass(frozen=True)
-class CountMatrix:
-    """|V| x |V| matrix; entry (i, j) counts edges j -> i projecting to `label`."""
-
-    label: Digit
-    matrix: tuple  # rows as tuples of ints
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.matrix)
-
-
-@dataclass(frozen=True)
 class SpectralAlignment:
     """Common positive eigenvector (max entry 1) and one eigenvalue per nonzero label."""
 
@@ -47,26 +34,21 @@ class SpectralAlignment:
         object.__setattr__(self, "eigenvalues", dict(self.eigenvalues))
 
 
-def build_count_matrices(g: LabeledGraph, level: int = 2) -> list[CountMatrix]:
-    """One matrix per level-`level` projection of the system's digit set.
+def build_count_matrices(g: LabeledGraph) -> dict[Digit, np.ndarray]:
+    """Level-2 count matrices: {length-(r-1) label: int64 |V| x |V| array}.
 
-    Projections that no edge carries give zero matrices, which are included.
-    Graphs parsed from a config build their digit set from the edge labels,
-    so they get no zero matrices.
+    Entry (i, j) counts the edges j -> i whose label projects to the key.
+    Keys are the system's length-(r-1) prefixes in sorted order; prefixes
+    that no edge carries get zero matrices.  Graphs parsed from a config
+    build their digit set from the edge labels, so they get no zero matrices.
     """
-    r = g.system.rank
-    keep = r - level + 1
+    keep = g.system.rank - 1
     order = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
-    sums: dict[Digit, np.ndarray] = {
-        p: np.zeros((n, n), dtype=np.int64) for p in g.system.prefixes(keep)
-    }
+    sums = {p: np.zeros((n, n), dtype=np.int64) for p in g.system.prefixes(keep)}
     for s, t, lab in g.edges:
         sums[tuple(lab)[:keep]][order[t], order[s]] += 1
-    return [
-        CountMatrix(label=p, matrix=tuple(tuple(int(x) for x in row) for row in sums[p]))
-        for p in sorted(sums)
-    ]
+    return sums
 
 
 def _power_iterate(matrix: np.ndarray):
@@ -98,19 +80,22 @@ def _power_iterate(matrix: np.ndarray):
     return v, False, POWER_MAX_ITERS
 
 
-def detect_alignment(matrices) -> SpectralAlignment | None:
+def detect_alignment(matrices: dict) -> SpectralAlignment | None:
     """Common positive eigenvector of all nonzero matrices, or None.
 
-    The candidate is the Perron vector of the summed matrix found by power
+    `matrices` maps labels to nonnegative square arrays, int or float.  The
+    candidate is the Perron vector of the summed matrix found by power
     iteration; each nonzero matrix is then verified against it.  Iteration
     oscillates on periodic matrices, so when it does not converge it is
     rerun on I + M, which has the same eigenvectors.  Failure to converge to
     a strictly positive vector means not aligned, never an error.
     """
-    nonzero = [m.as_array().astype(float) for m in matrices if not m.is_zero]
+    nonzero = {
+        label: np.asarray(m, dtype=float) for label, m in matrices.items() if np.any(m)
+    }
     if not nonzero:
         return None
-    total = sum(nonzero)
+    total = sum(nonzero.values())
     v, converged, _ = _power_iterate(total)
     if v is not None and not converged:
         v, converged, _ = _power_iterate(total + np.eye(len(total)))
@@ -119,17 +104,14 @@ def detect_alignment(matrices) -> SpectralAlignment | None:
     if v.min() < MIN_POSITIVE * v.max():
         return None
     eigenvalues = {}
-    for m in matrices:
-        if m.is_zero:
-            continue
-        arr = m.as_array().astype(float)
+    for label, arr in nonzero.items():
         image = arr @ v
         lam = float(np.dot(image, v) / np.dot(v, v))
         if lam <= 0:
             return None
         if np.abs(image - lam * v).max() > VERIFY_TOL * np.abs(lam * v).max():
             return None
-        eigenvalues[m.label] = lam
+        eigenvalues[label] = lam
     return SpectralAlignment(vector=tuple(float(x) for x in v), eigenvalues=eigenvalues)
 
 
@@ -141,7 +123,7 @@ def aligned_table(chain: SoficChain) -> dict:
     and every level above the bottom is a full shift over its projected
     alphabet (alignment forces the latter; it is still checked).
     """
-    alignment = detect_alignment(build_count_matrices(chain.graph, level=2))
+    alignment = detect_alignment(build_count_matrices(chain.graph))
     if alignment is None:
         raise NotAligned("count matrices share no positive eigenvector")
     for level in range(2, chain.rank + 1):

@@ -99,17 +99,6 @@ def validate_digit_system(bases, digits) -> DigitSystem:
     return system
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite word over the level-i alphabet (chain-level indexing)."""
-
-    level: int
-    letters: tuple[Digit, ...]
-
-    def __len__(self):
-        return len(self.letters)
-
-
 def _is_clean_edges(edges, vertices: set, digits: frozenset) -> bool:
     """Every edge is a (source, target, label) tuple between `vertices` with
     a digit tuple as label: the checks of `LabeledGraph`, made a whole list
@@ -153,9 +142,6 @@ class LabeledGraph:
             if tuple(lab) not in self.system.digits:
                 raise ValidationError(f"edge label {lab} is not a digit of the system")
 
-    def out_edges(self, vertex: str):
-        return [e for e in self.edges if e[0] == vertex]
-
 
 def check_right_resolving(g: LabeledGraph) -> None:
     """Raise unless no two edges from one vertex share a label and out-degrees are >= 1."""
@@ -189,31 +175,35 @@ class FollowerAutomaton:
     def initial(self) -> int:
         return 0
 
-    def step(self, state: int | None, letter: Digit) -> int | None:
-        if state is None:
-            return None
-        return self.transitions.get((state, letter))
-
     def run(self, letters) -> int | None:
         state = self.initial
         for letter in letters:
-            state = self.step(state, letter)
+            state = self.transitions.get((state, letter))
             if state is None:
                 return None
         return state
 
     def count_words(self, n: int) -> int:
         """Number of admissible words of length n (exact, big integers)."""
-        counts = {self.initial: 1}
-        for _ in range(n):
-            nxt: dict[int, int] = {}
-            for st, c in counts.items():
-                for letter in self.letters:
-                    t = self.transitions.get((st, letter))
-                    if t is not None:
-                        nxt[t] = nxt.get(t, 0) + c
-            counts = nxt
-        return sum(counts.values())
+        return _count_words(self, [self.letters] * n)
+
+
+def _count_words(aut: FollowerAutomaton, letter_sets) -> int:
+    """Number of words with i-th letter in letter_sets[i] that `aut` accepts.
+
+    Exact (big integers): one count per reachable state, advanced a position
+    at a time.
+    """
+    counts = {aut.initial: 1}
+    for letters in letter_sets:
+        nxt: dict[int, int] = {}
+        for st, c in counts.items():
+            for letter in letters:
+                t = aut.transitions.get((st, letter))
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(counts.values())
 
 
 def determinize(g: LabeledGraph, level: int = 1) -> FollowerAutomaton:
@@ -302,8 +292,9 @@ class SoficChain:
             for letter in aut.letters
         )
 
-    def admissible(self, word: Word) -> bool:
-        return self.automaton(word.level).run(word.letters) is not None
+    def admissible(self, level: int, letters) -> bool:
+        """True iff the level-`level` word `letters` is read along some path."""
+        return self.automaton(level).run(letters) is not None
 
     def __eq__(self, other):
         return isinstance(other, SoficChain) and self.graph == other.graph
@@ -325,40 +316,18 @@ def _cached_automaton(graph: LabeledGraph, level: int) -> FollowerAutomaton:
     return determinize(graph, level)
 
 
-def preimage_count(chain: SoficChain, word: Word, n: int | None = None) -> int:
-    """Exact number of admissible level-i words projecting letterwise to `word`.
+def preimage_count(chain: SoficChain, level: int, letters) -> int:
+    """Exact number of admissible level-(level-1) words projecting letterwise
+    to the level-`level` word `letters`.
 
-    `word` lives at level i + 1; the result counts level-i words (one level
-    finer).  The empty word has exactly one preimage.  Raises
-    InadmissibleWord when `word` itself is not admissible.
+    The result counts words one level finer, with the follower automaton of
+    that level; the empty word has exactly one preimage.  Raises
+    InadmissibleWord when `letters` itself is not admissible.
     """
-    level = word.level
     if not 2 <= level <= chain.rank:
         raise LevelOutOfRange(f"word level {level} must be in 2..{chain.rank}")
-    if n is not None and n != len(word):
-        raise ValidationError(f"stated length {n} != actual {len(word)}")
-    if not chain.admissible(word):
-        raise InadmissibleWord(f"{word.letters} is not admissible at level {level}")
-    if len(word) == 0:
-        return 1
+    if not chain.admissible(level, letters):
+        raise InadmissibleWord(f"{letters} is not admissible at level {level}")
     finer = level - 1
     fibers = chain.fibers(finer)
-    if chain.is_full_shift(finer):
-        total = 1
-        for x in word.letters:
-            total *= len(fibers[x])
-        return total
-    # graph-backed level: count distinct finer words with the subset automaton
-    aut = chain.automaton(finer)
-    counts = {aut.initial: 1}
-    for x in word.letters:
-        nxt: dict[int, int] = {}
-        for st, c in counts.items():
-            for letter in fibers.get(x, ()):
-                t = aut.transitions.get((st, letter))
-                if t is not None:
-                    nxt[t] = nxt.get(t, 0) + c
-        if not nxt:
-            return 0
-        counts = nxt
-    return sum(counts.values())
+    return _count_words(chain.automaton(finer), [fibers[x] for x in letters])

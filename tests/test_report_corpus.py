@@ -2,8 +2,9 @@
 
 Core claims:
     - `wtp dimension`, `entropy`, `estimate` and `variational` on each
-      shipped config print exactly the pinned report (11 reports), so the
-      README's bit-for-bit promise holds across refactors
+      shipped config, and `wtp check` on the carpet config, print exactly
+      the pinned report (12 reports), so the README's bit-for-bit promise
+      holds across refactors
     - `variational` on the sofic config exits 1 with one error line
 
 An intended report change updates its pin here and records in CHANGES.md
@@ -31,6 +32,7 @@ REPORT_SHA256 = {
     ("golden_sofic.json", "dimension"): "330a95d9a5a97059c29906cf0056c9d716163f3393e054c3c8739539aede8c2c",
     ("golden_sofic.json", "entropy"): "f16c92bee442cb785ea215013d8770e4b31e916de6ed4674a2218ec8be680171",
     ("golden_sofic.json", "estimate"): "27cffdd186f0864cd808a59ccf2b20d70b1474619fcc24b133da090eceba7508",
+    ("carpet.json", "check"): "943de41487a36e8d8161651ec2f84b05065b30a1449804cfe4927db15c57fbae",
 }
 
 
@@ -38,7 +40,7 @@ def test_every_shipped_config_is_pinned():
     configs = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
     commands = ("dimension", "entropy", "estimate", "variational")
     expected = {(name, c) for name in configs for c in commands} - {("golden_sofic.json", "variational")}
-    assert set(REPORT_SHA256) == expected
+    assert set(REPORT_SHA256) == expected | {("carpet.json", "check")}
 
 
 @pytest.mark.parametrize("name, command", sorted(REPORT_SHA256))

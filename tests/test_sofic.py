@@ -1,10 +1,11 @@
 """Count matrices, spectral alignment, and the sofic closed form.
 
 Core claims:
-    - the frozen chain's count matrices are the pinned integer matrices and
-      satisfy A^2 = A_(0,1), A^3 = A_(1,0)
+    - the frozen chain's count matrices are the pinned int64 arrays, keyed
+      by label in sorted order, and satisfy A^2 = A_(0,1), A^3 = A_(1,0)
     - the matrices share the eigenvector (1, 1/phi, 1) with eigenvalues
-      phi, phi^2, phi^3 (phi the golden ratio)
+      phi, phi^2, phi^3 (phi the golden ratio); scaling each matrix by a
+      float weight scales its eigenvalue by the weight and keeps the vector
     - the closed form evaluates the nested bracket, about 1.4598 nats, and
       the exponent product makes the last term sqrt(2 + sqrt 5) exactly
     - a full shift encoded on one vertex reproduces the sponge closed form,
@@ -34,7 +35,6 @@ from wtp.errors import ClosedFormUnavailable, NotAligned
 from wtp.estimator import nested_count
 from wtp.sofic import (
     POWER_MAX_ITERS,
-    CountMatrix,
     _power_iterate,
     build_count_matrices,
     detect_alignment,
@@ -50,17 +50,15 @@ A01 = ((1, 1, 1), (1, 1, 0), (0, 1, 2))
 A10 = ((1, 2, 2), (0, 1, 2), (2, 2, 1))
 
 
-def _matrix_map(chain):
-    return {m.label: m for m in build_count_matrices(chain.graph, level=2)}
-
-
 def test_count_matrices_match_pinned_values(golden):
-    mats = _matrix_map(golden)
-    assert mats[(0, 0)].matrix == A00
-    assert mats[(0, 1)].matrix == A01
-    assert mats[(1, 0)].matrix == A10
+    mats = build_count_matrices(golden.graph)
+    assert list(mats) == sorted(golden.system.prefixes(2))
+    assert {m.dtype for m in mats.values()} == {np.dtype(np.int64)}
+    assert mats[(0, 0)].tolist() == [list(row) for row in A00]
+    assert mats[(0, 1)].tolist() == [list(row) for row in A01]
+    assert mats[(1, 0)].tolist() == [list(row) for row in A10]
     for label in ((1, 1), (0, 2), (1, 2)):
-        assert mats[label].is_zero
+        assert not mats[label].any()
 
 
 def test_matrix_power_identities(golden):
@@ -70,7 +68,7 @@ def test_matrix_power_identities(golden):
 
 
 def test_sum_of_matrices_is_adjacency_count(golden):
-    total = sum(m.as_array() for m in build_count_matrices(golden.graph))
+    total = sum(build_count_matrices(golden.graph).values())
     order = {v: i for i, v in enumerate(golden.graph.vertices)}
     adjacency = np.zeros_like(total)
     for s, t, _lab in golden.graph.edges:
@@ -80,9 +78,9 @@ def test_sum_of_matrices_is_adjacency_count(golden):
 
 def test_single_vertex_matrices_are_fiber_sizes(carpet):
     chain = SpongeChain(carpet)
-    mats = _matrix_map(chain)
-    assert mats[(0,)].matrix == ((2,),)
-    assert mats[(1,)].matrix == ((1,),)
+    mats = build_count_matrices(chain.graph)
+    assert mats[(0,)].tolist() == [[2]]
+    assert mats[(1,)].tolist() == [[1]]
 
 
 def test_alignment_on_golden_chain(golden):
@@ -96,16 +94,31 @@ def test_alignment_on_golden_chain(golden):
     assert alignment.eigenvalues[(1, 0)] == pytest.approx(PHI**3, abs=1e-10)
     assert (1, 1) not in alignment.eigenvalues  # zero matrices are skipped
     # residual invariant: every nonzero matrix maps v onto lambda v
-    for m in build_count_matrices(golden.graph):
-        if m.is_zero:
+    for label, m in build_count_matrices(golden.graph).items():
+        if not m.any():
             continue
-        lam = alignment.eigenvalues[m.label]
-        residual = np.abs(m.as_array() @ v - lam * v).max()
+        lam = alignment.eigenvalues[label]
+        residual = np.abs(m @ v - lam * v).max()
         assert residual <= 1e-10 * np.abs(lam * v).max()
 
 
+def test_alignment_of_weighted_float_matrices(golden):
+    # per-label weights that are not integers: each eigenvalue scales by its
+    # weight and the common vector stays, so float entries are never cast
+    weights = {(0, 0): 0.3, (0, 1): math.e, (1, 0): 1 / math.sqrt(2)}
+    mats = build_count_matrices(golden.graph)
+    plain = detect_alignment(mats)
+    weighted = detect_alignment({label: w * mats[label] for label, w in weights.items()})
+    assert weighted is not None
+    assert weighted.vector == pytest.approx(plain.vector, abs=1e-12)
+    assert weighted.eigenvalues == {
+        label: pytest.approx(w * plain.eigenvalues[label], rel=1e-12)
+        for label, w in weights.items()
+    }
+
+
 def test_one_by_one_matrices_always_align():
-    mats = [CountMatrix(label=(0,), matrix=((3,),)), CountMatrix(label=(1,), matrix=((5,),))]
+    mats = {(0,): np.array([[3]]), (1,): np.array([[5]])}
     alignment = detect_alignment(mats)
     assert alignment is not None
     assert alignment.eigenvalues == {(0,): pytest.approx(3.0), (1,): pytest.approx(5.0)}
@@ -114,20 +127,14 @@ def test_one_by_one_matrices_always_align():
 def test_misaligned_matrices_return_none():
     # identity fixes every vector, [[2,1],[0,1]] fixes only multiples of (1,0),
     # which is not strictly positive, so no common positive eigenvector exists
-    mats = [
-        CountMatrix(label=(0,), matrix=((1, 0), (0, 1))),
-        CountMatrix(label=(1,), matrix=((2, 1), (0, 1))),
-    ]
+    mats = {(0,): np.array([[1, 0], [0, 1]]), (1,): np.array([[2, 1], [0, 1]])}
     assert detect_alignment(mats) is None
 
 
 def test_periodic_matrices_align():
     # period 2: plain power iteration oscillates between two vectors, yet
     # (sqrt 2, 1) is a positive eigenvector of both matrices
-    mats = [
-        CountMatrix(label=(0,), matrix=((0, 2), (1, 0))),
-        CountMatrix(label=(1,), matrix=((0, 4), (2, 0))),
-    ]
+    mats = {(0,): np.array([[0, 2], [1, 0]]), (1,): np.array([[0, 4], [2, 0]])}
     alignment = detect_alignment(mats)
     assert alignment is not None
     assert alignment.vector == pytest.approx((1.0, 1 / math.sqrt(2)), abs=1e-12)
@@ -248,9 +255,9 @@ def test_not_aligned_chain_raises():
     from wtp.symbolic import check_right_resolving
 
     check_right_resolving(g)
-    mats = _matrix_map(SoficChain(g))
-    assert mats[(0,)].matrix == ((1, 0), (0, 1))
-    assert mats[(1,)].matrix == ((2, 1), (0, 1))
+    mats = build_count_matrices(g)
+    assert mats[(0,)].tolist() == [[1, 0], [0, 1]]
+    assert mats[(1,)].tolist() == [[2, 1], [0, 1]]
     with pytest.raises(NotAligned):
         closed_form(SoficChain(g), Exponents((0.5,)))
 
@@ -293,9 +300,9 @@ def test_golden_path_totals_match_einsum_oracle():
     # Oracle: the path-count matrices themselves, left-multiplied by einsum as
     # the check once carried them; the check carries only their row sums.
     chain = golden_mean_chain()
-    mats = build_count_matrices(chain.graph, level=2)
+    mats = build_count_matrices(chain.graph)
     labels = sorted(detect_alignment(mats).eigenvalues)
-    arrays = {m.label: m.as_array().astype(float) for m in mats if not m.is_zero}
+    arrays = {label: mats[label].astype(float) for label in labels}
     paths = np.eye(len(chain.graph.vertices))[None, :, :]
     for n, _words, totals, _lam, _alignment in _golden_word_and_path_counts(10):
         paths = np.concatenate([np.einsum("ij,kjl->kil", arrays[lab], paths) for lab in labels], axis=0)

@@ -10,9 +10,13 @@ Core claims:
     - the frozen three-vertex chain necessarily carries one duplicated label
       (five same-projection edges leave one vertex, only four labels exist)
     - preimage counts: per-letter fiber products on full shifts, automaton
-      DP on the sofic bottom, multiplicative under concatenation
+      DP on the sofic bottom, multiplicative under concatenation; on random
+      1-3 vertex graphs they equal brute-force path enumeration at every
+      level, full-shift levels included, and words outside the language
+      raise InadmissibleWord
 """
 import itertools
+import random
 import re
 
 import numpy as np
@@ -36,7 +40,6 @@ from wtp.symbolic import (
     LabeledGraph,
     SoficChain,
     SpongeChain,
-    Word,
     check_right_resolving,
     determinize,
     preimage_count,
@@ -215,7 +218,7 @@ def test_golden_chain_label_collision_is_forced(golden):
     the vertices while only four third coordinates exist, so some label must
     repeat at a vertex.  The frozen presentation places both collisions on
     (1, 0, 3)."""
-    mats = {m.label: np.array(m.matrix) for m in build_count_matrices(golden.graph)}
+    mats = build_count_matrices(golden.graph)
     out_degrees = mats[(1, 0)].sum(axis=0)
     third_coordinates = golden.system.bases[2]
     assert out_degrees.max() > third_coordinates  # pigeonhole: collision unavoidable
@@ -310,43 +313,42 @@ def test_right_resolving_graphs_have_few_paths_per_word(rng):
 # -- preimage counting --------------------------------------------------------
 
 def test_carpet_preimage_count_matches_enumeration(carpet_chain, carpet):
-    word = Word(level=2, letters=((0,), (0,), (1,)))
+    letters = ((0,), (0,), (1,))
     brute = sum(
         1
         for w in itertools.product(carpet.sorted_digits, repeat=3)
-        if tuple(d[:1] for d in w) == word.letters
+        if tuple(d[:1] for d in w) == letters
     )
     assert brute == 4
-    assert preimage_count(carpet_chain, word) == brute
+    assert preimage_count(carpet_chain, 2, letters) == brute
 
 
 def test_empty_word_has_one_preimage(carpet_chain, golden):
-    assert preimage_count(carpet_chain, Word(level=2, letters=())) == 1
-    assert preimage_count(golden, Word(level=2, letters=())) == 1
+    assert preimage_count(carpet_chain, 2, ()) == 1
+    assert preimage_count(golden, 2, ()) == 1
 
 
 def test_golden_single_letter_counts(golden):
-    mats = {m.label: np.array(m.matrix) for m in build_count_matrices(golden.graph)}
+    mats = build_count_matrices(golden.graph)
     for label in ((0, 0), (0, 1), (1, 0)):
-        wc = preimage_count(golden, Word(level=2, letters=(label,)))
+        wc = preimage_count(golden, 2, (label,))
         brute = len({lab for _s, _t, lab in golden.graph.edges if lab[:2] == label})
         assert wc == brute
         paths = int(mats[label].sum())
         assert 1 <= paths / wc
     # the (0,0) fiber stays below the vertex-count bound
-    wc00 = preimage_count(golden, Word(level=2, letters=((0, 0),)))
+    wc00 = preimage_count(golden, 2, ((0, 0),))
     assert 1 <= int(mats[(0, 0)].sum()) / wc00 <= 3
 
 
 def test_golden_level2_preimages_of_level3_words(golden):
     # level 2 is a full shift on three letters; count preimages of (0, 1, 0)
-    word = Word(level=3, letters=((0,), (1,), (0,)))
-    assert preimage_count(golden, word) == 2 * 1 * 2
+    assert preimage_count(golden, 3, ((0,), (1,), (0,))) == 2 * 1 * 2
 
 
 def test_inadmissible_word_raises(carpet_chain):
     with pytest.raises(InadmissibleWord):
-        preimage_count(carpet_chain, Word(level=2, letters=((7,),)))
+        preimage_count(carpet_chain, 2, ((7,),))
 
 
 def test_preimage_multiplicative_on_full_shifts(rng, carpet_chain):
@@ -355,10 +357,8 @@ def test_preimage_multiplicative_on_full_shifts(rng, carpet_chain):
         n1, n2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         v = tuple(alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(n1))
         w = tuple(alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(n2))
-        joint = preimage_count(carpet_chain, Word(level=2, letters=v + w))
-        split = preimage_count(carpet_chain, Word(level=2, letters=v)) * preimage_count(
-            carpet_chain, Word(level=2, letters=w)
-        )
+        joint = preimage_count(carpet_chain, 2, v + w)
+        split = preimage_count(carpet_chain, 2, v) * preimage_count(carpet_chain, 2, w)
         assert joint == split
 
 
@@ -367,6 +367,63 @@ def test_admissible_words_always_have_preimages(golden, rng):
     for _ in range(50):
         n = int(rng.integers(1, 7))
         letters = tuple(alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(n))
-        word = Word(level=2, letters=letters)
-        assert golden.admissible(word)
-        assert preimage_count(golden, word) >= 1
+        assert golden.admissible(2, letters)
+        assert preimage_count(golden, 2, letters) >= 1
+
+
+def _bottom_paths(graph, n):
+    """Label sequences of every length-n path of the graph, one per path."""
+    paths = [((), v) for v in graph.vertices]
+    for _ in range(n):
+        paths = [(labels + (lab,), t) for labels, v in paths for s, t, lab in graph.edges if s == v]
+    return [labels for labels, _end in paths]
+
+
+@st.composite
+def _small_graphs(draw):
+    """1-3 vertices over the full digit product of rank 2-3, bases 2-3.
+
+    With `full`, every vertex has an edge to the first vertex for every label
+    in use, so every level is a full shift; with more than one vertex, its
+    automaton mostly has more than one state."""
+    bases = tuple(sorted(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))))
+    system = validate_digit_system(bases, itertools.product(*(range(m) for m in bases)))
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 3))))
+    labels = draw(st.lists(st.sampled_from(system.sorted_digits), min_size=1, max_size=3, unique=True))
+    full = draw(st.booleans())
+    digits = st.sampled_from(labels if full else system.sorted_digits)
+    vertex = st.sampled_from(vertices)
+    edges = [(v, vertices[0], lab) for v in vertices for lab in labels] if full else []
+    edges += [(v, v, labels[0]) for v in vertices]
+    edges += draw(st.lists(st.tuples(vertex, vertex, digits), min_size=1, max_size=6))
+    return LabeledGraph(vertices=vertices, edges=tuple(edges), system=system), full
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_preimage_count_matches_path_enumeration(drawn, seed):
+    graph, full = drawn
+    rnd = random.Random(seed)
+    chain = SoficChain(graph)
+    r = graph.system.rank
+    assert not full or all(chain.is_full_shift(level) for level in range(1, r + 1))
+    for n in range(5):
+        paths = _bottom_paths(graph, n)
+        for level in range(2, r + 1):
+            keep = r - level + 1
+            finer = {tuple(lab[: keep + 1] for lab in p) for p in paths}
+            preimages: dict = {}
+            for w in finer:
+                x = tuple(letter[:keep] for letter in w)
+                preimages[x] = preimages.get(x, 0) + 1
+            words = sorted(preimages)
+            for x in rnd.sample(words, min(len(words), 6)):
+                assert preimage_count(chain, level, x) == preimages[x]
+            alphabet = chain.alphabet(level)
+            for _ in range(4):
+                x = tuple(rnd.choice(alphabet) for _ in range(n))
+                if x in preimages:
+                    assert preimage_count(chain, level, x) == preimages[x]
+                else:
+                    with pytest.raises(InadmissibleWord):
+                        preimage_count(chain, level, x)
