@@ -31,7 +31,6 @@ _EXPORTS = {
     "sponge": (
         "ClosedForm",
         "Potential",
-        "ZTable",
         "closed_form",
         "hausdorff_dimension",
         "kp_recursion",

@@ -157,8 +157,9 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
                 entries.append((k, index[dst], index[src], w))
     dtype = object if exact else float
     mats = [np.zeros((len(states), len(states)), dtype=dtype) for _ in alphabet2]
-    for k, i, j, w in entries:
-        mats[k][i, j] += w
+    with np.errstate(over="ignore"):  # an infinite S_N is reported as a ComputationError
+        for k, i, j, w in entries:
+            mats[k][i, j] += w
     start = np.zeros(len(states), dtype=dtype)
     start[0] = 1
     if window == 1:

@@ -3,7 +3,9 @@
 The backward recursion contracts prefix tables: start from a table of
 length-(r-1) prefixes (a sponge's digit counts, optionally weighted by
 exp f, or an aligned sofic chain's per-label eigenvalues), then repeatedly
-apply `sum of previous ** exponent` until a scalar remains.
+apply `sum of previous ** exponent` until a scalar remains.  Both routes
+return a `ClosedForm` that keeps every table; `kp_recursion` is the sponge
+route, and a Z_0 of 0 or inf in floats is a ComputationError.
 
 Index bookkeeping, fixed once here: contracting prefixes of length j to
 length j-1 raises to the power a_{r-j} (1-based).  With base-derived
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .defaults import AMBIGUITY_WARNING
@@ -31,6 +33,8 @@ from .symbolic import (
     DigitSystem,
     SoficChain,
     SpongeChain,
+    _int_tuple,
+    _real,
     check_right_resolving,
     validate_digit_system,
 )
@@ -71,10 +75,12 @@ class Potential:
             return
         clean = {}
         for word, value in self.table.items():
-            key = tuple(tuple(int(c) for c in d) for d in word)
+            if not isinstance(word, tuple):
+                raise ValidationError(f"table key {word!r} is not a sequence of letters")
+            key = tuple(_int_tuple(d, "potential letter") for d in word)
             if len(key) != self.window:
                 raise ValidationError(f"table key {key} has length != window {self.window}")
-            v = float(value)
+            v = _real(value, f"potential value for {key}")
             if not math.isfinite(v):
                 raise ValidationError(f"non-finite potential value for {key}")
             clean[key] = v
@@ -86,6 +92,12 @@ class Potential:
     def value(self, word) -> float:
         return self.table.get(tuple(word), 0.0)
 
+    def letter_values(self, letters) -> list[float]:
+        """f(x) for each letter x of a window-1 potential, 0 where the table has none."""
+        if self.window != 1:
+            raise WindowUnsupported("potentials wider than window 1 are estimator-only")
+        return list(map(self.table.get, zip(letters), itertools.repeat(0.0)))
+
     def weight(self, word) -> float:
         """exp(f(word)); a ComputationError when that overflows a float."""
         v = self.value(word)
@@ -93,28 +105,6 @@ class Potential:
             return math.exp(v)
         except OverflowError:
             raise ComputationError(f"exp of potential value {v} for {tuple(word)} overflows a float") from None
-
-
-def _window1_weights(potential: Potential, digits) -> list[float]:
-    """exp f(d) for each digit, read with one table pass; on overflow,
-    `Potential.weight` names the first digit whose weight overflows."""
-    try:
-        return list(map(math.exp, map(potential.table.get, zip(digits), itertools.repeat(0.0))))
-    except OverflowError:
-        for d in digits:
-            potential.weight((d,))
-        raise
-
-
-@dataclass(frozen=True)
-class ZTable:
-    """Per-prefix tables of the contraction, level r (indicator) down to 0 (scalar)."""
-
-    levels: tuple  # levels[j] is a dict mapping length-j prefixes to floats
-
-    @property
-    def z0(self) -> float:
-        return self.levels[0][()]
 
 
 def contract(table: dict, avals, r: int) -> list[dict]:
@@ -136,29 +126,6 @@ def contract(table: dict, avals, r: int) -> list[dict]:
     return levels
 
 
-def _digit_table(sys: DigitSystem, potential: Potential | None) -> dict:
-    """Length-(r-1) prefix sums over the digits, each digit e weighted by
-    exp(f(e)) under a window-1 potential and by 1 without one."""
-    if potential is not None and potential.window != 1:
-        raise WindowUnsupported("potentials wider than window 1 are estimator-only")
-    digits = sys.sorted_digits
-    weights = itertools.repeat(1.0) if potential is None else _window1_weights(potential, digits)
-    table: dict[Digit, float] = {}
-    for prefix, weight in zip(map(itemgetter(slice(sys.rank - 1)), digits), weights):
-        table[prefix] = table.get(prefix, 0.0) + weight
-    return table
-
-
-def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = None) -> ZTable:
-    """Every table of the sponge contraction, from the digit indicator down to Z_0."""
-    r = sys.rank
-    if len(a) != r - 1:
-        raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
-    table = _digit_table(sys, potential)
-    levels = [dict.fromkeys(sys.sorted_digits, 1.0), table, *contract(table, a.values, r)]
-    return ZTable(levels=tuple(reversed(levels)))
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     """log Z_0 of one contraction, with the route that built its first table.
@@ -167,50 +134,89 @@ class ClosedForm:
     the aligned count matrices).  `caveats` holds (reason code, detail)
     pairs: "dimension-ambiguity" on the aligned route, and
     "not-right-resolving" when two edges from one vertex share a label, so
-    that the eigenvalues count graph paths rather than words.
+    that the eigenvalues count graph paths rather than words.  `tables[j]`
+    maps the length-j prefixes to their contracted values, j = 0..r-1, so
+    `tables[0]` is {(): z0}; it takes no part in repr, equality or hashing.
     """
 
     h_a_nats: float
     z0: float
     route: str
     caveats: tuple
+    tables: tuple = field(repr=False, compare=False)
+
+
+def _closed_form(table: dict, a: Exponents, route: str, caveats=()) -> ClosedForm:
+    """Contract a table of length-(r-1) prefixes down to Z_0, keeping every
+    table; a Z_0 of 0 or inf in floats is a ComputationError."""
+    levels = [table, *contract(table, a.values, len(a) + 1)]
+    z0 = levels[-1][()]
+    if not 0.0 < z0 < math.inf:
+        cause = "underflow" if z0 == 0.0 else "overflow"
+        raise ComputationError(f"Z_0 is {z0!r}: the weights {cause} a float")
+    return ClosedForm(
+        h_a_nats=math.log(z0), z0=z0, route=route, caveats=tuple(caveats), tables=tuple(reversed(levels))
+    )
+
+
+def _digit_table(sys: DigitSystem, potential: Potential | None) -> dict:
+    """Length-(r-1) prefix sums over the digits, each digit e weighted by
+    exp(f(e)) under a window-1 potential and by 1 without one."""
+    digits = sys.sorted_digits
+    if potential is None:
+        weights = itertools.repeat(1.0)
+    else:
+        try:
+            weights = list(map(math.exp, potential.letter_values(digits)))
+        except OverflowError:
+            for d in digits:  # names the first digit whose weight overflows
+                potential.weight((d,))
+            raise
+    table: dict[Digit, float] = {}
+    for prefix, weight in zip(map(itemgetter(slice(sys.rank - 1)), digits), weights):
+        table[prefix] = table.get(prefix, 0.0) + weight
+    return table
+
+
+def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = None) -> ClosedForm:
+    """The sponge route: contract the digit counts, each digit weighted by
+    exp f under a window-1 potential, with every prefix table kept."""
+    if len(a) != sys.rank - 1:
+        raise ExponentLengthMismatch(f"need {sys.rank - 1} exponents, got {len(a)}")
+    return _closed_form(_digit_table(sys, potential), a, "sponge")
 
 
 def closed_form(chain: SoficChain, a: Exponents, potential: Potential | None = None) -> ClosedForm:
     """Weighted entropy (pressure, under a window-1 potential) in nats.
 
-    A SpongeChain contracts its digit counts, weighted by exp f; any other
-    chain contracts the eigenvalues of its aligned count matrices, which
-    `wtp.sofic` computes (imported here, so sponges load no numpy).  The
-    route follows the class, not the vertex count: a one-vertex graph with
-    a repeated label counts paths.  A potential wider than window 1, and a
-    sofic chain with any potential, raise ClosedFormUnavailable.
+    A SpongeChain contracts its digit counts, weighted by exp f
+    (`kp_recursion`); any other chain contracts the eigenvalues of its
+    aligned count matrices, which `wtp.sofic` computes (imported here, so
+    sponges load no numpy).  The route follows the class, not the vertex
+    count: a one-vertex graph with a repeated label counts paths.  A
+    potential wider than window 1, and a sofic chain with any potential,
+    raise ClosedFormUnavailable.
     """
-    r = chain.rank
-    if len(a) != r - 1:
-        raise ExponentLengthMismatch(f"need {r - 1} exponents, got {len(a)}")
     if isinstance(chain, SpongeChain):
-        route, caveats = "sponge", []
-        table = _digit_table(chain.system, potential)
-    else:
-        if potential is not None:
-            raise ClosedFormUnavailable("sofic chains with potentials are estimator-only")
-        from .sofic import aligned_table
+        return kp_recursion(chain.system, a, potential)
+    if len(a) != chain.rank - 1:
+        raise ExponentLengthMismatch(f"need {chain.rank - 1} exponents, got {len(a)}")
+    if potential is not None:
+        raise ClosedFormUnavailable("sofic chains with potentials are estimator-only")
+    from .sofic import aligned_table
 
-        route, caveats = "aligned", [("dimension-ambiguity", AMBIGUITY_WARNING)]
-        table = aligned_table(chain)
-        try:
-            check_right_resolving(chain.graph)
-        except DuplicateLabelAtVertex as e:
-            caveats.append(("not-right-resolving", str(e)))
-    z0 = contract(table, a.values, r)[-1][()]
-    return ClosedForm(h_a_nats=math.log(z0), z0=z0, route=route, caveats=tuple(caveats))
+    table = aligned_table(chain)
+    caveats = [("dimension-ambiguity", AMBIGUITY_WARNING)]
+    try:
+        check_right_resolving(chain.graph)
+    except DuplicateLabelAtVertex as e:
+        caveats.append(("not-right-resolving", str(e)))
+    return _closed_form(table, a, "aligned", caveats)
 
 
 def hausdorff_dimension(sys: DigitSystem) -> float:
     """log Z_0 / log m_1 with the base-derived exponents."""
-    a = exponents_from_bases(sys.bases)
-    return math.log(kp_recursion(sys, a).z0) / math.log(sys.bases[0])
+    return kp_recursion(sys, exponents_from_bases(sys.bases)).h_a_nats / math.log(sys.bases[0])
 
 
 def minkowski_dimension(sys: DigitSystem) -> float:
@@ -267,7 +273,6 @@ def m_fold_system(sys: DigitSystem, m: int) -> DigitSystem:
 
 def m_fold_potential(sys: DigitSystem, potential: Potential, m: int) -> Potential:
     """Window-1 potential on the block system summing f over the block."""
-    if potential.window != 1:
-        raise WindowUnsupported("block coding of potentials needs window 1")
-    table = {(code,): sum(potential.value((d,)) for d in block) for block, code in _blocks(sys, m)}
+    f = dict(zip(sys.sorted_digits, potential.letter_values(sys.sorted_digits)))
+    table = {(code,): sum(map(f.__getitem__, block)) for block, code in _blocks(sys, m)}
     return Potential(window=1, table=table)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import (
     BasesNotSorted,
@@ -70,18 +70,43 @@ class DigitSystem:
         return tuple(reversed(levels[1:]))
 
 
+def _int_tuple(values, what: str, error=ValidationError) -> tuple[int, ...]:
+    """`values` as a tuple of ints.  Each is taken through `operator.index`,
+    so numpy integers pass, while a float, a string or a value that is not a
+    sequence raises `error` naming it: nothing is rounded or parsed."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise error(f"{what} {values!r} is not a sequence of integers") from None
+
+
+def _real(value, what: str, error=ValidationError) -> float:
+    """`value` as a float, taken from a number only, never parsed from a string."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise error(f"{what} is {value!r}, not a real number")
+
+
 def validate_digit_system(bases, digits) -> DigitSystem:
     """Check bases are sorted integers >= 2, digits componentwise in range."""
-    bases = tuple(int(m) for m in bases)
+    bases = _int_tuple(bases, "bases")
     if len(bases) < 2:
         raise RankTooSmall(f"need rank >= 2, got {len(bases)}")
     if any(m < 2 for m in bases):
         raise ValidationError(f"every base must be >= 2, got {bases}")
     if any(bases[i] > bases[i + 1] for i in range(len(bases) - 1)):
         raise BasesNotSorted(f"bases {bases} not nondecreasing")
-    dedup = set(map(tuple, digits))
-    if not {int}.issuperset(map(type, itertools.chain.from_iterable(dedup))):
-        dedup = {tuple(int(c) for c in d) for d in dedup}
+    digits = list(digits)  # the fallback below takes a second pass
+    try:
+        dedup = set(map(tuple, digits))
+        clean = {int}.issuperset(map(type, itertools.chain.from_iterable(dedup)))
+    except TypeError:  # a digit that is not a sequence, or an unhashable coordinate
+        clean = False
+    if not clean:
+        dedup = {_int_tuple(d, "digit") for d in digits}
     if not dedup:
         raise EmptyDigits("digit set is empty")
     system = DigitSystem(bases=bases, digits=frozenset(dedup))
@@ -136,10 +161,14 @@ class LabeledGraph:
         vs = set(self.vertices)
         if _is_clean_edges(self.edges, vs, self.system.digits):
             return
-        for s, t, lab in self.edges:
+        for edge in self.edges:
+            try:
+                s, t, lab = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} is not a (source, target, label) triple") from None
             if s not in vs or t not in vs:
                 raise ValidationError(f"edge ({s!r}, {t!r}) references unknown vertex")
-            if tuple(lab) not in self.system.digits:
+            if _int_tuple(lab, "edge label") not in self.system.digits:
                 raise ValidationError(f"edge label {lab} is not a digit of the system")
 
 

@@ -17,16 +17,15 @@ both, which gives the same bits as taking them apart.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from .defaults import MAX_ITERS, STALL_GAIN
-from .errors import DidNotConverge, DistributionInvalid, WindowUnsupported
+from .errors import DidNotConverge, DistributionInvalid
 from .sponge import Potential, kp_recursion
-from .symbolic import Digit, DigitSystem
+from .symbolic import Digit, DigitSystem, _int_tuple, _real
 from .weights import Exponents, weights_from_exponents
 
 PROB_TOL = 1e-12
@@ -57,12 +56,13 @@ class SymbolDistribution:
         else:
             clean = {}
             for d, p in probs.items():
-                key = tuple(int(c) for c in d)
+                key = _int_tuple(d, "digit", DistributionInvalid)
                 if key not in self.system.digits:
                     raise DistributionInvalid(f"{key} is not a digit of the system")
+                p = _real(p, f"probability for {key}", DistributionInvalid)
                 if p < -PROB_TOL:
                     raise DistributionInvalid(f"negative probability {p} for {key}")
-                clean[key] = float(p)
+                clean[key] = p
         total = sum(clean.values())
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionInvalid(f"probabilities sum to {total}, not 1")
@@ -130,10 +130,7 @@ def _potential_vector(sys: DigitSystem, potential: Potential | None) -> np.ndarr
     digits = sys.sorted_digits
     if potential is None:
         return np.zeros(len(digits))
-    if potential.window != 1:
-        raise WindowUnsupported("Bernoulli objective takes window-1 potentials")
-    values = map(potential.table.get, zip(digits), itertools.repeat(0.0))
-    return np.fromiter(values, dtype=float, count=len(digits))
+    return np.array(potential.letter_values(digits), dtype=float)
 
 
 def _value(w, entropies, potential_term: float) -> VariationalValue:
@@ -176,23 +173,18 @@ def optimal_measure_from_recursion(
     only because its objective reproduces log Z_0; that equality is asserted
     by the callers' tests rather than assumed.
     """
-    table = kp_recursion(sys, a, potential)
+    tables = kp_recursion(sys, a, potential).tables
     r = sys.rank
     avals = a.values
     probs = {}
     for d in sys.sorted_digits:
         p = 1.0
-        for j in range(r):
+        for j in range(r - 1):
             # prefix d[:j] extends to d[:j+1]
-            parent = table.levels[j][d[:j]]
-            child = table.levels[j + 1][d[: j + 1]]
-            if j + 1 < r:
-                exponent = avals[r - j - 2]  # a_{r-j-1}, 0-based storage
-                p *= child**exponent / parent
-            else:
-                weight = potential.weight((d,)) if potential is not None else 1.0
-                p *= weight * child / parent
-        probs[d] = p
+            exponent = avals[r - j - 2]  # a_{r-j-1}, 0-based storage
+            p *= tables[j + 1][d[: j + 1]] ** exponent / tables[j][d[:j]]
+        weight = potential.weight((d,)) if potential is not None else 1.0
+        probs[d] = p * (weight / tables[r - 1][d[: r - 1]])
     return SymbolDistribution(system=sys, probs=probs)
 
 
@@ -221,7 +213,7 @@ def maximize_bernoulli(
     groups = _marginal_groups(sys)
     fvec = _potential_vector(sys, potential)
     potential_slope = w[0] * fvec
-    closed_form = math.log(kp_recursion(sys, a, potential).z0)
+    closed_form = kp_recursion(sys, a, potential).h_a_nats
 
     def evaluate(p: np.ndarray):
         """The objective at p, its terms for `_value`, and the per-level logs

@@ -7,8 +7,9 @@ Core claims:
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
-      a chain with no admissible word of length N, an S_N that overflows,
-      or a word count past float range exits 2, not with a traceback or
+      a chain with no admissible word of length N, an S_N that overflows
+      (also inside one transfer-matrix cell), a sponge Z_0 of 0 or inf, or
+      a word count past float range exits 2, not with a traceback or
       Infinity, and stderr holds only the error line; an estimate whose
       n_max is past the budget exits 2 before it counts any N; a reader
       that closes stdout early gets one error line and exit 1
@@ -223,6 +224,32 @@ def test_overflowing_potential_is_computation_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def _unrepresentable_z0_config(tmp_path, kind):
+    # "underflow": every carpet weight exp(-1e4) is 0.0, so Z_0 = 0;
+    # "overflow": each weight exp(709) is finite, their prefix sum is not
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        doc = json.load(fh)
+    if kind == "underflow":
+        doc["potential"]["table"] = [[[d], -1e4] for d in doc["system"]["sponge"]["digits"]]
+    else:
+        doc["system"]["sponge"]["digits"] = [[0, 0], [0, 1], [0, 2]]
+        doc["potential"]["table"] = [[[[0, k]], 709.0] for k in range(3)]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["entropy", "dimension", "variational", "estimate"])
+@pytest.mark.parametrize("kind, z0", [("underflow", "0.0"), ("overflow", "inf")])
+def test_unrepresentable_z0_is_computation_error(tmp_path, capsys, command, kind, z0):
+    # exit 2 with one error line, not a math domain traceback or Infinity
+    path = _unrepresentable_z0_config(tmp_path, kind)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: Z_0 is {z0}: the weights {kind} a float\n"
+
+
 def test_overflowing_potential_names_the_digit(tmp_path, capsys):
     with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
         doc = json.load(fh)
@@ -268,6 +295,21 @@ def test_overflow_stderr_is_the_error_line_only(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: S_N at N = 2 is inf: the weights overflow a float\n"
+
+
+def test_overflow_summing_bottom_weights_is_the_error_line_only(tmp_path):
+    # sofic chains with a potential take the estimator; at N = 1 two labels
+    # weighing exp(709) each fall in one transfer-matrix cell, whose sum overflows
+    with open(os.path.join(CONFIG_DIR, "golden_sofic.json")) as fh:
+        doc = json.load(fh)
+    labels = sorted({tuple(label) for _s, _t, label in doc["system"]["sofic"]["edges"]})
+    doc["potential"] = {"window": 1, "table": [[[list(label)], 709.0] for label in labels]}
+    path = tmp_path / "golden_overflow.json"
+    path.write_text(json.dumps(doc))
+    proc = _estimate_in_subprocess(path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: S_N at N = 1 is nan: the weights overflow a float\n"
 
 
 def test_count_past_float_range_is_the_error_line_only(tmp_path):

@@ -15,7 +15,8 @@ Core claims:
       level-2 DP vector at once
     - an overflowing tail weight is a ComputationError; NaN weights from
       overflow still count their word at exponent 0, and a non-finite S_N
-      is a ComputationError
+      is a ComputationError, also when the sum in one transfer-matrix cell
+      overflows
     - a window-3 potential on a sofic graph whose overhang can dead-end
       matches brute force
     - a sponge is the one-vertex sofic chain: same transfer matrices, same
@@ -353,6 +354,15 @@ def test_sponge_is_the_one_vertex_sofic_chain(rng):
                 assert repr(nested_count(sponge, a, pot, n).log_value) == repr(
                     nested_count(graph, a, pot, n).log_value
                 )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_transfer_matrix_cell_is_computation_error(golden):
+    # two labels of weight exp(709) share a transfer-matrix cell at N = 1;
+    # their sum overflows without a numpy warning ahead of the typed error
+    f = Potential(window=1, table={(x,): 709.0 for x in golden.alphabet(1)})
+    with pytest.raises(ComputationError, match="S_N at N = 1 is"):
+        entropy_estimate(golden, exponents_from_bases(golden.system.bases), f, n_max=1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,7 +1,7 @@
 """The package root resolves its re-exports lazily; cold commands load only what they run.
 
 Core claims:
-    - `wtp` re-exports 38 names, each the very object its defining module
+    - `wtp` re-exports 37 names, each the very object its defining module
       holds, and lists them in `__all__` and `dir(wtp)`; an unknown name is
       an AttributeError
     - every submodule resolves as an attribute of `wtp` on first access
@@ -28,7 +28,7 @@ REEXPORTS = {
         "SpectralAlignment", "build_count_matrices", "detect_alignment", "golden_mean_chain",
     ],
     "sponge": [
-        "ClosedForm", "Potential", "ZTable", "closed_form", "hausdorff_dimension", "kp_recursion",
+        "ClosedForm", "Potential", "closed_form", "hausdorff_dimension", "kp_recursion",
         "minkowski_dimension",
     ],
     "symbolic": [
@@ -52,7 +52,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_reexports_are_the_defining_modules_objects():
-    assert len(NAMES) == len(set(NAMES)) == 38
+    assert len(NAMES) == len(set(NAMES)) == 37
     for module, names in REEXPORTS.items():
         defining = importlib.import_module(f"wtp.{module}")
         for name in names:

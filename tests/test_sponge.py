@@ -2,6 +2,10 @@
 
 Core claims:
     - the carpet contraction gives Z_1 = (2, 1) and Z_0 = 1 + 2^(log_3 2)
+    - on random sponges `kp_recursion` and `closed_form` return the same
+      result, and every table equals a brute-force prefix recursion
+    - a Z_0 of 0 or inf is a ComputationError; every window-1 reader
+      rejects a window-2 potential
     - exponent placement is pinned: a_1 acts closest to the digits
     - all-ones exponents telescope to |D|; top exponent zero collapses to |D_1|
     - pressure shifts by w_1 c under f -> f + c; block coding multiplies by m
@@ -13,7 +17,10 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtp.checks import random_sponge
 from wtp.errors import ComputationError, ExponentLengthMismatch, WindowUnsupported
@@ -29,6 +36,7 @@ from wtp.sponge import (
     minkowski_dimension,
 )
 from wtp.symbolic import SpongeChain, validate_digit_system
+from wtp.variational import SymbolDistribution, bernoulli_objective
 from wtp.weights import Exponents, exponents_from_bases, weights_from_exponents
 
 L32 = math.log(2) / math.log(3)
@@ -37,7 +45,7 @@ CARPET_Z0 = 1.0 + 2.0**L32
 
 def test_carpet_tables(carpet, carpet_exponents):
     table = kp_recursion(carpet, carpet_exponents)
-    assert table.levels[1] == {(0,): 2.0, (1,): 1.0}
+    assert table.tables[1] == {(0,): 2.0, (1,): 1.0}
     assert table.z0 == pytest.approx(CARPET_Z0, abs=1e-15)
 
 
@@ -111,8 +119,62 @@ def test_carpet_pressure_against_estimator(carpet, carpet_exponents):
 
 def test_window_two_rejected_in_closed_form(carpet, carpet_exponents):
     f = Potential(window=2, table={((0, 0), (0, 0)): 1.0})
-    with pytest.raises(WindowUnsupported):
+    uniform = SymbolDistribution(system=carpet, probs={d: 1 / 3 for d in carpet.sorted_digits})
+    message = "potentials wider than window 1 are estimator-only"
+    with pytest.raises(WindowUnsupported, match=message):
         closed_form(SpongeChain(carpet), carpet_exponents, f)
+    with pytest.raises(WindowUnsupported, match=message):
+        bernoulli_objective(carpet, carpet_exponents, uniform, f)
+    with pytest.raises(WindowUnsupported, match=message):
+        m_fold_potential(carpet, f, 2)
+
+
+def test_unrepresentable_z0_is_computation_error(unrepresentable_z0):
+    sys, f, message = unrepresentable_z0
+    a = exponents_from_bases(sys.bases)
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        kp_recursion(sys, a, f)
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        closed_form(SpongeChain(sys), a, f)
+
+
+def _brute_force_tables(sys, a, potential) -> list[dict]:
+    """Every prefix value by top-down recursion, summed in sorted order: a
+    length-(r-1) prefix sums exp f over its digits, a shorter one sums its
+    one-longer extensions raised to a_{r-j-1}."""
+    r = sys.rank
+    f = potential.table if potential is not None else {}
+
+    def value(prefix):
+        j = len(prefix)
+        below = [d for d in sys.sorted_digits if d[:j] == prefix]
+        if j == r - 1:
+            return sum(math.exp(f.get((d,), 0.0)) for d in below)
+        children = sorted({d[: j + 1] for d in below})
+        return sum(value(c) ** a.values[r - j - 2] for c in children)
+
+    return [{p: value(p) for p in sorted({d[:j] for d in sys.sorted_digits})} for j in range(r)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    weighted=st.booleans(),
+)
+def test_sponge_routes_share_tables_with_brute_force(seed, exponents, weighted):
+    rng = np.random.default_rng(seed)
+    sys = random_sponge(rng, max_rank=4, max_base=6, max_digits=40)
+    a = Exponents(tuple(exponents[: sys.rank - 1]))
+    f = None
+    if weighted:
+        f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits if rng.random() < 0.8})
+    recursion = kp_recursion(sys, a, f)
+    routed = closed_form(SpongeChain(sys), a, f)
+    assert (recursion.route, recursion.caveats) == ("sponge", ())
+    assert repr(routed) == repr(recursion)
+    assert routed.tables == recursion.tables == tuple(_brute_force_tables(sys, a, f))
+    assert recursion.tables[0] == {(): recursion.z0}
 
 
 def test_exponent_length_checked(carpet):

@@ -3,6 +3,9 @@
 Core claims:
     - digit-system validation catches empty sets, range violations, bad bases,
       and names the first bad digit that a per-digit loop would name
+    - constructors take integers and reals without lossy coercion: a float
+      or string where an integer belongs, a string where a real belongs, a
+      non-sequence digit and a malformed edge are ValidationErrors
     - prefix projection is surjective level to level
     - the subset automaton counts exactly the words brute-force path
       enumeration produces after label deduplication
@@ -28,6 +31,7 @@ from wtp.errors import (
     BasesNotSorted,
     DeadVertex,
     DigitOutOfRange,
+    DistributionInvalid,
     DuplicateLabelAtVertex,
     EmptyDigits,
     InadmissibleWord,
@@ -36,6 +40,7 @@ from wtp.errors import (
     ValidationError,
 )
 from wtp.sofic import build_count_matrices
+from wtp.sponge import Potential
 from wtp.symbolic import (
     LabeledGraph,
     SoficChain,
@@ -45,6 +50,7 @@ from wtp.symbolic import (
     preimage_count,
     validate_digit_system,
 )
+from wtp.variational import SymbolDistribution
 
 
 # -- validation ---------------------------------------------------------------
@@ -193,6 +199,46 @@ def test_bad_edge_is_named(edges, message):
     sys = validate_digit_system((2, 2), [(0, 0), (1, 1)])
     with pytest.raises(ValidationError, match=re.escape(message)):
         LabeledGraph(vertices=("a", "b"), edges=edges, system=sys)
+
+
+CARPET = validate_digit_system((2, 3), [(0, 0), (1, 1), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # lossy coercions: a float coordinate, base or letter was truncated
+        (lambda: validate_digit_system((2, 3), [(0.5, 0), (1, 2.9)]), ValidationError, "digit (0.5, 0)"),
+        (lambda: validate_digit_system((2.7, 3), [(0, 0)]), ValidationError, "bases (2.7, 3)"),
+        (lambda: Potential(window=1, table={((0.9, 1.2),): 1}), ValidationError, "potential letter (0.9, 1.2)"),
+        # untyped ValueError or TypeError
+        (lambda: validate_digit_system((2, 3), [(0, "a")]), ValidationError, "digit (0, 'a')"),
+        (lambda: validate_digit_system(("2", 3), [(0, 0)]), ValidationError, "bases ('2', 3)"),
+        (lambda: validate_digit_system((2, 3), [(0, 0), 5]), ValidationError, "digit 5"),
+        (lambda: Potential(window=1, table={(5,): 1.0}), ValidationError, "potential letter 5"),
+        (lambda: Potential(window=1, table={5: 1.0}), ValidationError, "table key 5"),
+        (
+            lambda: Potential(window=1, table={((0, 0),): "1.0"}),
+            ValidationError,
+            "potential value for ((0, 0),) is '1.0', not a real number",
+        ),
+        (
+            lambda: LabeledGraph(vertices=("a",), edges=(("a", "a"),), system=CARPET),
+            ValidationError,
+            "edge ('a', 'a') is not a (source, target, label) triple",
+        ),
+        (
+            lambda: SymbolDistribution(system=CARPET, probs={(0, 0): "0.5", (1, 1): 0.5}),
+            DistributionInvalid,
+            "probability for (0, 0) is '0.5', not a real number",
+        ),
+    ],
+)
+def test_constructors_take_integers_and_reals_without_coercing(build, error, message):
+    # integers pass through operator.index (numpy ints pass, floats and
+    # strings do not), reals only from numbers; the error names the value
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_digit_labels_as_lists_or_numpy_ints_are_accepted():

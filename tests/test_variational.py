@@ -16,6 +16,8 @@ Core claims:
       trace, best value on non-convergence), also when marginals fall below
       1e-300 or to 0; its value is `bernoulli_objective` on its maximizer
     - distributions keep their coercions and errors
+    - a Z_0 of 0 or inf is a ComputationError for the recursion maximizer
+      and the ascent
 """
 import itertools
 import math
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from wtp.checks import random_sponge
 from wtp.defaults import STALL_GAIN
-from wtp.errors import DidNotConverge, DistributionInvalid
+from wtp.errors import ComputationError, DidNotConverge, DistributionInvalid
 from wtp.sponge import Potential, kp_recursion
 from wtp.symbolic import validate_digit_system
 from wtp.variational import (
@@ -241,6 +243,15 @@ def test_grouped_marginals_match_dense_oracle(case):
         nz = q[q > 0]
         objective += w[i] * float(-np.sum(nz * np.log(nz)))
     assert bernoulli_objective(sys, a, dist).value == pytest.approx(objective, abs=1e-14)
+
+
+def test_unrepresentable_z0_is_computation_error(unrepresentable_z0):
+    sys, f, message = unrepresentable_z0
+    a = Exponents((0.5,))
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        optimal_measure_from_recursion(sys, a, f)
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        maximize_bernoulli(sys, a, f)
 
 
 def test_distribution_coerces_numpy_keys_and_values(carpet):
