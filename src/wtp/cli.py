@@ -462,6 +462,7 @@ def run(config: RunConfig, command: str) -> Report:
             config.potential,
             max_iters=config.max_iters,
             tolerance=config.tolerance,
+            closed_form=closed["h_a_nats"],
         )
         report.closed_form = closed
         report.variational = {

@@ -7,7 +7,9 @@ config and the sponge closed forms never load numpy.
 DEFAULT_BUDGET = 10**7  # level-2 words the estimator may enumerate per N
 DEFAULT_N_MAX = 12  # longest N of an estimate series
 MAX_ITERS = 100_000  # ascent iterations of maximize_bernoulli
-STALL_GAIN = 1e-12  # default tolerance: the ascent stops on a run of smaller gains
+# default tolerance: the ascent stops within it of the closed form, or, as a
+# fallback, after a run of 50 gains below it
+STALL_GAIN = 1e-12
 
 AMBIGUITY_WARNING = (
     "dimension ambiguity: the weighted entropy h (nats) and the quotient "

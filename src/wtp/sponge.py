@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -163,17 +164,18 @@ def _digit_table(sys: DigitSystem, potential: Potential | None) -> dict:
     """Length-(r-1) prefix sums over the digits, each digit e weighted by
     exp(f(e)) under a window-1 potential and by 1 without one."""
     digits = sys.sorted_digits
+    prefixes = map(itemgetter(slice(sys.rank - 1)), digits)
     if potential is None:
-        weights = itertools.repeat(1.0)
-    else:
-        try:
-            weights = list(map(math.exp, potential.letter_values(digits)))
-        except OverflowError:
-            for d in digits:  # names the first digit whose weight overflows
-                potential.weight((d,))
-            raise
+        # exact counts, in first-seen order: the floats of adding 1.0 per digit
+        return {prefix: float(count) for prefix, count in Counter(prefixes).items()}
+    try:
+        weights = list(map(math.exp, potential.letter_values(digits)))
+    except OverflowError:
+        for d in digits:  # names the first digit whose weight overflows
+            potential.weight((d,))
+        raise
     table: dict[Digit, float] = {}
-    for prefix, weight in zip(map(itemgetter(slice(sys.rank - 1)), digits), weights):
+    for prefix, weight in zip(prefixes, weights):
         table[prefix] = table.get(prefix, 0.0) + weight
     return table
 

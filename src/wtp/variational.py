@@ -6,6 +6,15 @@ measure entropies is an explicit concave function of the symbol
 distribution.  The maximizer is found two independent ways: in closed form
 from the contraction tables, and by exponentiated-gradient ascent.
 
+The ascent takes the constant step 1.  With M_i the map to the level-i
+marginal, the objective's Bregman divergence is
+sum_i w_i KL(M_i x || M_i y) <= KL(x || y), by the data-processing inequality
+and sum_i w_i = 1, so the objective is 1-smooth relative to the entropy, and
+1 = 1/L is the safe constant step of exponentiated gradient (Lu, Freund and
+Nesterov, "Relatively smooth convex optimization by first-order methods",
+SIAM J. Optim. 2018).  It stops once its best value is within the tolerance
+of the closed form; a run of small gains stops it too, as a fallback.
+
 Each level marginal is a grouped sum over the digits' prefix indices, so an
 ascent iteration costs O(|D|) per level.  Its rounding differs from a dense
 0/1 matrix product, so values may differ from such an evaluation in the
@@ -17,8 +26,8 @@ both, which gives the same bits as taking them apart.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -49,6 +58,7 @@ class SymbolDistribution:
             {tuple}.issuperset(map(type, probs))
             and {int}.issuperset(map(type, itertools.chain.from_iterable(probs)))
             and {float}.issuperset(map(type, values))
+            and all(map(math.isfinite, values))
             and self.system.digits.issuperset(probs)
             and min(values, default=0.0) >= -PROB_TOL
         ):
@@ -60,6 +70,8 @@ class SymbolDistribution:
                 if key not in self.system.digits:
                     raise DistributionInvalid(f"{key} is not a digit of the system")
                 p = _real(p, f"probability for {key}", DistributionInvalid)
+                if not math.isfinite(p):
+                    raise DistributionInvalid(f"non-finite probability {p} for {key}")
                 if p < -PROB_TOL:
                     raise DistributionInvalid(f"negative probability {p} for {key}")
                 clean[key] = p
@@ -89,16 +101,21 @@ def _marginal_groups(sys: DigitSystem) -> list[tuple[np.ndarray, int]]:
 
     The level-i marginal of p is the grouped sum
     `np.bincount(group, weights=p, minlength=k)`, and pulling a per-prefix
-    vector x back to the digits is the gather `x[group]`.
+    vector x back to the digits is the gather `x[group]`.  The digits are
+    sorted, so each prefix is a run of them: a digit starts a new length-j
+    run exactly when the first coordinate where it differs from the digit
+    before is below j, and the index is the count of run starts before it.
     """
     digits = sys.sorted_digits
+    n, r = len(digits), sys.rank
+    coords = np.fromiter(itertools.chain.from_iterable(digits), dtype=np.intp, count=n * r)
+    coords = coords.reshape(n, r)
+    first_change = (coords[1:] != coords[:-1]).argmax(axis=1)
     groups = []
-    for level in range(1, sys.rank + 1):
-        j = sys.rank - level + 1
-        prefixes = sys.prefixes(j)
-        pos = dict(zip(prefixes, range(len(prefixes))))
-        heads = map(pos.__getitem__, map(itemgetter(slice(j)), digits))
-        groups.append((np.fromiter(heads, dtype=np.intp, count=len(digits)), len(prefixes)))
+    for level in range(1, r + 1):
+        group = np.zeros(n, dtype=np.intp)
+        np.cumsum(first_change < r - level + 1, out=group[1:])
+        groups.append((group, int(group[-1]) + 1))
     return groups
 
 
@@ -195,14 +212,19 @@ def maximize_bernoulli(
     max_iters: int = MAX_ITERS,
     tolerance: float = STALL_GAIN,
     trace: list | None = None,
+    closed_form: float | None = None,
 ) -> tuple[SymbolDistribution, VariationalValue]:
     """Exponentiated-gradient ascent on the simplex, uniform start.
 
-    Step size 0.5 / (1 + t/100); stops after 50 consecutive iterations whose
-    gain is below `tolerance`.  The returned value never exceeds log Z_0 by
-    more than 1e-9 (that bound is an internal assertion, not a convergence
-    failure); running out of iterations raises DidNotConverge with the best
-    point found.  Pass `trace` to record the per-iteration objective values.
+    Constant step 1, which is 1/L for this objective (see the module
+    docstring).  It stops as soon as the best value is within `tolerance` of
+    the closed form log Z_0, and otherwise after 50 consecutive iterations
+    whose gain is below `tolerance`.  Pass the closed form as `closed_form`
+    when it is at hand; without it, `kp_recursion` computes it.  The returned
+    value never exceeds log Z_0 by more than 1e-9 (that bound is an internal
+    assertion, not a convergence failure); running out of iterations raises
+    DidNotConverge with the best point found.  Pass `trace` to record the
+    per-iteration objective values.
 
     The returned value is the evaluation stored with the best iterate, its
     terms added left to right, so it equals `bernoulli_objective` on the
@@ -213,7 +235,8 @@ def maximize_bernoulli(
     groups = _marginal_groups(sys)
     fvec = _potential_vector(sys, potential)
     potential_slope = w[0] * fvec
-    closed_form = kp_recursion(sys, a, potential).h_a_nats
+    if closed_form is None:
+        closed_form = kp_recursion(sys, a, potential).h_a_nats
 
     def evaluate(p: np.ndarray):
         """The objective at p, its terms for `_value`, and the per-level logs
@@ -237,10 +260,16 @@ def maximize_bernoulli(
     if trace is not None:
         trace.append(best)
     stall = 0
-    for it in range(max_iters):
+    iters = 0
+    while closed_form - best > tolerance and stall < STALL_SPAN:
+        if iters == max_iters:
+            dist = SymbolDistribution(system=sys, probs=dict(zip(digits, best_p.tolist())))
+            raise DidNotConverge(
+                f"no convergence in {max_iters} iterations", best_value=best, best_distribution=dist
+            )
+        iters += 1
         g = gradient(logs)
-        eta = 0.5 / (1.0 + it / 100.0)
-        q = p * np.exp(eta * (g - g.max()))
+        q = p * np.exp(g - g.max())
         q = q / q.sum()
         value, terms, logs = evaluate(q)
         if trace is not None:
@@ -256,11 +285,5 @@ def maximize_bernoulli(
         if value > best:
             best, best_terms, best_p = value, terms, q
         p = q
-        if stall >= STALL_SPAN:
-            break
     dist = SymbolDistribution(system=sys, probs=dict(zip(digits, best_p.tolist())))
-    if stall < STALL_SPAN:
-        raise DidNotConverge(
-            f"no convergence in {max_iters} iterations", best_value=best, best_distribution=dist
-        )
     return dist, _value(w, *best_terms)

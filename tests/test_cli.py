@@ -19,6 +19,8 @@ Core claims:
       sofic `dimension` under any potential, or on unaligned count
       matrices, exits 2 with one "closed form unavailable" line
     - a window-2 config is estimated from N = 2
+    - `variational` takes the ascent's bound from its closed form, so it
+      contracts the digit table once for it
     - numeric report fields reproduce pinned values bit for bit
 """
 import json
@@ -30,7 +32,7 @@ import time
 
 import pytest
 
-from wtp import estimator
+from wtp import estimator, sponge, variational
 from wtp.cli import main, parse_config, run
 from wtp.errors import DigitOutOfRange, ParseError, UnsupportedCombination
 from wtp.sofic import golden_mean_chain
@@ -530,6 +532,24 @@ def test_variational_on_carpet():
     assert report.variational["value"] == pytest.approx(
         report.closed_form["h_a_nats"], abs=1e-6
     )
+
+
+def test_variational_contracts_once_for_its_bound(monkeypatch):
+    # one contraction for the closed form and one for the Hausdorff
+    # dimension; the ascent takes its bound from the closed form
+    contractions = []
+    kp_recursion = sponge.kp_recursion
+
+    def counted(*args, **kwargs):
+        contractions.append(args)
+        return kp_recursion(*args, **kwargs)
+
+    monkeypatch.setattr(sponge, "kp_recursion", counted)
+    monkeypatch.setattr(variational, "kp_recursion", counted)
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        report = run(parse_config(fh.read()), "variational")
+    assert len(contractions) == 2
+    assert report.variational["gap_to_closed_form"] <= 1e-6
 
 
 def test_variational_on_sofic_rejected():
