@@ -13,40 +13,39 @@ One walk over the bottom automaton builds the transfer matrices and, for
 window-k potentials, the max-plus tails of the windows that overhang the
 word end.  The series starts at N = k, the first length holding a window.
 
-Every level-2 word is enumerated, by one of three routes chosen from the
-input.  Without a potential a word's weight is its count of bottom words, an
-exact integer, and so is every product and partial sum on the way: any
-grouping of the products gives the same bits.  So all counts come from one
-product of the prefix DP vectors of the first N // 2 positions with the
-suffix vectors of the others, about 2 |A_2|^N states flops in one matrix
-product.  When the bottom DP has one state (every sponge, and a sofic chain
-whose follower automaton has one state) a count is a scalar prefix count
-times a scalar suffix count, and both sides repeat a handful of values: each
-distinct product is formed, rounded and raised to a_1 once, and the powers
-are laid out by word.  That keeps the bits of the general route because each
-distinct product is the same exact integer, rounded once by the same blocked
-product, and numpy's `**` gives one value for one input wherever it sits in
-an array.  Float weights of a potential depend on the order of their
-products, so they keep the blocked DP, which fixes that order: it runs over
-blocks of at most about BLOCK entries (words x states), the first positions
-of a word as one array, the later ones depth first.  Every route gives the
-same bits under any BLAS thread count.  Only the per-word weights are held
-whole, so memory is about 8 bytes per level-2 word, plus O(|A_2|^ceil(N/2) *
-states) for the count vectors or O((N - q) * BLOCK) for the DP buffers, q
-being the positions in a block.  The nested groupings then run over those
-weights in chunks, in word order, so results are independent of block sizes
-and of any worker scheduling.  A budget caps the number of enumerated words;
-a series checks it for every N before it counts the first.  Counts stay
-integer-exact: float64 carries them while the largest possible count fits a
-52-bit mantissa, otherwise Python ints are, about BLOCK at a time, until
-each is rounded to a float for the first exponentiation; a count past float
-range is a ComputationError naming N.  Float weights that overflow are not
-dropped (NaN ** 0 still counts a word); an S_N that is not finite is a
-ComputationError naming N.
+Every level-2 word is enumerated, by a route chosen from the input.  Without
+a potential a word's weight is its count of bottom words, an exact integer,
+and so is every product and partial sum on the way: any grouping of the
+products gives the same bits.  So all counts come from one product of the
+prefix DP vectors of the first N // 2 positions with the suffix vectors of
+the others, about 2 |A_2|^N states flops in one matrix product.  When the
+bottom DP has one state (every sponge, and a sofic chain whose follower
+automaton has one state) a count is a scalar prefix count times a scalar
+suffix count, and both sides repeat a handful of values: each distinct
+product is formed, rounded and raised to a_1 once, and the powers are laid
+out by word.  That keeps the bits of the general route because each distinct
+product is the same exact integer, rounded once by the same blocked product,
+and numpy's `**` gives one value for one input wherever it sits in an array.
+Float weights of a potential take the same prefix x suffix product when the
+bottom DP has several states; a BLAS product fixes no order of its sums, so
+such a weight may differ from another grouping's in its last bits (each lies
+within the forward error bound of nonnegative sums).  Over one state a
+weight is the left-to-right product of per-letter scalars, each step rounded
+once, built in place in the output array.  Only the per-word weights are
+held whole, so memory is about 8 bytes per level-2 word, plus
+O(|A_2|^ceil(N/2) * states) for the prefix and suffix vectors.  The nested
+groupings then run over those weights in chunks, in word order, so results
+are independent of block sizes and of any worker scheduling.  A budget caps
+the number of enumerated words; a series checks it for every N before it
+counts the first.  Counts stay integer-exact: float64 carries them while the
+largest possible count fits a 52-bit mantissa, otherwise Python ints are,
+about BLOCK at a time, until each is rounded to a float for the first
+exponentiation; a count past float range is a ComputationError naming N.
+Float weights that overflow are not dropped (NaN ** 0 still counts a word);
+an S_N that is not finite is a ComputationError naming N.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,8 +63,7 @@ from .sponge import Potential
 from .symbolic import SoficChain
 from .weights import Exponents
 
-BLOCK = 2**16  # DP entries (words x states) computed as one array
-MIN_ROWS = 64  # fewest words in a block of the depth-first DP
+BLOCK = 2**16  # entries formed as one array: fold chunks, big-integer count blocks
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ class NestedCount:
 
     n: int
     log_value: float
-    potential: Potential | None = None
 
     @property
     def per_symbol(self) -> float:
@@ -198,59 +195,6 @@ def _tail_weight(state: int, windows, steps: int) -> float:
         raise ComputationError(f"exp of potential value {top} past the word end overflows a float") from None
 
 
-def _level2_weights(start, mats, tail, n: int) -> np.ndarray:
-    """Weight of every level-2 word of length n, by blocked depth-first DP.
-
-    Row k_1 + k_2 * base + ... + k_n * base**(n-1) holds the word
-    (k_1, ..., k_n): the first position is the least significant.  The first
-    q positions form one block of base**q DP vectors, computed all at once;
-    positions q+1..n are walked depth first with one buffer per depth, and
-    each leaf writes its weights into its slice of the result.
-
-    Every weight is the float that one single-threaded product over all rows
-    gives.  That needs care, because BLAS picks kernels by operand shape and
-    they round differently: a matrix-vector product rounds the last len % 4
-    rows of a call apart from the rest, and a product of few rows can run on
-    a small-matrix kernel.  So blocks get zero rows up to a multiple of four,
-    the last len % 4 weights are redone as the remainder of a call, and a
-    block has at least MIN_ROWS rows.  Word counts take `_count_weights`;
-    this DP is kept for them as its oracle in the tests.
-    """
-    base, states = len(mats), len(start)
-    q = 1
-    while q < n and (base**q < MIN_ROWS or base ** (q + 1) * states <= BLOCK):
-        q += 1
-    block = _prefix_vectors(start, mats, q)
-    if q == n:
-        return block.dot(tail)
-
-    width = len(block)
-    block = np.concatenate([block, np.zeros((-width % 4, states))])
-    buffers = [np.empty_like(block) for _ in range(n - q)]
-    scratch = np.empty(len(block))
-    weights = np.empty(base**n)
-
-    # outer positions q+1..n as odometer digits, the first varying slowest;
-    # a depth's buffer is recomputed only when its digit or one before changed
-    depth = n - q
-    prev = None
-    for digits in itertools.product(range(base), repeat=depth):
-        first = 0 if prev is None else next(t for t in range(depth) if digits[t] != prev[t])
-        for t in range(first, depth):
-            vectors = block if t == 0 else buffers[t - 1]
-            np.dot(vectors, mats[digits[t]].T, out=buffers[t])
-        prev = digits
-        offset = width * sum(k * base**t for t, k in enumerate(digits))
-        np.dot(buffers[-1], tail, out=scratch)
-        weights[offset : offset + width] = scratch[:width]
-    rem = len(weights) % 4
-    if rem:
-        # the last leaf's rows are still in the deepest buffer
-        last = np.concatenate([np.zeros((4, states)), buffers[-1][width - rem : width]])
-        weights[-rem:] = last.dot(tail)[4:]
-    return weights
-
-
 def _prefix_vectors(start, mats, q: int) -> np.ndarray:
     """DP row vectors of all base**q words of length q, first position least significant."""
     block = start[None, :]
@@ -263,8 +207,8 @@ def _count_factors(start, mats, tail, n: int):
     """Prefix row vectors of the first n // 2 positions and suffix vectors of the others.
 
     Suffix j is tail . M_{k_n} ... M_{k_(h+1)}, position h+1 least
-    significant, so word (prefix i, suffix j) sits in row i + j * base**h,
-    the row order of `_level2_weights`.
+    significant, so word (prefix i, suffix j) sits in row i + j * base**h:
+    the first position is the least significant.
     """
     prefix = _prefix_vectors(start, mats, n // 2)
     suffix = tail[None, :]
@@ -274,7 +218,7 @@ def _count_factors(start, mats, tail, n: int):
 
 
 def _count_weights(start, mats, tail, n: int) -> np.ndarray:
-    """Word count of every level-2 word of length n, as one prefix x suffix product."""
+    """Weight of every level-2 word of length n, as one prefix x suffix product."""
     prefix, suffix = _count_factors(start, mats, tail, n)
     return _count_products(suffix, prefix, n).reshape(-1)
 
@@ -283,7 +227,8 @@ def _count_products(suffix, prefix, n: int) -> np.ndarray:
     """suffix . prefix.T rounded to float64, one row per suffix.
 
     Every product and partial sum of a count is an exact integer, so any
-    grouping, BLAS kernel or thread count gives the same bits.  Python-int
+    grouping, BLAS kernel or thread count gives the same bits; float
+    weights of a potential take the BLAS product as it rounds.  Python-int
     counts are multiplied in blocks of suffixes, about BLOCK counts each,
     and each block is rounded to floats at once, so only one block of
     products is alive at a time.
@@ -295,6 +240,32 @@ def _count_products(suffix, prefix, n: int) -> np.ndarray:
     out = np.empty((len(suffix), width))
     for j in range(0, len(suffix), step):
         out[j : j + step] = _floats(suffix[j : j + step].dot(prefix.T), n)
+    return out
+
+
+def _one_state_weights(mats, n: int) -> np.ndarray:
+    """Float weight of every level-2 word of length n over a one-state bottom.
+
+    The weight of (k_1, ..., k_n) is m_{k_1} * ... * m_{k_n}, multiplied
+    left to right, each product rounded once (the tail is 1: one state
+    holds no window history).  A letter of weight 0 zeroes the word even
+    after an overflow to inf, as a BLAS matrix-vector product skips a zero
+    entry, rather than making inf * 0 = NaN.  Words of length t - 1 fill the
+    front of the output; word (prefix, k) of length t goes to block k, the
+    front block last, so the array is extended in place.
+    """
+    scalars = [m[0, 0] for m in mats]
+    base = width = len(scalars)
+    out = np.empty(base**n)
+    out[:base] = scalars
+    for _ in range(n - 1):
+        for k in reversed(range(base)):
+            block = out[k * width : (k + 1) * width]
+            if scalars[k]:
+                np.multiply(out[:width], scalars[k], out=block)
+            else:
+                block[:] = 0.0
+        width *= base
     return out
 
 
@@ -372,19 +343,18 @@ def _fold(
     return out
 
 
-def _log_total(values: np.ndarray, exponent: float | None, n: int) -> float:
-    """log of the pairwise sum of values ** exponent over nonzero values (None: values as they are)."""
-    top = values[values != 0]
-    if exponent is not None:
-        top **= exponent
-    total = float(np.sum(top))
-    if total == 0:
-        raise ComputationError(
-            f"S_N = 0 at N = {n}: no admissible level-2 word of length {n} has a positive weight"
-        )
-    if not math.isfinite(total):
-        raise ComputationError(f"S_N at N = {n} is {total}: the weights overflow a float")
-    return math.log(total)
+def _admissible(chain: SoficChain, window: int, n: int) -> bool:
+    """Whether a level-2 word of length n has a positive weight in exact arithmetic.
+
+    Potential values are finite, so this asks only for an admissible word
+    whose windows past the end extend: the transfer matrices of a potential
+    that is 0 everywhere, their products reduced to 0/1 at each position.
+    """
+    start, mats, tail, _exact = _bottom_matrices(chain, Potential(window, {}), n)
+    step, reach = sum(mats), start
+    for _ in range(n):
+        reach = (step.dot(reach) > 0) * 1.0
+    return bool(reach.dot(tail) > 0)
 
 
 def _count_operands(chain: SoficChain, bottom, n: int):
@@ -401,26 +371,30 @@ def _count_operands(chain: SoficChain, bottom, n: int):
 def _word_weights(chain: SoficChain, bottom, n: int) -> np.ndarray:
     """Float weight of every level-2 word of length n from `_bottom_matrices`' output.
 
-    Word counts (no potential) take the prefix x suffix product, potential
-    weights the blocked DP.
+    Potential weights over a one-state bottom are left-to-right products of
+    scalars; word counts and multi-state potential weights take the prefix x
+    suffix product.
     """
     start, mats, tail, exact = bottom
-    if not exact:
-        return _level2_weights(start, mats, tail, n)
-    return _count_weights(*_count_operands(chain, bottom, n), n)
+    if exact:
+        start, mats, tail = _count_operands(chain, bottom, n)
+    elif len(start) == 1:
+        return _one_state_weights(mats, n)
+    return _count_weights(start, mats, tail, n)
 
 
-def _log_nested(chain: SoficChain, avals, bottom, n: int) -> float:
+def _log_nested(chain: SoficChain, avals, bottom, n: int, potential: Potential | None = None) -> float:
     """log S_N: the level-2 weights, folded upward through the exponents.
 
     Counts over a one-state bottom are raised to a_1 as distinct values
-    (`_one_state_powers`), other counts come from the prefix x suffix
-    product and potential weights from the blocked DP.
+    (`_one_state_powers`); other weights come from `_word_weights`.
+    `potential` is the one `bottom` was built with; it only names the cause
+    of an S_N of 0.
     """
     r = chain.rank
     exponents = list(avals)
     start, _mats, _tail, exact = bottom
-    # an overflow surfaces as a non-finite S_N, which _log_total raises as a
+    # an overflow surfaces as a non-finite S_N, raised below as a
     # ComputationError; numpy's warnings would only print ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
         if exact and len(start) == 1:
@@ -440,7 +414,23 @@ def _log_nested(chain: SoficChain, avals, bottom, n: int) -> float:
             powers = [size_hi**e for e in range(n)]
             multipliers = powers if lvl == 2 else powers[::-1]
             current = _fold(current, letter_proj, multipliers, exponents[lvl - 2], size_hi**n)
-        return _log_total(current, exponents[-1], n)
+        # pairwise sum of the top powers over nonzero values
+        top = current[current != 0]
+        if exponents[-1] is not None:
+            top **= exponents[-1]
+        total = float(np.sum(top))
+    if total == 0:
+        if potential is not None and _admissible(chain, potential.window, n):
+            raise ComputationError(
+                f"S_N = 0 at N = {n}: admissible level-2 words of length {n} exist, "
+                "but their weights underflow a float"
+            )
+        raise ComputationError(
+            f"S_N = 0 at N = {n}: no admissible level-2 word of length {n} has a positive weight"
+        )
+    if not math.isfinite(total):
+        raise ComputationError(f"S_N at N = {n} is {total}: the weights overflow a float")
+    return math.log(total)
 
 
 def nested_count(
@@ -458,7 +448,7 @@ def nested_count(
     if base**n > budget:
         raise ComplexityBudgetExceeded(base**n, budget)
     bottom = _bottom_matrices(chain, potential, n)
-    return NestedCount(n=n, log_value=_log_nested(chain, avals, bottom, n), potential=potential)
+    return NestedCount(n=n, log_value=_log_nested(chain, avals, bottom, n, potential))
 
 
 def entropy_estimate(
@@ -488,7 +478,7 @@ def entropy_estimate(
     bottom = _bottom_matrices(chain, potential, window)
     series = EstimateSeries()
     for n in range(window, n_max + 1):
-        series.append(n, _log_nested(chain, avals, bottom, n) / n)
+        series.append(n, _log_nested(chain, avals, bottom, n, potential) / n)
     return series
 
 

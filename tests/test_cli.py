@@ -7,7 +7,8 @@ Core claims:
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
     - exit codes: 0 ok, 1 validation, 2 computation, 3 failed invariants;
-      a chain with no admissible word of length N, an S_N that overflows
+      a chain with no admissible word of length N, weights that all
+      underflow to 0 (said so, not called inadmissible), an S_N that overflows
       (also inside one transfer-matrix cell), a sponge Z_0 of 0 or inf, or
       a word count past float range exits 2, not with a traceback or
       Infinity, and stderr holds only the error line; an estimate whose
@@ -23,6 +24,7 @@ Core claims:
       contracts the digit table once for it
     - numeric report fields reproduce pinned values bit for bit
 """
+import itertools
 import json
 import math
 import os
@@ -371,6 +373,44 @@ def test_empty_language_is_computation_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: S_N = 0 at N = 3:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "estimate"])
+@pytest.mark.parametrize("window", [1, 2])
+def test_underflowing_weights_are_named(tmp_path, capsys, command, window):
+    # every golden word is admissible, but each weight exp(-1e4) is 0.0, so S_1 is 0:
+    # the error names the underflow, not a missing word
+    with open(os.path.join(CONFIG_DIR, "golden_sofic.json")) as fh:
+        doc = json.load(fh)
+    labels = sorted({tuple(label) for _s, _t, label in doc["system"]["sofic"]["edges"]})
+    doc["potential"] = {"window": window, "table": [[[list(x) for x in word], -1e4]
+                                                    for word in itertools.product(labels, repeat=window)]}
+    path = tmp_path / "golden_underflow.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: S_N = 0 at N = {window}: admissible level-2 words of length {window} exist, "
+        "but their weights underflow a float\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["entropy", "estimate"])
+def test_empty_language_under_a_potential_is_not_an_underflow(tmp_path, capsys, command):
+    # the acyclic graph above with a potential: S_3 = 0 because no word of length 3 exists
+    doc = {
+        "system": {"sofic": {"bases": [2, 3], "vertices": list("012"),
+                             "edges": [["1", "0", [0, 0]], ["2", "1", [1, 2]]]}},
+        "exponents": "from-bases",
+        "potential": {"window": 1, "table": [[[[0, 0]], -1.0]]},
+    }
+    path = tmp_path / "acyclic.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: S_N = 0 at N = 3: no admissible level-2 word of length 3 has a positive weight\n"
+    )
 
 
 # exact repr strings of report numbers: the README promises bit-for-bit

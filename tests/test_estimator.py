@@ -11,8 +11,8 @@ Core claims:
     - counts survive the exact big-integer path when they exceed 2^52, and a
       count past float range is a ComputationError naming N
     - the enumeration budget and window preconditions are enforced
-    - the blocked depth-first DP gives the same floats as holding every
-      level-2 DP vector at once
+    - S_N keeps its bits when BLOCK splits the fold and the big-integer
+      count products into blocks of one or 500 entries
     - an overflowing tail weight is a ComputationError; NaN weights from
       overflow still count their word at exponent 0, and a non-finite S_N
       is a ComputationError, also when the sum in one transfer-matrix cell
@@ -367,7 +367,7 @@ def test_overflowing_transfer_matrix_cell_is_computation_error(golden):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_level2_weights_still_count_words(carpet_chain, carpet_exponents):
-    # two windows of 700 overflow a float, and inf * 0 in the DP makes NaN
+    # two windows of 700 overflow a float, and inf * 0 in the product makes NaN
     # weights; with a_1 = 0 each admissible level-2 word still counts once
     pot = Potential(window=2, table={((0, 0), (0, 0)): 700.0})
     for n in (2, 3, 4):
@@ -493,7 +493,7 @@ def _random_potential(rng, digits, window):
 
 
 def _blocked_cases(rng):
-    """(label, chain, exponents, potential, n) with at least two depth-first positions."""
+    """(label, chain, exponents, potential, n) with at least 64 * base**2 level-2 words."""
     chains = []
     for rank in (2, 3, 4):
         while True:
@@ -507,7 +507,7 @@ def _blocked_cases(rng):
     for label, chain in chains:
         base = len(chain.alphabet(2))
         n = 3
-        while base ** (n - 2) < estimator.MIN_ROWS:
+        while base ** (n - 2) < 64:
             n += 1
         vals = [float(x) for x in rng.uniform(0, 1, size=chain.rank - 1)]
         vals[int(rng.integers(len(vals)))] = 0.0  # an exponent of 0
@@ -522,32 +522,12 @@ def _blocked_cases(rng):
 
 @pytest.mark.parametrize("block", [1, 500])
 def test_blocked_dp_matches_all_at_once(monkeypatch, rng, block):
-    """A small BLOCK walks most positions depth first; the reference holds
-    every level-2 DP vector at once.  The floats must agree bit for bit."""
+    """A small BLOCK splits the fold into many chunks and the big-integer
+    count products into blocks of few suffixes; the reference takes each as
+    one array.  The floats must agree bit for bit."""
     for label, chain, a, pot, n in _blocked_cases(rng):
-        assert len(chain.alphabet(2)) ** (n - 2) >= estimator.MIN_ROWS, label
         monkeypatch.setattr(estimator, "BLOCK", 2**62)
         whole = nested_count(chain, a, pot, n).log_value
         monkeypatch.setattr(estimator, "BLOCK", block)
         blocked = nested_count(chain, a, pot, n).log_value
         assert repr(blocked) == repr(whole), label
-
-
-@pytest.mark.parametrize("block", [1, 500])
-def test_blocked_weights_match_all_at_once(monkeypatch, rng, block):
-    """Per-word weights, compared as arrays, on window-2 DPs of 5..36 states."""
-    digits = sorted(rng.choice(36, size=35, replace=False))
-    wide = validate_digit_system((3, 12), [(int(d) // 12, int(d) % 12) for d in digits])
-    chains = [SpongeChain(wide)] + [_random_graph_chain(rng, (3, 4), k, 10) for k in (3, 5)]
-    for chain in chains:
-        pot = _random_potential(rng, chain.system.sorted_digits, 2)
-        base = len(chain.alphabet(2))
-        for n in range(3, 8):
-            if base ** (n - 2) < estimator.MIN_ROWS or base**n > 2500:
-                continue
-            start, mats, tail, _exact = estimator._bottom_matrices(chain, pot, n)
-            monkeypatch.setattr(estimator, "BLOCK", 2**62)
-            whole = estimator._level2_weights(start, mats, tail, n)
-            monkeypatch.setattr(estimator, "BLOCK", block)
-            blocked = estimator._level2_weights(start, mats, tail, n)
-            assert blocked.tobytes() == whole.tobytes(), (len(start), n)

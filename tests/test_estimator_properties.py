@@ -3,11 +3,21 @@
 Core claims:
     - on random small sponges and sofic graphs of rank 2 and 3, N <= 4 and
       random exponents, nested_count equals the nested sum over explicitly
-      enumerated words, with the default blocks and with one-word blocks
+      enumerated words, with the default blocks and with BLOCK = 1
     - word counts from the prefix x suffix product are byte-equal to the
-      blocked DP's (the oracle) on float-carried counts, N <= 6, dead-end
-      vertices included, and equal the floats of brute-force Python-int
-      counts on the big-integer path, at one-suffix blocks too
+      whole DP's (the oracle: every level-2 DP vector at once, then the
+      tail) on float-carried counts, N <= 6, dead-end vertices included,
+      and equal the floats of brute-force Python-int counts on the
+      big-integer path, at one-suffix blocks too
+    - one-state potential weights (window-1 potentials on sponges of rank
+      2-4) are byte-equal to the whole DP's, through overflow to inf and
+      NaN and underflow to subnormals and 0
+    - multi-state potential weights (windows 1-3 on sofic graphs with
+      dead ends, windows 2-3 on sponges) have the whole DP's zero pattern
+      and lie within the forward error bound of nonnegative sums of it
+    - a potential's S_N of 0 is called an underflow only when a bottom word
+      of length N plus the window's overhang exists (brute force, dead
+      ends included)
     - at max_fiber**N == 2**52 (the last float-carried N) and one N above,
       counts are the floats of the exact Python-int products
     - on one-state bottoms (sponges, rank 2-4, N <= 6, float-carried and
@@ -29,6 +39,7 @@ from hypothesis import strategies as st
 
 from wtp import estimator
 from wtp.estimator import nested_count
+from wtp.sponge import Potential
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents
 
@@ -108,9 +119,14 @@ def test_nested_count_matches_brute_force_words(chain, n, data):
     a = Exponents(tuple(data.draw(st.lists(st.floats(0, 1), min_size=chain.rank - 1, max_size=chain.rank - 1))))
     expected = _brute_nested_count(chain, a, n)
     assert nested_count(chain, a, n=n).log_value == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    # one-word blocks: every position after the first is walked depth first
-    with mock.patch.object(estimator, "BLOCK", 1), mock.patch.object(estimator, "MIN_ROWS", 1):
+    # BLOCK = 1: the fold's smallest chunks, one suffix per big-integer block
+    with mock.patch.object(estimator, "BLOCK", 1):
         assert nested_count(chain, a, n=n).log_value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def _whole_dp(start, mats, tail, n):
+    """Oracle: the DP vectors of every level-2 word at once, position by position, then the tail."""
+    return estimator._prefix_vectors(start, mats, n).dot(tail)
 
 
 def _float_bottom(chain, n):
@@ -121,11 +137,11 @@ def _float_bottom(chain, n):
 
 @settings(max_examples=150, deadline=None)
 @given(chain=_small_chains(every_length=False), n=st.integers(1, 6))
-def test_count_product_matches_blocked_dp(chain, n):
+def test_count_product_matches_whole_dp(chain, n):
     """Float-carried counts: the product's weights are the DP's, byte for byte."""
     bottom = estimator._bottom_matrices(chain, None, n)
     weights = estimator._word_weights(chain, bottom, n)
-    oracle = estimator._level2_weights(*_float_bottom(chain, n), n)
+    oracle = _whole_dp(*_float_bottom(chain, n), n)
     assert weights.dtype == oracle.dtype == np.float64
     assert weights.tobytes() == oracle.tobytes()
 
@@ -258,3 +274,84 @@ def test_one_state_factor_boundary():
         powers = estimator._one_state_powers(one, mats, one, 2, 1.0)
         assert powers.tolist() == [float(f * f), float(3 * f), float(f * 3), 9.0]
         assert powers[1] == float(expected)
+
+
+_EXTREMES = [-1e4, -745.0, -744.0, -700.0, -1.0, 0.0, 1.0, 700.0, 709.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=_sponges(), n=st.integers(1, 6), data=st.data())
+def test_one_state_weights_match_whole_dp(chain, n, data):
+    """Window-1 potential weights over one state: each step of the
+    left-to-right product is rounded once, as in the DP, so the bytes agree,
+    also where a product overflows to inf, a zero prefix meets an infinite
+    letter (NaN), a zero letter meets an infinite prefix (0: the DP's
+    matrix-vector products skip zero entries), or a product underflows to a
+    subnormal or 0."""
+    while len(chain.alphabet(2)) ** n > 10**5:
+        n -= 1
+    value = st.one_of(st.sampled_from(_EXTREMES), st.floats(-800, 709))
+    table = {(d,): data.draw(value) for d in chain.system.sorted_digits if data.draw(st.booleans())}
+    start, mats, tail, exact = estimator._bottom_matrices(chain, Potential(1, table), n)
+    assert not exact and len(start) == 1
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        weights = estimator._word_weights(chain, (start, mats, tail, exact), n)
+        oracle = _whole_dp(start, mats, tail, n)
+    assert weights.tobytes() == oracle.tobytes()
+
+
+@st.composite
+def _weighted_multi_state(draw):
+    """(chain, potential) whose bottom DP may have several states: windows
+    1-3 on small sofic graphs, dead ends allowed, or windows 2-3 on sponges.
+    Values lie in [-3, 3], and some windows are missing (value 0)."""
+    if draw(st.booleans()):
+        chain, window = draw(_small_chains(every_length=False)), draw(st.integers(1, 3))
+    else:
+        chain, window = draw(_sponges()), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = itertools.product(chain.system.sorted_digits, repeat=window)
+    table = {w: float(rng.uniform(-3, 3)) for w in words if rng.random() < 0.8}
+    return chain, Potential(window, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_weighted_multi_state(), n=st.integers(1, 6))
+def test_multi_state_weights_within_forward_error_of_whole_dp(case, n):
+    """The prefix x suffix product and the whole DP group the same sums of
+    nonnegative products differently; neither underflows here.
+
+    Forward error: a dot product of d nonnegative terms, summed in any order
+    with or without fused multiply-adds, rounds each term at most d times,
+    so it is the exact sum of the terms scaled by factors in
+    [1 - g_d, 1 + g_d], g_k = k u / (1 - k u), u = 2**-53.  The DP takes n
+    such steps and a dot with the tail; the product takes n // 2 prefix
+    steps, n - n // 2 suffix steps and one dot between them.  With
+    (1 + g_j)(1 + g_k) <= 1 + g_(j+k), both are w (1 + t) with |t| <= g_K,
+    K = (n + 1) d, for the exact weight w of the same float matrices.  So
+    they differ by at most 2 g_K w <= 2 g_K / (1 - g_K) times the oracle,
+    and are 0 exactly where w is."""
+    chain, potential = case
+    n = max(n, potential.window)
+    if len(chain.alphabet(2)) ** n > 5000:
+        return
+    start, mats, tail, exact = estimator._bottom_matrices(chain, potential, n)
+    if len(start) == 1:
+        return
+    weights = estimator._word_weights(chain, (start, mats, tail, exact), n)
+    oracle = _whole_dp(start, mats, tail, n)
+    np.testing.assert_array_equal(weights == 0, oracle == 0)
+    u = 2.0**-53
+    k = (n + 1) * len(start)
+    g = k * u / (1 - k * u)
+    assert oracle[oracle > 0].min(initial=1.0) > 1e-300  # no underflow
+    assert np.all(np.abs(weights - oracle) <= 2 * g / (1 - g) * oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=_small_chains(every_length=False), window=st.integers(1, 3), n=st.integers(1, 4))
+def test_admissible_matches_brute_force_words(chain, window, n):
+    """A word of length n weighs more than 0 in exact arithmetic exactly when
+    some bottom word extends it by the window's overhang of window - 1 letters."""
+    n = max(n, window)
+    assert estimator._admissible(chain, window, n) == bool(_bottom_words(chain, n + window - 1))

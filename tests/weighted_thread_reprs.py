@@ -1,0 +1,43 @@
+"""Print repr(log S_N) of weighted nested counts whose bottom DP has several states.
+
+    PYTHONPATH=src python tests/weighted_thread_reprs.py
+
+Their level-2 weights are BLAS products, which fix no order of their sums, so
+CI runs this under 1 and under 2 BLAS threads and fails if the outputs
+differ.  The chains are window-2 potentials on sponges of the benchmark's
+window-2 shapes (rank 3 and rank 4, five level-2 letters, ten digits, N up
+to 8) and a window-3 potential on a 15-digit sponge, whose bottom DP has
+241 states, up to N = 11.
+"""
+import itertools
+import random
+
+from wtp import Potential, SpongeChain, exponents_from_bases, validate_digit_system
+from wtp.estimator import _bottom_matrices, nested_count
+
+
+def _sponge(rng, bases, letters, size):
+    """`size` digits spread over `letters` distinct level-2 letters."""
+    prefixes = rng.sample(list(itertools.product(*(range(m) for m in bases[:-1]))), letters)
+    digits = {p + (rng.randrange(bases[-1]),) for p in prefixes}
+    while len(digits) < size:
+        digits.add(rng.choice(prefixes) + (rng.randrange(bases[-1]),))
+    return sorted(digits)
+
+
+def main():
+    rng = random.Random(16)
+    cases = [("rank3-w2", (3, 4, 5), 5, 10, 2, 8), ("rank4-w2", (2, 3, 4, 5), 5, 10, 2, 8),
+             ("rank2-w3", (2, 8), 2, 15, 3, 11)]
+    for label, bases, letters, size, window, n_max in cases:
+        digits = _sponge(rng, bases, letters, size)
+        table = {w: rng.gauss(0.0, 1.0) for w in itertools.product(digits, repeat=window) if rng.random() < 0.5}
+        chain, potential = SpongeChain(validate_digit_system(bases, digits)), Potential(window, table)
+        states = len(_bottom_matrices(chain, potential, window)[0])
+        for n in range(window, n_max + 1):
+            value = nested_count(chain, exponents_from_bases(bases), potential, n).log_value
+            print(f"{label} states={states} N={n} {value!r}")
+
+
+if __name__ == "__main__":
+    main()
