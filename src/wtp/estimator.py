@@ -31,16 +31,24 @@ bottom DP has several states; a BLAS product fixes no order of its sums, so
 such a weight may differ from another grouping's in its last bits (each lies
 within the forward error bound of nonnegative sums).  Over one state a
 weight is the left-to-right product of per-letter scalars, each step rounded
-once, built in place in the output array.  Only the per-word weights are
-held whole, so memory is about 8 bytes per level-2 word, plus
+once.  One pass counts a whole series, and nested_count is its one-N case:
+the transfer matrices, the letter projections of each level and the fold's
+low-digit code tables are built once, and each N grows the prefix or the
+suffix vectors by one position, with the dot products of a fresh build in
+the same order, so every S_N keeps its bits.  Across N a series holds only
+the current prefix and suffix vectors, in one dtype; one-state weights of a
+potential are extended in place at the front of one array of |A_2|^n_max
+floats, whose pages fill as N grows.  Only the per-word weights are held
+whole, so memory is about 8 bytes per level-2 word, plus
 O(|A_2|^ceil(N/2) * states) for the prefix and suffix vectors.  The nested
 groupings then run over those weights in chunks, in word order, so results
 are independent of block sizes and of any worker scheduling.  A budget caps
 the number of enumerated words; a series checks it for every N before it
 counts the first.  Counts stay integer-exact: float64 carries them while the
-largest possible count fits a 52-bit mantissa, otherwise Python ints are,
-about BLOCK at a time, until each is rounded to a float for the first
-exponentiation; a count past float range is a ComputationError naming N.
+largest possible count fits a 52-bit mantissa, and Python ints, switched to
+once, after that, about BLOCK at a time, until each is rounded to a float
+for the first exponentiation; a count past float range is a
+ComputationError naming N.
 Float weights that overflow are not dropped (NaN ** 0 still counts a word);
 an S_N that is not finite is a ComputationError naming N.
 """
@@ -195,32 +203,30 @@ def _tail_weight(state: int, windows, steps: int) -> float:
         raise ComputationError(f"exp of potential value {top} past the word end overflows a float") from None
 
 
-def _prefix_vectors(start, mats, q: int) -> np.ndarray:
-    """DP row vectors of all base**q words of length q, first position least significant."""
-    block = start[None, :]
-    for _ in range(q):
-        block = np.concatenate([block.dot(m.T) for m in mats], axis=0)
-    return block
+def _grow(vectors: np.ndarray, mats, axis: int) -> np.ndarray:
+    """DP row vectors of one more position: vectors . m for each letter's m,
+    stacked along `axis`.  Prefix vectors take the transposed matrices and
+    axis 0, so the new position is the most significant; suffix vectors take
+    axis 1, so it is the least significant."""
+    return np.stack([vectors.dot(m) for m in mats], axis=axis).reshape(-1, vectors.shape[1])
 
 
-def _count_factors(start, mats, tail, n: int):
-    """Prefix row vectors of the first n // 2 positions and suffix vectors of the others.
+def _one_state_step(weights: np.ndarray, width: int, scalars) -> None:
+    """Extend the potential weights over a one-state bottom in weights[:width]
+    by one position, in place: block k becomes weights[:width] * m_k, the
+    front block last, so the new position is the most significant.
 
-    Suffix j is tail . M_{k_n} ... M_{k_(h+1)}, position h+1 least
-    significant, so word (prefix i, suffix j) sits in row i + j * base**h:
-    the first position is the least significant.
+    So a word's weight is the left-to-right product of its letters' scalars,
+    each step rounded once.  A letter of weight 0 zeroes its block even after
+    an overflow to inf, as a BLAS matrix-vector product skips a zero entry,
+    rather than making inf * 0 = NaN.
     """
-    prefix = _prefix_vectors(start, mats, n // 2)
-    suffix = tail[None, :]
-    for _ in range(n - n // 2):
-        suffix = np.stack([suffix.dot(m) for m in mats], axis=1).reshape(-1, len(tail))
-    return prefix, suffix
-
-
-def _count_weights(start, mats, tail, n: int) -> np.ndarray:
-    """Weight of every level-2 word of length n, as one prefix x suffix product."""
-    prefix, suffix = _count_factors(start, mats, tail, n)
-    return _count_products(suffix, prefix, n).reshape(-1)
+    for k in reversed(range(len(scalars))):
+        block = weights[k * width : (k + 1) * width]
+        if scalars[k]:
+            np.multiply(weights[:width], scalars[k], out=block)
+        else:
+            block[:] = 0.0
 
 
 def _count_products(suffix, prefix, n: int) -> np.ndarray:
@@ -243,45 +249,18 @@ def _count_products(suffix, prefix, n: int) -> np.ndarray:
     return out
 
 
-def _one_state_weights(mats, n: int) -> np.ndarray:
-    """Float weight of every level-2 word of length n over a one-state bottom.
-
-    The weight of (k_1, ..., k_n) is m_{k_1} * ... * m_{k_n}, multiplied
-    left to right, each product rounded once (the tail is 1: one state
-    holds no window history).  A letter of weight 0 zeroes the word even
-    after an overflow to inf, as a BLAS matrix-vector product skips a zero
-    entry, rather than making inf * 0 = NaN.  Words of length t - 1 fill the
-    front of the output; word (prefix, k) of length t goes to block k, the
-    front block last, so the array is extended in place.
-    """
-    scalars = [m[0, 0] for m in mats]
-    base = width = len(scalars)
-    out = np.empty(base**n)
-    out[:base] = scalars
-    for _ in range(n - 1):
-        for k in reversed(range(base)):
-            block = out[k * width : (k + 1) * width]
-            if scalars[k]:
-                np.multiply(out[:width], scalars[k], out=block)
-            else:
-                block[:] = 0.0
-        width *= base
-    return out
-
-
-def _one_state_powers(start, mats, tail, n: int, exponent: float) -> np.ndarray:
+def _one_state_powers(prefix, suffix, n: int, exponent: float) -> np.ndarray:
     """Count ** exponent of every level-2 word of length n over a one-state bottom.
 
     A count is then the product of a scalar prefix and a scalar suffix
     count, and both sides hold few distinct values.  Each distinct product
     is rounded to a float once and raised once, with numpy's `**` as in
     `_fold`, and the powers are laid out in the row order of
-    `_count_weights`.  numpy gives one value for one input wherever it sits
+    `_count_products`.  numpy gives one value for one input wherever it sits
     in an array, so every power has the bits that the general route
     computes for it.  Zero counts stay 0 and, as a_1 >= 0, every other
     power is at least 1, so the sums above skip the same words.
     """
-    prefix, suffix = _count_factors(start, mats, tail, n)
     p_vals, pinv = np.unique(prefix[:, 0], return_inverse=True)
     s_vals, sinv = np.unique(suffix[:, 0], return_inverse=True)
     table = _count_products(s_vals[:, None], p_vals[:, None], n)
@@ -310,36 +289,40 @@ def _digit_codes(letter_proj: np.ndarray, multipliers) -> np.ndarray:
     return codes
 
 
-def _fold(
-    values: np.ndarray, letter_proj: np.ndarray, multipliers, exponent: float | None, bins: int
-) -> np.ndarray:
+def _fold(values: np.ndarray, level: list, n: int, exponent: float | None, level2: bool) -> np.ndarray:
     """out[code(i)] += values[i] ** exponent over nonzero values, in index order.
 
-    With exponent None the values are already powers, added as they are.
-    `multipliers` gives each index digit's weight in the projected code,
-    most significant digit first.  Chunks of consecutive indices share their
-    high digits; adding each chunk in index order keeps every bin's
-    summation order that of one bincount over the whole array, without
-    whole-array masked copies or code arrays; a chunk without zeros is
-    added without a masked copy.
+    With exponent None the values are already powers, added as they are
+    (adding a zero leaves a bin's bits as they are).  `level` is [letter
+    projection, size of the level above, low codes, p]: chunks of |A|**p
+    consecutive indices share their n - p high digits, whose code picks a
+    view of `out`, every size_hi**(n - p)-th bin at level 2 (whose codes put
+    the index's least significant digit first) and a run of size_hi**p bins
+    above.  The low codes place the p low digits within that view, so they
+    do not depend on n: they grow here by one digit per N while p < n and
+    chunks stay within BLOCK.  Adding each chunk in index order keeps every
+    bin's summation order that of one bincount over the whole array.
     """
-    n = len(multipliers)
-    p = n
-    while p > 1 and len(letter_proj) ** p > BLOCK:
-        p -= 1
-    low = _digit_codes(letter_proj, multipliers[n - p :])
-    high = _digit_codes(letter_proj, multipliers[: n - p])
-    out = np.zeros(bins)
+    proj, size_hi, low, p = level
+    while p < n and (p == 0 or len(proj) ** (p + 1) <= BLOCK):
+        # the new digit is the most significant of the chunk index
+        low = (proj[:, None] + size_hi * low if level2 else proj[:, None] * size_hi**p + low).reshape(-1)
+        p += 1
+    level[2:] = low, p
+    powers = [size_hi**e for e in range(n - p)]
+    high = _digit_codes(proj, powers if level2 else powers[::-1])
+    out = np.zeros(size_hi**n)
+    bins = out.reshape(size_hi**p, -1).T if level2 else out.reshape(-1, size_hi**p)
     width = len(low)
     for h, code in enumerate(high):
-        chunk = values[h * width : (h + 1) * width]
-        codes = low
-        mask = chunk != 0
-        if not mask.all():
-            chunk, codes = chunk[mask], low[mask]
+        chunk, codes = values[h * width : (h + 1) * width], low
         if exponent is not None:
-            chunk = chunk ** exponent
-        np.add.at(out, codes + code, chunk)
+            # a bool array's nonzero is far cheaper than a float array's
+            nonzero = np.flatnonzero(chunk != 0)
+            if len(nonzero) < width:
+                chunk, codes = chunk.take(nonzero), low.take(nonzero)
+            chunk = chunk**exponent
+        np.add.at(bins[code], codes, chunk)
     return out
 
 
@@ -357,68 +340,65 @@ def _admissible(chain: SoficChain, window: int, n: int) -> bool:
     return bool(reach.dot(tail) > 0)
 
 
-def _count_operands(chain: SoficChain, bottom, n: int):
-    """start, mats, tail of a count bottom: floats while the largest possible
-    count fits a 52-bit mantissa, Python ints otherwise."""
-    start, mats, tail, _exact = bottom
-    max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
-    if max_fiber**n <= 2**52:
-        start, tail = start.astype(float), tail.astype(float)
-        mats = [m.astype(float) for m in mats]
-    return start, mats, tail
+def _level2_values(bottom, max_fiber: int, first: int, last: int, exponent: float):
+    """Yield (N, level-2 values, whether they are raised to `exponent`) for N = first..last.
 
-
-def _word_weights(chain: SoficChain, bottom, n: int) -> np.ndarray:
-    """Float weight of every level-2 word of length n from `_bottom_matrices`' output.
-
-    Potential weights over a one-state bottom are left-to-right products of
-    scalars; word counts and multi-state potential weights take the prefix x
-    suffix product.
+    `bottom` is `_bottom_matrices`' output.  Word counts and multi-state
+    potential weights are the product of the prefix DP vectors of the first
+    N // 2 positions with the suffix vectors of the others
+    (`_count_products`); counts over a one-state bottom are raised to a_1
+    as distinct values (`_one_state_powers`); potential weights over one
+    state are left-to-right products (`_one_state_step`), each N's built
+    from the last in place, so its values are a view that the next N
+    overwrites.  Each N grows the prefix or the suffix vectors by one
+    position, with the dot products of a fresh build in the same order, so
+    every value keeps its bits.  Counts ride in floats while max_fiber**N,
+    the largest possible count, fits a 52-bit mantissa, and switch once to
+    Python ints, which hold the same integers.
     """
     start, mats, tail, exact = bottom
-    if exact:
-        start, mats, tail = _count_operands(chain, bottom, n)
-    elif len(start) == 1:
-        return _one_state_weights(mats, n)
-    return _count_weights(start, mats, tail, n)
-
-
-def _log_nested(chain: SoficChain, avals, bottom, n: int, potential: Potential | None = None) -> float:
-    """log S_N: the level-2 weights, folded upward through the exponents.
-
-    Counts over a one-state bottom are raised to a_1 as distinct values
-    (`_one_state_powers`); other weights come from `_word_weights`.
-    `potential` is the one `bottom` was built with; it only names the cause
-    of an S_N of 0.
-    """
-    r = chain.rank
-    exponents = list(avals)
-    start, _mats, _tail, exact = bottom
-    # an overflow surfaces as a non-finite S_N, raised below as a
-    # ComputationError; numpy's warnings would only print ahead of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if exact and len(start) == 1:
-            current = _one_state_powers(*_count_operands(chain, bottom, n), n, exponents[0])
-            exponents[0] = None  # a_1 is spent: the first grouping adds the powers as they are
+    if len(start) == 1 and not exact:
+        # one state holds no window history, so start and tail are 1; every
+        # N's weights are built at the front of one array
+        scalars, base = [m[0, 0] for m in mats], len(mats)
+        weights = np.empty(base**last)
+        weights[0] = 1.0
+        for q in range(last):
+            _one_state_step(weights, base**q, scalars)
+            if q + 1 >= first:
+                yield q + 1, weights[: base ** (q + 1)], False
+        return
+    carried = exact and max_fiber**first <= 2**52  # exact counts carried in floats
+    if carried:
+        start, tail, mats = start.astype(float), tail.astype(float), [m.astype(float) for m in mats]
+    prefix, suffix, q, h = start[None, :], tail[None, :], 0, 0
+    for n in range(first, last + 1):
+        if carried and max_fiber**n > 2**52:
+            carried, mats = False, bottom[1]
+            prefix, suffix = (v.astype(np.int64).astype(object) for v in (prefix, suffix))
+        while q < n // 2:
+            prefix, q = _grow(prefix, [m.T for m in mats], 0), q + 1
+        while h < n - n // 2:
+            suffix, h = _grow(suffix, mats, 1), h + 1
+        if len(start) == 1:
+            yield n, _one_state_powers(prefix, suffix, n, exponent), True
         else:
-            current = _word_weights(chain, bottom, n)
+            yield n, _count_products(suffix, prefix, n).reshape(-1), False
 
-        # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out.
-        # Level-2 rows put the first position least significant; the codes of
-        # level 3 and above put it most significant.
-        for lvl in range(2, r):
-            coarse = {x: k for k, x in enumerate(chain.alphabet(lvl + 1))}
-            j = chain.prefix_length(lvl)
-            letter_proj = np.array([coarse[x[: j - 1]] for x in chain.alphabet(lvl)], dtype=np.int64)
-            size_hi = len(coarse)
-            powers = [size_hi**e for e in range(n)]
-            multipliers = powers if lvl == 2 else powers[::-1]
-            current = _fold(current, letter_proj, multipliers, exponents[lvl - 2], size_hi**n)
-        # pairwise sum of the top powers over nonzero values
-        top = current[current != 0]
-        if exponents[-1] is not None:
-            top **= exponents[-1]
-        total = float(np.sum(top))
+
+def _log_nested(chain: SoficChain, avals, levels, values, potential: Potential | None) -> float:
+    """log S_N for the next N of `values` (`_level2_values`), folded upward
+    through the exponents.  `potential` only names the cause of an S_N of 0."""
+    n, current, raised = next(values)
+    exponents = [None if raised else avals[0], *avals[1:]]  # raised: a_1 is spent
+    # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out
+    for i, level in enumerate(levels):
+        current = _fold(current, level, n, exponents[i], i == 0)
+    # pairwise sum of the top powers over nonzero values
+    top = current[current != 0]
+    if exponents[-1] is not None:
+        top **= exponents[-1]
+    total = float(np.sum(top))
     if total == 0:
         if potential is not None and _admissible(chain, potential.window, n):
             raise ComputationError(
@@ -433,6 +413,26 @@ def _log_nested(chain: SoficChain, avals, bottom, n: int, potential: Potential |
     return math.log(total)
 
 
+def _log_counts(chain: SoficChain, avals, bottom, first: int, last: int, potential: Potential | None) -> list:
+    """log S_N for N = first..last in one pass over the series.
+
+    The letter projections of each level are built once; the level-2 values
+    of each N are folded and dropped before the next N's are formed.
+    """
+    levels = []  # per level 2..r-1: [letter projection, size of the level above, low codes, p]
+    for lvl in range(2, chain.rank):
+        coarse = {x: k for k, x in enumerate(chain.alphabet(lvl + 1))}
+        j = chain.prefix_length(lvl)
+        proj = np.array([coarse[x[: j - 1]] for x in chain.alphabet(lvl)], dtype=np.int64)
+        levels.append([proj, len(coarse), np.zeros(1, dtype=np.int64), 0])
+    max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
+    values = _level2_values(bottom, max_fiber, first, last, avals[0])
+    # an overflow surfaces as a non-finite S_N, raised as a ComputationError;
+    # numpy's warnings would only print ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_log_nested(chain, avals, levels, values, potential) for _n in range(first, last + 1)]
+
+
 def nested_count(
     chain: SoficChain,
     a: Exponents,
@@ -440,7 +440,8 @@ def nested_count(
     n: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> NestedCount:
-    """S_N by full enumeration of level-2 words, nested exponent sums above."""
+    """S_N by full enumeration of level-2 words, nested exponent sums above:
+    the one-N series."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     avals = _check_exponents(chain, a)
@@ -448,7 +449,7 @@ def nested_count(
     if base**n > budget:
         raise ComplexityBudgetExceeded(base**n, budget)
     bottom = _bottom_matrices(chain, potential, n)
-    return NestedCount(n=n, log_value=_log_nested(chain, avals, bottom, n, potential))
+    return NestedCount(n=n, log_value=_log_counts(chain, avals, bottom, n, n, potential)[0])
 
 
 def entropy_estimate(
@@ -462,8 +463,8 @@ def entropy_estimate(
 
     S_N needs a whole window inside the word, so the series starts at the
     potential's window (N = 1 without a potential or with window 1).  Each
-    entry is the nested_count(N) value; the budget is checked for every N,
-    and the transfer matrices built once, before the first N is counted.
+    entry is the nested_count(N) value, from one pass over the series; the
+    budget is checked for every N before anything is built or counted.
     """
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")
@@ -477,8 +478,8 @@ def entropy_estimate(
         raise ComplexityBudgetExceeded(base**over, budget)
     bottom = _bottom_matrices(chain, potential, window)
     series = EstimateSeries()
-    for n in range(window, n_max + 1):
-        series.append(n, _log_nested(chain, avals, bottom, n, potential) / n)
+    for n, log_value in enumerate(_log_counts(chain, avals, bottom, window, n_max, potential), window):
+        series.append(n, log_value / n)
     return series
 
 

@@ -14,6 +14,8 @@ Core claims:
       Infinity, and stderr holds only the error line; an estimate whose
       n_max is past the budget exits 2 before it counts any N; a reader
       that closes stdout early gets one error line and exit 1
+    - a one-letter estimate to N = 2000, which the budget does not stop,
+      finishes within 5 s
     - a sofic closed form on a presentation that is not right-resolving
       carries a caveat that it counts paths; a right-resolving one does not
     - a sponge's dimensions are reported under a window-2 potential; a
@@ -655,9 +657,23 @@ def test_cli_budget_fails_before_counting(tmp_path, capsys, monkeypatch):
     def never(*_args):
         raise AssertionError("counted before the budget check")
 
-    monkeypatch.setattr(estimator, "_log_nested", never)
+    monkeypatch.setattr(estimator, "_bottom_matrices", never)
+    monkeypatch.setattr(estimator, "_level2_values", never)
     assert main(["estimate", "--config", str(path), "--n-max", "16"]) == 2
     assert f"enumeration needs {3**15} words, budget is {3**14}" in capsys.readouterr().err
+
+
+def test_cli_one_letter_series_to_n_2000_is_quick(tmp_path, capsys):
+    """One level-2 letter: the budget does not stop the series, and N = 1..2000
+    cost one DP position each (about 0.3 s on two vCPUs, where rebuilding
+    every N took 10 s)."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"system": {"sponge": {"bases": [2, 3, 4], "digits": [[0, 0, 0]]}},
+                                "exponents": "from-bases"}))
+    start = time.perf_counter()
+    assert main(["estimate", "--config", str(path), "--n-max", "2000"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert len(json.loads(capsys.readouterr().out)["estimate_series"]) == 2000
 
 
 def test_cli_n_max_flag_overrides(tmp_path, capsys):

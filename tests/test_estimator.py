@@ -23,10 +23,12 @@ Core claims:
       bits
     - the series starts at N = window; each row keeps the bits of
       nested_count at its N, and a budget overflow at any N raises before
-      the first N is counted
+      anything is built or counted
+    - a one-letter series to N = 2000 grows its DP by one position per N
 """
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,10 +447,22 @@ def test_series_budget_fails_before_counting(golden, monkeypatch):
         raise AssertionError("counted before the budget check")
 
     monkeypatch.setattr(estimator, "_bottom_matrices", never)
-    monkeypatch.setattr(estimator, "_log_nested", never)
+    monkeypatch.setattr(estimator, "_level2_values", never)
     with pytest.raises(ComplexityBudgetExceeded) as series:
         entropy_estimate(golden, a, n_max=16, budget=budget)
     assert str(series.value) == str(single.value) == f"enumeration needs {3**15} words, budget is {budget}"
+
+
+@pytest.mark.parametrize("bases, digit", [((2, 3), (0, 0)), ((2, 3, 4), (0, 0, 0))])
+def test_one_letter_series_grows_one_position_per_n(bases, digit):
+    """One level-2 letter: the budget never stops the series, and each N adds
+    one DP position rather than rebuilding N of them (S_N = 1 throughout)."""
+    chain = SpongeChain(validate_digit_system(bases, [digit]))
+    with mock.patch.object(estimator, "_grow", wraps=estimator._grow) as grow:
+        series = entropy_estimate(chain, exponents_from_bases(bases), n_max=2000)
+    assert [n for n, _v in series.entries] == list(range(1, 2001))
+    assert all(value == 0.0 for _n, value in series.entries)
+    assert grow.call_count <= 2000
 
 
 def test_block_chain_reproduces_matched_length(rng):

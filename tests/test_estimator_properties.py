@@ -4,14 +4,19 @@ Core claims:
     - on random small sponges and sofic graphs of rank 2 and 3, N <= 4 and
       random exponents, nested_count equals the nested sum over explicitly
       enumerated words, with the default blocks and with BLOCK = 1
-    - word counts from the prefix x suffix product are byte-equal to the
-      whole DP's (the oracle: every level-2 DP vector at once, then the
-      tail) on float-carried counts, N <= 6, dead-end vertices included,
-      and equal the floats of brute-force Python-int counts on the
-      big-integer path, at one-suffix blocks too
+    - every entropy_estimate entry is nested_count(N).log_value / N by repr,
+      or both raise the same typed error at the same N: sofic graphs with
+      dead ends, sponges with windows 0-3, weighted multi-state bottoms, and
+      fibers of 37 and 36 digits up to N = 17 (past 2**52)
+    - at every N of one pass, word counts from the prefix x suffix product
+      are byte-equal to the whole DP's (the oracle: every level-2 DP vector
+      at once, then the tail) on float-carried counts, N <= 6, dead-end
+      vertices included, and equal the floats of brute-force Python-int
+      counts on the big-integer path, switched to at N = 1, 2, 4 or 5, at
+      one-suffix blocks too
     - one-state potential weights (window-1 potentials on sponges of rank
-      2-4) are byte-equal to the whole DP's, through overflow to inf and
-      NaN and underflow to subnormals and 0
+      2-4), built in place from N to N + 1, are byte-equal to the whole DP's,
+      through overflow to inf and NaN and underflow to subnormals and 0
     - multi-state potential weights (windows 1-3 on sofic graphs with
       dead ends, windows 2-3 on sponges) have the whole DP's zero pattern
       and lie within the forward error bound of nonnegative sums of it
@@ -19,7 +24,9 @@ Core claims:
       of length N plus the window's overhang exists (brute force, dead
       ends included)
     - at max_fiber**N == 2**52 (the last float-carried N) and one N above,
-      counts are the floats of the exact Python-int products
+      counts are the floats of the exact Python-int products, and the pass
+      switches its dtype there once; past the switch, multi-state counts
+      above 2**53 are exact integers rounded once
     - on one-state bottoms (sponges, rank 2-4, N <= 6, float-carried and
       big-integer counts), the distinct-value route's level-2 powers and
       log S_N are byte-equal to the general route's, which the same bottom
@@ -34,14 +41,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtp import estimator
-from wtp.estimator import nested_count
+from wtp.errors import WtpError
+from wtp.estimator import entropy_estimate, nested_count
 from wtp.sponge import Potential
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
-from wtp.weights import Exponents
+from wtp.weights import Exponents, exponents_from_bases
 
 
 @st.composite
@@ -125,39 +133,100 @@ def test_nested_count_matches_brute_force_words(chain, n, data):
 
 
 def _whole_dp(start, mats, tail, n):
-    """Oracle: the DP vectors of every level-2 word at once, position by position, then the tail."""
-    return estimator._prefix_vectors(start, mats, n).dot(tail)
+    """Oracle: the DP vectors of every level-2 word at once, position by position
+    (the first position least significant), then the tail."""
+    block = start[None, :]
+    for _ in range(n):
+        block = np.concatenate([block.dot(m.T) for m in mats], axis=0)
+    return block.dot(tail)
 
 
-def _float_bottom(chain, n):
-    start, mats, tail, exact = estimator._bottom_matrices(chain, None, n)
-    assert exact
-    return start.astype(float), [m.astype(float) for m in mats], tail.astype(float)
+def _max_fiber(chain):
+    return max(len(f) for f in chain.fibers(1).values())
+
+
+def _series_values(bottom, max_fiber, first, last, exponent=1.0):
+    """[(N, level-2 values, raised)] of one pass; the values are copied, as
+    one-state potential weights are a view that the next N overwrites."""
+    values = estimator._level2_values(bottom, max_fiber, first, last, exponent)
+    return [(n, v.copy(), raised) for n, v, raised in values]
+
+
+def _general_route(bottom):
+    """The same bottom with a second, unreachable state, so its counts take the
+    general route.  The padding zeros have the bottom's dtype: np.pad would put
+    numpy int64 zeros into Python-int matrices, and sums with them overflow int64."""
+    start, mats, tail, exact = bottom
+    grow = lambda v: np.concatenate([v, np.zeros(1, dtype=v.dtype)])
+
+    def pad(m):
+        out = np.zeros((len(m) + 1, len(m) + 1), dtype=m.dtype)
+        out[:-1, :-1] = m
+        return out
+
+    return grow(start), [pad(m) for m in mats], grow(tail), exact
+
+
+def _product_route(bottom):
+    """A count bottom as the prefix x suffix product takes it: one-state bottoms padded."""
+    return _general_route(bottom) if len(bottom[0]) == 1 else bottom
 
 
 @settings(max_examples=150, deadline=None)
 @given(chain=_small_chains(every_length=False), n=st.integers(1, 6))
 def test_count_product_matches_whole_dp(chain, n):
-    """Float-carried counts: the product's weights are the DP's, byte for byte."""
-    bottom = estimator._bottom_matrices(chain, None, n)
-    weights = estimator._word_weights(chain, bottom, n)
-    oracle = _whole_dp(*_float_bottom(chain, n), n)
-    assert weights.dtype == oracle.dtype == np.float64
-    assert weights.tobytes() == oracle.tobytes()
+    """Float-carried counts: at every N of one pass, the product's weights are
+    the DP's, byte for byte."""
+    bottom = _product_route(estimator._bottom_matrices(chain, None, 1))
+    start, mats, tail, _exact = bottom
+    floats = start.astype(float), [m.astype(float) for m in mats], tail.astype(float)
+    series = _series_values(bottom, _max_fiber(chain), 1, n)
+    assert [m for m, _w, _r in series] == list(range(1, n + 1))
+    for m, weights, raised in series:
+        oracle = _whole_dp(*floats, m)
+        assert not raised and weights.dtype == oracle.dtype == np.float64
+        assert weights.tobytes() == oracle.tobytes()
+
+
+# max_fiber bounds the counts; a larger one moves the switch to Python ints
+# earlier: 2**53 from N = 1, 2**26 + 1 at N = 2, 8193 at N = 4, 2**11 at N = 5
+_SWITCHES = [2**53, 2**26 + 1, 8193, 2**11]
 
 
 @settings(max_examples=100, deadline=None)
-@given(chain=_small_chains(every_length=False), n=st.integers(1, 6), step=st.sampled_from([1, 3, 2**16]))
-def test_count_product_big_integers_match_brute_force(chain, n, step):
-    """Python-int counts (the big-integer path), in blocks of `step` entries."""
-    start, mats, tail, exact = estimator._bottom_matrices(chain, None, n)
-    assert exact and start.dtype == object
+@given(
+    chain=_small_chains(every_length=False),
+    n=st.integers(1, 6),
+    step=st.sampled_from([1, 3, 2**16]),
+    max_fiber=st.sampled_from(_SWITCHES),
+)
+def test_count_product_big_integers_match_brute_force(chain, n, step, max_fiber):
+    """Python-int counts (the big-integer path, switched to from floats at the
+    N that max_fiber sets), in blocks of `step` entries, at every N."""
+    bottom = _product_route(estimator._bottom_matrices(chain, None, 1))
     with mock.patch.object(estimator, "BLOCK", step):
-        weights = estimator._count_weights(start, mats, tail, n)
-    expected = np.zeros(len(chain.alphabet(2)) ** n)
-    for key, count in _brute_level2_counts(chain, n).items():
-        expected[key] = float(count)
-    assert weights.tobytes() == expected.tobytes()
+        series = _series_values(bottom, max_fiber, 1, n)
+    for m, weights, _raised in series:
+        expected = np.zeros(len(chain.alphabet(2)) ** m)
+        for key, count in _brute_level2_counts(chain, m).items():
+            expected[key] = float(count)
+        assert weights.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), states=st.integers(2, 3), letters=st.integers(1, 3), n=st.integers(3, 6))
+def test_counts_past_the_switch_are_exact_integers(seed, states, letters, n):
+    """Transfer matrices with entries up to 2**24: counts are float-carried
+    while max_fiber**N <= 2**52 (about N <= 2) and pass 2**53 soon after,
+    where only exact integer sums of the carried prefix and suffix vectors,
+    rounded once, give the floats of the whole DP in Python ints."""
+    rng = np.random.default_rng(seed)
+    mats = [np.array(rng.integers(0, 2**24, (states, states)).tolist(), dtype=object) for _ in range(letters)]
+    start = np.array([1] + [0] * (states - 1), dtype=object)
+    tail = np.array([1] * states, dtype=object)
+    max_fiber = max(int(m.sum(axis=0).max()) for m in mats)  # bounds every count: column sums multiply
+    for m, weights, _raised in _series_values((start, mats, tail, True), max_fiber, 1, n):
+        assert weights.tobytes() == _whole_dp(start, mats, tail, m).astype(float).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -168,12 +237,14 @@ def test_counts_at_the_float_threshold(n):
     digits = [(i, j) for i, size in enumerate(fibers) for j in range(size)]
     chain = SpongeChain(validate_digit_system((2, 8192), digits))
     assert max(fibers) ** 4 == 2**52
-    bottom = estimator._bottom_matrices(chain, None, n)
-    with mock.patch.object(estimator, "_count_weights", wraps=estimator._count_weights) as product:
-        weights = estimator._word_weights(chain, bottom, n)
-    assert product.call_args.args[0].dtype == (np.float64 if n == 4 else object)
-    expected = [float(math.prod(fibers[k] for k in word)) for word in itertools.product(range(2), repeat=n)]
-    assert weights.tolist() == expected
+    general = _general_route(estimator._bottom_matrices(chain, None, 1))
+    with mock.patch.object(estimator, "_count_products", wraps=estimator._count_products) as product:
+        series = _series_values(general, _max_fiber(chain), 1, n)
+    dtypes = [call.args[0].dtype for call in product.call_args_list]
+    assert dtypes == [np.float64] * min(n, 4) + [object] * (n - 4)
+    for m, weights, _raised in series:
+        expected = [float(math.prod(fibers[k] for k in word)) for word in itertools.product(range(2), repeat=m)]
+        assert weights.tolist() == expected
     if n == 5:  # 8191**5 is not a float: the rounding is float(int)'s
         assert expected[-1] != 8191**5 and expected[-1] == float(8191**5)
 
@@ -203,13 +274,6 @@ def _exponents(draw, chain):
     return Exponents(tuple(draw(st.lists(value, min_size=chain.rank - 1, max_size=chain.rank - 1))))
 
 
-def _general_route(bottom):
-    """The same bottom with a second, unreachable state, so its counts take the general route."""
-    start, mats, tail, exact = bottom
-    grow = lambda v: np.concatenate([v, np.zeros(1, dtype=v.dtype)])
-    return grow(start), [np.pad(m, (0, 1)) for m in mats], grow(tail), exact
-
-
 def _powers(weights, exponent):
     """weights ** exponent over nonzero weights, zeros kept: numpy's `**`, as in `_fold`."""
     out = weights.copy()
@@ -219,15 +283,19 @@ def _powers(weights, exponent):
 
 
 def _assert_routes_agree(chain, a, n):
-    bottom = estimator._bottom_matrices(chain, None, n)
+    """At every N of one pass, the distinct-value powers are the general
+    route's powers, and log S_N is the general route's and nested_count's."""
+    bottom = estimator._bottom_matrices(chain, None, 1)
     general = _general_route(bottom)
     assert len(bottom[0]) == 1 and len(general[0]) == 2
-    powers = estimator._one_state_powers(*estimator._count_operands(chain, bottom, n), n, a.values[0])
-    oracle = _powers(estimator._word_weights(chain, general, n), a.values[0])
-    assert powers.tobytes() == oracle.tobytes()
-    one_state = estimator._log_nested(chain, a.values, bottom, n)
-    assert repr(one_state) == repr(estimator._log_nested(chain, a.values, general, n))
-    assert repr(one_state) == repr(nested_count(chain, a, n=n).log_value)
+    a1, max_fiber = a.values[0], _max_fiber(chain)
+    one_state = _series_values(bottom, max_fiber, 1, n, a1)
+    for (m, powers, raised), (_m, weights, _r) in zip(one_state, _series_values(general, max_fiber, 1, n, a1)):
+        assert raised
+        assert powers.tobytes() == _powers(weights, a1).tobytes()
+    logs = estimator._log_counts(chain, a.values, bottom, 1, n, None)
+    assert list(map(repr, logs)) == list(map(repr, estimator._log_counts(chain, a.values, general, 1, n, None)))
+    assert list(map(repr, logs)) == [repr(nested_count(chain, a, n=m).log_value) for m in range(1, n + 1)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,6 +315,12 @@ def test_one_state_route_matches_general_route_on_big_integers(chain, n, data):
 _FACTORS = [0, 1, 3, 2**26 + 1, 2**53 - 1, 2**53, 2**53 + 1, 10**20 + 7, 2**60 + 12345]
 
 
+def _one_state_bottom(factors):
+    """Python-int 1x1 transfer matrices, one per level-2 letter."""
+    one = np.ones(1, dtype=object)
+    return one, [np.full((1, 1), f, dtype=object) for f in factors], one, True
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     fibers=st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3),
@@ -254,24 +328,21 @@ _FACTORS = [0, 1, 3, 2**26 + 1, 2**53 - 1, 2**53, 2**53 + 1, 10**20 + 7, 2**60 +
     exponent=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
 )
 def test_one_state_powers_match_brute_force_big_integers(fibers, n, exponent):
-    """Python-int 1x1 transfer matrices: each distinct product is formed as a
-    Python int and rounded once."""
-    one = np.ones(1, dtype=object)
-    mats = [np.full((1, 1), f, dtype=object) for f in fibers]
-    powers = estimator._one_state_powers(one, mats, one, n, exponent)
-    # row k_1 + k_2 * base + ...: the first position least significant
-    words = (reversed(w) for w in itertools.product(range(len(fibers)), repeat=n))
-    counts = np.array([float(math.prod(fibers[k] for k in w)) for w in words])
-    assert powers.tobytes() == _powers(counts, exponent).tobytes()
+    """Each distinct product is formed as a Python int (or an exact float
+    while max(fibers)**N <= 2**52) and rounded once, at every N of one pass."""
+    series = _series_values(_one_state_bottom(fibers), max(max(fibers), 1), 1, n, exponent)
+    for m, powers, raised in series:
+        # row k_1 + k_2 * base + ...: the first position least significant
+        words = (reversed(w) for w in itertools.product(range(len(fibers)), repeat=m))
+        counts = np.array([float(math.prod(fibers[k] for k in w)) for w in words])
+        assert raised and powers.tobytes() == _powers(counts, exponent).tobytes()
 
 
 def test_one_state_factor_boundary():
     """Rounding happens once, after the product: float(2**53 + 1) * 3.0 is
     3 * 2**53, but the count rounds to 3 * 2**53 + 4."""
-    one = np.ones(1, dtype=object)
     for f, expected in [(2**53, 3 * 2**53), (2**53 - 1, 3 * 2**53 - 4), (2**53 + 1, 3 * 2**53 + 4)]:
-        mats = [np.full((1, 1), f, dtype=object), np.full((1, 1), 3, dtype=object)]
-        powers = estimator._one_state_powers(one, mats, one, 2, 1.0)
+        [(_n, powers, _raised)] = _series_values(_one_state_bottom([f, 3]), f, 2, 2)
         assert powers.tolist() == [float(f * f), float(3 * f), float(f * 3), 9.0]
         assert powers[1] == float(expected)
 
@@ -292,12 +363,12 @@ def test_one_state_weights_match_whole_dp(chain, n, data):
         n -= 1
     value = st.one_of(st.sampled_from(_EXTREMES), st.floats(-800, 709))
     table = {(d,): data.draw(value) for d in chain.system.sorted_digits if data.draw(st.booleans())}
-    start, mats, tail, exact = estimator._bottom_matrices(chain, Potential(1, table), n)
+    bottom = estimator._bottom_matrices(chain, Potential(1, table), 1)
+    start, mats, tail, exact = bottom
     assert not exact and len(start) == 1
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        weights = estimator._word_weights(chain, (start, mats, tail, exact), n)
-        oracle = _whole_dp(start, mats, tail, n)
-    assert weights.tobytes() == oracle.tobytes()
+        for m, weights, _raised in _series_values(bottom, _max_fiber(chain), 1, n):
+            assert weights.tobytes() == _whole_dp(start, mats, tail, m).tobytes()
 
 
 @st.composite
@@ -335,17 +406,66 @@ def test_multi_state_weights_within_forward_error_of_whole_dp(case, n):
     n = max(n, potential.window)
     if len(chain.alphabet(2)) ** n > 5000:
         return
-    start, mats, tail, exact = estimator._bottom_matrices(chain, potential, n)
+    bottom = estimator._bottom_matrices(chain, potential, potential.window)
+    start, mats, tail, _exact = bottom
     if len(start) == 1:
         return
-    weights = estimator._word_weights(chain, (start, mats, tail, exact), n)
-    oracle = _whole_dp(start, mats, tail, n)
-    np.testing.assert_array_equal(weights == 0, oracle == 0)
-    u = 2.0**-53
-    k = (n + 1) * len(start)
-    g = k * u / (1 - k * u)
-    assert oracle[oracle > 0].min(initial=1.0) > 1e-300  # no underflow
-    assert np.all(np.abs(weights - oracle) <= 2 * g / (1 - g) * oracle)
+    for m, weights, _raised in _series_values(bottom, _max_fiber(chain), potential.window, n):
+        oracle = _whole_dp(start, mats, tail, m)
+        np.testing.assert_array_equal(weights == 0, oracle == 0)
+        u = 2.0**-53
+        k = (m + 1) * len(start)
+        g = k * u / (1 - k * u)
+        assert oracle[oracle > 0].min(initial=1.0) > 1e-300  # no underflow
+        assert np.all(np.abs(weights - oracle) <= 2 * g / (1 - g) * oracle)
+
+
+@st.composite
+def _series_cases(draw):
+    """(chain, exponents, potential, n_max): a sofic graph that may dead-end,
+    a sponge with a window 0-3 potential, or a weighted multi-state bottom.
+    Some potential values are extreme, so that weights overflow or underflow."""
+    kind = draw(st.sampled_from(["sofic", "sponge", "multi-state"]))
+    if kind == "multi-state":
+        chain, potential = draw(_weighted_multi_state())
+    else:
+        chain = draw(_small_chains(every_length=False) if kind == "sofic" else _sponges())
+        window = draw(st.integers(0, 3))
+        value = st.one_of(st.floats(-3, 3), st.sampled_from([-800.0, 400.0, 700.0]))
+        words = list(itertools.product(chain.system.sorted_digits, repeat=window))[:200]
+        potential = Potential(window, {w: draw(value) for w in words if draw(st.booleans())}) if window else None
+    first = potential.window if potential is not None else 1
+    n_max = first
+    while n_max < 8 and len(chain.alphabet(2)) ** (n_max + 1) <= 3000:
+        n_max += 1
+    return chain, _exponents(draw, chain), potential, n_max
+
+
+_WIDE = validate_digit_system((2, 64), [(0, j) for j in range(37)] + [(1, j) for j in range(36)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_series_cases())
+@example(case=(SpongeChain(_WIDE), exponents_from_bases(_WIDE.bases), None, 17))
+def test_series_entries_are_nested_counts(case):
+    """One pass over the series gives nested_count's bits at every N, or the
+    typed error that nested_count raises at the first N it raises at."""
+    chain, a, potential, n_max = case
+    expected, error = [], None
+    with np.errstate(under="ignore"):
+        for n in range(potential.window if potential is not None else 1, n_max + 1):
+            try:
+                expected.append(repr(nested_count(chain, a, potential, n).log_value / n))
+            except WtpError as exc:
+                error = exc
+                break
+        if error is None:
+            series = entropy_estimate(chain, a, potential, n_max=n_max)
+            assert [repr(value) for _n, value in series.entries] == expected
+        else:
+            with pytest.raises(type(error)) as raised:
+                entropy_estimate(chain, a, potential, n_max=n_max)
+            assert str(raised.value) == str(error)
 
 
 @settings(max_examples=100, deadline=None)

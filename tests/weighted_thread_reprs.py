@@ -7,13 +7,14 @@ CI runs this under 1 and under 2 BLAS threads and fails if the outputs
 differ.  The chains are window-2 potentials on sponges of the benchmark's
 window-2 shapes (rank 3 and rank 4, five level-2 letters, ten digits, N up
 to 8) and a window-3 potential on a 15-digit sponge, whose bottom DP has
-241 states, up to N = 11.
+241 states, up to N = 11.  Each case prints nested_count at every N, then
+the entropy_estimate series (log S_N / N), the one pass `wtp estimate` runs.
 """
 import itertools
 import random
 
 from wtp import Potential, SpongeChain, exponents_from_bases, validate_digit_system
-from wtp.estimator import _bottom_matrices, nested_count
+from wtp.estimator import _bottom_matrices, entropy_estimate, nested_count
 
 
 def _sponge(rng, bases, letters, size):
@@ -37,6 +38,8 @@ def main():
         for n in range(window, n_max + 1):
             value = nested_count(chain, exponents_from_bases(bases), potential, n).log_value
             print(f"{label} states={states} N={n} {value!r}")
+        for n, value in entropy_estimate(chain, exponents_from_bases(bases), potential, n_max=n_max).entries:
+            print(f"{label} series N={n} {value!r}")
 
 
 if __name__ == "__main__":
