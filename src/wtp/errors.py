@@ -88,10 +88,6 @@ class NotAligned(ClosedFormUnavailable):
     pass
 
 
-class UpperLevelsNotFullShift(ClosedFormUnavailable):
-    pass
-
-
 class DistributionInvalid(ValidationError):
     pass
 

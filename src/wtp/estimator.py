@@ -13,32 +13,29 @@ One walk over the bottom automaton builds the transfer matrices and, for
 window-k potentials, the max-plus tails of the windows that overhang the
 word end.  The series starts at N = k, the first length holding a window.
 
-Every level-2 word is enumerated, by a route chosen from the input.  Without
-a potential a word's weight is its count of bottom words, an exact integer,
-and so is every product and partial sum on the way: any grouping of the
-products gives the same bits.  So all counts come from one product of the
-prefix DP vectors of the first N // 2 positions with the suffix vectors of
-the others, about 2 |A_2|^N states flops in one matrix product.  When the
-bottom DP has one state (every sponge, and a sofic chain whose follower
-automaton has one state) a count is a scalar prefix count times a scalar
-suffix count, and both sides repeat a handful of values: each distinct
-product is formed, rounded and raised to a_1 once, and the powers are laid
-out by word.  That keeps the bits of the general route because each distinct
-product is the same exact integer, rounded once by the same blocked product,
-and numpy's `**` gives one value for one input wherever it sits in an array.
-Float weights of a potential take the same prefix x suffix product when the
-bottom DP has several states; a BLAS product fixes no order of its sums, so
-such a weight may differ from another grouping's in its last bits (each lies
-within the forward error bound of nonnegative sums).  Over one state a
-weight is the left-to-right product of per-letter scalars, each step rounded
-once.  One pass counts a whole series, and nested_count is its one-N case:
-the transfer matrices, the letter projections of each level and the fold's
-low-digit code tables are built once, and each N grows the prefix or the
-suffix vectors by one position, with the dot products of a fresh build in
-the same order, so every S_N keeps its bits.  Across N a series holds only
-the current prefix and suffix vectors, in one dtype; one-state weights of a
-potential are extended in place at the front of one array of |A_2|^n_max
-floats, whose pages fill as N grows.  Only the per-word weights are held
+Over one bottom DP state (every sponge, and a sofic chain whose follower
+automaton has one state) every level is a full shift, and a word's count,
+or its weight under a window-1 potential, is the product of its letters'.
+The nested sums then factor position by position, S_N = S_1^N exactly, so a
+series counts S_1 alone, by the route below at N = 1: log S_N is N log S_1,
+and log S_1 itself is each N's value per symbol and its Fekete bound.  An
+error in S_1 names N = 1, and no S_N overflows that S_1 does not.
+
+Over several states every level-2 word is enumerated.  Without a potential a
+word's weight is its count of bottom words, an exact integer, and so is
+every product and partial sum on the way: any grouping of the products
+gives the same bits.  So all counts come from one product of the prefix DP
+vectors of the first N // 2 positions with the suffix vectors of the others,
+about 2 |A_2|^N states flops in one matrix product.  Float weights of a
+potential take the same product; a BLAS product fixes no order of its sums,
+so such a weight may differ from another grouping's in its last bits (each
+lies within the forward error bound of nonnegative sums).  One pass counts
+a whole series, and nested_count is its one-N case: the transfer matrices,
+the letter projections of each level and the fold's low-digit code tables
+are built once, and each N grows the prefix or the suffix vectors by one
+position, with the dot products of a fresh build in the same order, so
+every S_N keeps its bits.  Across N a series holds only the current prefix
+and suffix vectors, in one dtype.  Only the per-word weights are held
 whole, so memory is about 8 bytes per level-2 word, plus
 O(|A_2|^ceil(N/2) * states) for the prefix and suffix vectors.  The nested
 groupings then run over those weights in chunks, in word order, so results
@@ -76,14 +73,14 @@ BLOCK = 2**16  # entries formed as one array: fold chunks, big-integer count blo
 
 @dataclass(frozen=True)
 class NestedCount:
-    """S_N held in the log domain (raw counts overflow floats quickly)."""
+    """S_N held in the log domain (raw counts overflow floats quickly).
+
+    per_symbol is log S_N / N; where S_N = S_1^N it is log S_1 itself.
+    """
 
     n: int
     log_value: float
-
-    @property
-    def per_symbol(self) -> float:
-        return self.log_value / self.n
+    per_symbol: float
 
 
 @dataclass
@@ -211,24 +208,6 @@ def _grow(vectors: np.ndarray, mats, axis: int) -> np.ndarray:
     return np.stack([vectors.dot(m) for m in mats], axis=axis).reshape(-1, vectors.shape[1])
 
 
-def _one_state_step(weights: np.ndarray, width: int, scalars) -> None:
-    """Extend the potential weights over a one-state bottom in weights[:width]
-    by one position, in place: block k becomes weights[:width] * m_k, the
-    front block last, so the new position is the most significant.
-
-    So a word's weight is the left-to-right product of its letters' scalars,
-    each step rounded once.  A letter of weight 0 zeroes its block even after
-    an overflow to inf, as a BLAS matrix-vector product skips a zero entry,
-    rather than making inf * 0 = NaN.
-    """
-    for k in reversed(range(len(scalars))):
-        block = weights[k * width : (k + 1) * width]
-        if scalars[k]:
-            np.multiply(weights[:width], scalars[k], out=block)
-        else:
-            block[:] = 0.0
-
-
 def _count_products(suffix, prefix, n: int) -> np.ndarray:
     """suffix . prefix.T rounded to float64, one row per suffix.
 
@@ -247,27 +226,6 @@ def _count_products(suffix, prefix, n: int) -> np.ndarray:
     for j in range(0, len(suffix), step):
         out[j : j + step] = _floats(suffix[j : j + step].dot(prefix.T), n)
     return out
-
-
-def _one_state_powers(prefix, suffix, n: int, exponent: float) -> np.ndarray:
-    """Count ** exponent of every level-2 word of length n over a one-state bottom.
-
-    A count is then the product of a scalar prefix and a scalar suffix
-    count, and both sides hold few distinct values.  Each distinct product
-    is rounded to a float once and raised once, with numpy's `**` as in
-    `_fold`, and the powers are laid out in the row order of
-    `_count_products`.  numpy gives one value for one input wherever it sits
-    in an array, so every power has the bits that the general route
-    computes for it.  Zero counts stay 0 and, as a_1 >= 0, every other
-    power is at least 1, so the sums above skip the same words.
-    """
-    p_vals, pinv = np.unique(prefix[:, 0], return_inverse=True)
-    s_vals, sinv = np.unique(suffix[:, 0], return_inverse=True)
-    table = _count_products(s_vals[:, None], p_vals[:, None], n)
-    nonzero = table != 0
-    table[nonzero] **= exponent
-    # row gathers: 2-D fancy indexing is slower
-    return table[:, pinv][sinv].reshape(-1)
 
 
 def _floats(counts: np.ndarray, n: int) -> np.ndarray:
@@ -289,18 +247,16 @@ def _digit_codes(letter_proj: np.ndarray, multipliers) -> np.ndarray:
     return codes
 
 
-def _fold(values: np.ndarray, level: list, n: int, exponent: float | None, level2: bool) -> np.ndarray:
+def _fold(values: np.ndarray, level: list, n: int, exponent: float, level2: bool) -> np.ndarray:
     """out[code(i)] += values[i] ** exponent over nonzero values, in index order.
 
-    With exponent None the values are already powers, added as they are
-    (adding a zero leaves a bin's bits as they are).  `level` is [letter
-    projection, size of the level above, low codes, p]: chunks of |A|**p
-    consecutive indices share their n - p high digits, whose code picks a
-    view of `out`, every size_hi**(n - p)-th bin at level 2 (whose codes put
-    the index's least significant digit first) and a run of size_hi**p bins
-    above.  The low codes place the p low digits within that view, so they
-    do not depend on n: they grow here by one digit per N while p < n and
-    chunks stay within BLOCK.  Adding each chunk in index order keeps every
+    `level` is [letter projection, size of the level above, low codes, p]:
+    chunks of |A|**p consecutive indices share their n - p high digits,
+    whose code picks a view of `out`, every size_hi**(n - p)-th bin at
+    level 2 (whose codes put the index's least significant digit first) and
+    a run of size_hi**p bins above.  The low codes place the p low digits
+    within that view, so they do not depend on n: they grow here by one
+    digit per N while p < n and chunks stay within BLOCK.  Adding each chunk in index order keeps every
     bin's summation order that of one bincount over the whole array.
     """
     proj, size_hi, low, p = level
@@ -316,13 +272,11 @@ def _fold(values: np.ndarray, level: list, n: int, exponent: float | None, level
     width = len(low)
     for h, code in enumerate(high):
         chunk, codes = values[h * width : (h + 1) * width], low
-        if exponent is not None:
-            # a bool array's nonzero is far cheaper than a float array's
-            nonzero = np.flatnonzero(chunk != 0)
-            if len(nonzero) < width:
-                chunk, codes = chunk.take(nonzero), low.take(nonzero)
-            chunk = chunk**exponent
-        np.add.at(bins[code], codes, chunk)
+        # a bool array's nonzero is far cheaper than a float array's
+        nonzero = np.flatnonzero(chunk != 0)
+        if len(nonzero) < width:
+            chunk, codes = chunk.take(nonzero), low.take(nonzero)
+        np.add.at(bins[code], codes, chunk**exponent)
     return out
 
 
@@ -340,34 +294,19 @@ def _admissible(chain: SoficChain, window: int, n: int) -> bool:
     return bool(reach.dot(tail) > 0)
 
 
-def _level2_values(bottom, max_fiber: int, first: int, last: int, exponent: float):
-    """Yield (N, level-2 values, whether they are raised to `exponent`) for N = first..last.
+def _level2_values(bottom, max_fiber: int, first: int, last: int):
+    """Yield (N, level-2 values) for N = first..last.
 
-    `bottom` is `_bottom_matrices`' output.  Word counts and multi-state
-    potential weights are the product of the prefix DP vectors of the first
-    N // 2 positions with the suffix vectors of the others
-    (`_count_products`); counts over a one-state bottom are raised to a_1
-    as distinct values (`_one_state_powers`); potential weights over one
-    state are left-to-right products (`_one_state_step`), each N's built
-    from the last in place, so its values are a view that the next N
-    overwrites.  Each N grows the prefix or the suffix vectors by one
-    position, with the dot products of a fresh build in the same order, so
-    every value keeps its bits.  Counts ride in floats while max_fiber**N,
-    the largest possible count, fits a 52-bit mantissa, and switch once to
-    Python ints, which hold the same integers.
+    `bottom` is `_bottom_matrices`' output.  Word counts and potential
+    weights are the product of the prefix DP vectors of the first N // 2
+    positions with the suffix vectors of the others (`_count_products`).
+    Each N grows the prefix or the suffix vectors by one position, with the
+    dot products of a fresh build in the same order, so every value keeps
+    its bits.  Counts ride in floats while max_fiber**N, the largest
+    possible count, fits a 52-bit mantissa, and switch once to Python ints,
+    which hold the same integers.
     """
     start, mats, tail, exact = bottom
-    if len(start) == 1 and not exact:
-        # one state holds no window history, so start and tail are 1; every
-        # N's weights are built at the front of one array
-        scalars, base = [m[0, 0] for m in mats], len(mats)
-        weights = np.empty(base**last)
-        weights[0] = 1.0
-        for q in range(last):
-            _one_state_step(weights, base**q, scalars)
-            if q + 1 >= first:
-                yield q + 1, weights[: base ** (q + 1)], False
-        return
     carried = exact and max_fiber**first <= 2**52  # exact counts carried in floats
     if carried:
         start, tail, mats = start.astype(float), tail.astype(float), [m.astype(float) for m in mats]
@@ -380,24 +319,19 @@ def _level2_values(bottom, max_fiber: int, first: int, last: int, exponent: floa
             prefix, q = _grow(prefix, [m.T for m in mats], 0), q + 1
         while h < n - n // 2:
             suffix, h = _grow(suffix, mats, 1), h + 1
-        if len(start) == 1:
-            yield n, _one_state_powers(prefix, suffix, n, exponent), True
-        else:
-            yield n, _count_products(suffix, prefix, n).reshape(-1), False
+        yield n, _count_products(suffix, prefix, n).reshape(-1)
 
 
 def _log_nested(chain: SoficChain, avals, levels, values, potential: Potential | None) -> float:
     """log S_N for the next N of `values` (`_level2_values`), folded upward
     through the exponents.  `potential` only names the cause of an S_N of 0."""
-    n, current, raised = next(values)
-    exponents = [None if raised else avals[0], *avals[1:]]  # raised: a_1 is spent
+    n, current = next(values)
     # fold upward: a_1 groups level-2 under level-3 words, ..., a_{r-1} tops out
     for i, level in enumerate(levels):
-        current = _fold(current, level, n, exponents[i], i == 0)
+        current = _fold(current, level, n, avals[i], i == 0)
     # pairwise sum of the top powers over nonzero values
     top = current[current != 0]
-    if exponents[-1] is not None:
-        top **= exponents[-1]
+    top **= avals[-1]
     total = float(np.sum(top))
     if total == 0:
         if potential is not None and _admissible(chain, potential.window, n):
@@ -414,10 +348,13 @@ def _log_nested(chain: SoficChain, avals, levels, values, potential: Potential |
 
 
 def _log_counts(chain: SoficChain, avals, bottom, first: int, last: int, potential: Potential | None) -> list:
-    """log S_N for N = first..last in one pass over the series.
+    """NestedCount for N = first..last in one pass over the series.
 
     The letter projections of each level are built once; the level-2 values
-    of each N are folded and dropped before the next N's are formed.
+    of each N are folded and dropped before the next N's are formed.  Over
+    one bottom state S_N = S_1^N (see the module docstring), so only S_1 is
+    counted: log S_N is N log S_1, and log S_1 itself is every N's value
+    per symbol.
     """
     levels = []  # per level 2..r-1: [letter projection, size of the level above, low codes, p]
     for lvl in range(2, chain.rank):
@@ -426,11 +363,16 @@ def _log_counts(chain: SoficChain, avals, bottom, first: int, last: int, potenti
         proj = np.array([coarse[x[: j - 1]] for x in chain.alphabet(lvl)], dtype=np.int64)
         levels.append([proj, len(coarse), np.zeros(1, dtype=np.int64), 0])
     max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
-    values = _level2_values(bottom, max_fiber, first, last, avals[0])
+    one_state = len(bottom[0]) == 1
+    values = _level2_values(bottom, max_fiber, 1 if one_state else first, 1 if one_state else last)
     # an overflow surfaces as a non-finite S_N, raised as a ComputationError;
     # numpy's warnings would only print ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
-        return [_log_nested(chain, avals, levels, values, potential) for _n in range(first, last + 1)]
+        if one_state:
+            log_s1 = _log_nested(chain, avals, levels, values, potential)
+            return [NestedCount(n, n * log_s1, log_s1) for n in range(first, last + 1)]
+        logs = [_log_nested(chain, avals, levels, values, potential) for _n in range(first, last + 1)]
+    return [NestedCount(n, log_value, log_value / n) for n, log_value in enumerate(logs, first)]
 
 
 def nested_count(
@@ -440,8 +382,8 @@ def nested_count(
     n: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> NestedCount:
-    """S_N by full enumeration of level-2 words, nested exponent sums above:
-    the one-N series."""
+    """S_N from its level-2 words, nested exponent sums above: the one-N
+    series (over one bottom state, S_1^N)."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     avals = _check_exponents(chain, a)
@@ -449,7 +391,7 @@ def nested_count(
     if base**n > budget:
         raise ComplexityBudgetExceeded(base**n, budget)
     bottom = _bottom_matrices(chain, potential, n)
-    return NestedCount(n=n, log_value=_log_counts(chain, avals, bottom, n, n, potential)[0])
+    return _log_counts(chain, avals, bottom, n, n, potential)[0]
 
 
 def entropy_estimate(
@@ -463,7 +405,7 @@ def entropy_estimate(
 
     S_N needs a whole window inside the word, so the series starts at the
     potential's window (N = 1 without a potential or with window 1).  Each
-    entry is the nested_count(N) value, from one pass over the series; the
+    entry is nested_count(N).per_symbol, from one pass over the series; the
     budget is checked for every N before anything is built or counted.
     """
     if n_max < 1:
@@ -478,8 +420,8 @@ def entropy_estimate(
         raise ComplexityBudgetExceeded(base**over, budget)
     bottom = _bottom_matrices(chain, potential, window)
     series = EstimateSeries()
-    for n, log_value in enumerate(_log_counts(chain, avals, bottom, window, n_max, potential), window):
-        series.append(n, log_value / n)
+    for count in _log_counts(chain, avals, bottom, window, n_max, potential):
+        series.append(count.n, count.per_symbol)
     return series
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAligned, UpperLevelsNotFullShift
+from .errors import NotAligned
 from .symbolic import Digit, LabeledGraph, SoficChain, validate_digit_system
 
 POWER_TOL = 1e-13
@@ -119,16 +119,15 @@ def aligned_table(chain: SoficChain) -> dict:
     """Eigenvalue of each level-2 count matrix, keyed by its length-(r-1) label.
 
     In the contraction (`sponge.closed_form`) these per-symbol growth rates
-    replace a sponge's digit counts.  Valid when the count matrices align
-    and every level above the bottom is a full shift over its projected
-    alphabet (alignment forces the latter; it is still checked).
+    replace a sponge's digit counts.  Valid when the count matrices align,
+    which makes every level above the bottom a full shift over its projected
+    alphabet: with M_k v = lambda_k v and v > 0, every vertex has an
+    incoming edge of every level-2 label, so each level-2 word reads
+    backwards from any vertex along some path.
     """
     alignment = detect_alignment(build_count_matrices(chain.graph))
     if alignment is None:
         raise NotAligned("count matrices share no positive eigenvector")
-    for level in range(2, chain.rank + 1):
-        if not chain.is_full_shift(level):
-            raise UpperLevelsNotFullShift(f"level {level} is not a full shift")
     return alignment.eigenvalues
 
 

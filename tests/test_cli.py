@@ -10,12 +10,14 @@ Core claims:
       a chain with no admissible word of length N, weights that all
       underflow to 0 (said so, not called inadmissible), an S_N that overflows
       (also inside one transfer-matrix cell), a sponge Z_0 of 0 or inf, or
-      a word count past float range exits 2, not with a traceback or
-      Infinity, and stderr holds only the error line; an estimate whose
+      a word count past float range on a multi-state bottom exits 2, not
+      with a traceback or Infinity, and stderr holds only the error line;
+      on a sponge, where S_N = S_1^N, weights and counts past float range
+      give finite rows equal to log S_1 of an in-test oracle; an estimate whose
       n_max is past the budget exits 2 before it counts any N; a reader
       that closes stdout early gets one error line and exit 1
-    - a one-letter estimate to N = 2000, which the budget does not stop,
-      finishes within 5 s
+    - a one-letter estimate to N = 2000 on a multi-state bottom, which the
+      budget does not stop, finishes within 5 s
     - a sofic closed form on a presentation that is not right-resolving
       carries a caveat that it counts paths; a right-resolving one does not
     - a sponge's dimensions are reported under a window-2 potential; a
@@ -267,10 +269,11 @@ def test_overflowing_potential_names_the_digit(tmp_path, capsys):
 
 
 def _overflowing_weights_config(tmp_path):
-    # exp(700) is finite, but two letters of it overflow S_2
-    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
-        doc = json.load(fh)
-    doc["potential"]["table"][0][1] = 700.0
+    # a window-2 potential, so the bottom DP has several states: exp(200) is
+    # finite, but the four windows of a word of length 4 overflow S_4
+    doc = _carpet_config()
+    digits = doc["system"]["sponge"]["digits"]
+    doc["potential"] = {"window": 2, "table": [[[x, y], 200.0] for x in digits for y in digits]}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     return path
@@ -282,8 +285,31 @@ def test_overflowing_weights_are_computation_error(tmp_path, capsys):
     path = _overflowing_weights_config(tmp_path)
     assert main(["estimate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "error: S_N at N = 2 is inf" in err
+    assert "error: S_N at N = 4 is inf" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_state_weights_past_float_range_are_a_number(tmp_path, capsys):
+    """A sponge's S_N = S_1^N: with exp(700) on one carpet digit, S_2 no
+    longer fits a float, but log S_N = N log S_1 does, and every row is
+    log S_1 of the nested sum over the digits."""
+    with open(os.path.join(CONFIG_DIR, "carpet_pressure.json")) as fh:
+        doc = json.load(fh)
+    doc["potential"]["table"][0][1] = 700.0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--config", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["estimate_series"]
+    f = {tuple(d): v for (d,), v in doc["potential"]["table"]}
+    a1 = math.log(2) / math.log(3)
+    fibers = {}
+    for d in doc["system"]["sponge"]["digits"]:
+        fibers[d[0]] = fibers.get(d[0], 0.0) + math.exp(f.get(tuple(d), 0.0))
+    log_s1 = math.log(sum(g**a1 for g in fibers.values()))
+    assert [row["n"] for row in rows] == list(range(1, 13))
+    assert {row["log_s_over_n"] for row in rows} == {rows[0]["log_s_over_n"]}
+    assert rows[0]["log_s_over_n"] == pytest.approx(log_s1, rel=1e-14)
 
 
 def _estimate_in_subprocess(path):
@@ -300,7 +326,7 @@ def test_overflow_stderr_is_the_error_line_only(tmp_path):
     proc = _estimate_in_subprocess(_overflowing_weights_config(tmp_path))
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: S_N at N = 2 is inf: the weights overflow a float\n"
+    assert proc.stderr == "error: S_N at N = 4 is inf: the weights overflow a float\n"
 
 
 def test_overflow_summing_bottom_weights_is_the_error_line_only(tmp_path):
@@ -319,8 +345,11 @@ def test_overflow_summing_bottom_weights_is_the_error_line_only(tmp_path):
 
 
 def test_count_past_float_range_is_the_error_line_only(tmp_path):
-    # 1000**103 word counts do not fit a float; exit 2 naming N, not a traceback
-    doc = {"system": {"sponge": {"bases": [2, 1000], "digits": [[0, k] for k in range(1000)]}},
+    # more than 1000**103 words of one level-2 letter on a two-vertex graph
+    # (three follower states): the count does not fit a float; exit 2
+    # naming N, not a traceback
+    edges = [["a", "a", [0, k]] for k in range(1000)] + [["a", "b", [0, 1000]], ["b", "a", [0, 1001]]]
+    doc = {"system": {"sofic": {"bases": [2, 1002], "vertices": ["a", "b"], "edges": edges}},
            "estimator": {"n_max": 110}}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -328,6 +357,21 @@ def test_count_past_float_range_is_the_error_line_only(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: a word count at N = 103 overflows a float\n"
+
+
+def test_one_state_count_past_float_range_is_a_number(tmp_path, capsys):
+    """On a sponge S_N = S_1^N, so a count of 1000**103 words is no error:
+    log S_103 is 103 a_1 log 1000, with a_1 = log 2 / log 1000."""
+    doc = {"system": {"sponge": {"bases": [2, 1000], "digits": [[0, k] for k in range(1000)]}},
+           "estimator": {"n_max": 110}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--config", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["estimate_series"]
+    assert [row["n"] for row in rows] == list(range(1, 111))
+    a1 = math.log(2) / math.log(1000)
+    assert 103 * rows[102]["log_s_over_n"] == pytest.approx(103 * a1 * math.log(1000), rel=1e-15)
+    assert 103 * a1 * math.log(1000) == pytest.approx(71.39415959767436, rel=1e-15)
 
 
 @pytest.mark.parametrize("command", ["entropy", "estimate"])
@@ -664,11 +708,13 @@ def test_cli_budget_fails_before_counting(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_one_letter_series_to_n_2000_is_quick(tmp_path, capsys):
-    """One level-2 letter: the budget does not stop the series, and N = 1..2000
-    cost one DP position each (about 0.3 s on two vCPUs, where rebuilding
-    every N took 10 s)."""
+    """One level-2 letter on a two-cycle (three follower states, two words of
+    each length): the budget does not stop the series, and N = 1..2000 cost
+    one DP position each (about 0.3 s on two vCPUs, where rebuilding every N
+    took 10 s)."""
     path = tmp_path / "one.json"
-    path.write_text(json.dumps({"system": {"sponge": {"bases": [2, 3, 4], "digits": [[0, 0, 0]]}},
+    edges = [["a", "b", [0, 0, 0]], ["b", "a", [0, 0, 1]]]
+    path.write_text(json.dumps({"system": {"sofic": {"bases": [2, 3, 4], "vertices": ["a", "b"], "edges": edges}},
                                 "exponents": "from-bases"}))
     start = time.perf_counter()
     assert main(["estimate", "--config", str(path), "--n-max", "2000"]) == 0

@@ -9,14 +9,17 @@ Core claims:
     - a window-2 potential matches an in-test brute-force sup-over-cylinder
       computation exactly
     - counts survive the exact big-integer path when they exceed 2^52, and a
-      count past float range is a ComputationError naming N
+      count past float range is a ComputationError naming N on a multi-state
+      bottom; on a sponge, where S_N = S_1^N, it is N a_1 log 1000 for
+      1000 digits of one level-2 letter
     - the enumeration budget and window preconditions are enforced
     - S_N keeps its bits when BLOCK splits the fold and the big-integer
       count products into blocks of one or 500 entries
     - an overflowing tail weight is a ComputationError; NaN weights from
       overflow still count their word at exponent 0, and a non-finite S_N
-      is a ComputationError, also when the sum in one transfer-matrix cell
-      overflows
+      on a multi-state bottom is a ComputationError, also when the sum in
+      one transfer-matrix cell overflows; over one state an S_N past float
+      range is N log S_1 of an in-test oracle
     - a window-3 potential on a sofic graph whose overhang can dead-end
       matches brute force
     - a sponge is the one-vertex sofic chain: same transfer matrices, same
@@ -24,7 +27,8 @@ Core claims:
     - the series starts at N = window; each row keeps the bits of
       nested_count at its N, and a budget overflow at any N raises before
       anything is built or counted
-    - a one-letter series to N = 2000 grows its DP by one position per N
+    - a one-letter series to N = 2000 on a multi-state bottom grows its DP by
+      one position per N
 """
 import itertools
 import math
@@ -375,33 +379,46 @@ def test_overflowing_level2_weights_still_count_words(carpet_chain, carpet_expon
     for n in (2, 3, 4):
         count = nested_count(carpet_chain, Exponents((0.0,)), pot, n=n)
         assert count.log_value == pytest.approx(n * math.log(2), abs=1e-12)
-    # a non-finite S_N is a ComputationError naming N
+    # a non-finite S_N on a multi-state bottom is a ComputationError naming
+    # N: exp(200) is finite, but the four windows of a word of length 4 are not
+    pot2 = Potential(window=2, table={w: 200.0 for w in itertools.product(carpet_chain.system.sorted_digits, repeat=2)})
+    assert math.isfinite(nested_count(carpet_chain, carpet_exponents, pot2, n=3).log_value)
+    with pytest.raises(ComputationError, match="N = 4 is inf"):
+        nested_count(carpet_chain, carpet_exponents, pot2, n=4)
+    # over one state S_N = S_1^N, which stays finite: the oracle is
+    # S_1 = (exp(700) + 1)^a_1 + 1, from the fibers {(0, 0), (0, 2)} and {(1, 1)}
     pot1 = Potential(window=1, table={((0, 0),): 700.0})
-    assert math.isfinite(nested_count(carpet_chain, carpet_exponents, pot1, n=1).log_value)
-    with pytest.raises(ComputationError, match="N = 2 is inf"):
-        nested_count(carpet_chain, carpet_exponents, pot1, n=2)
+    log_s1 = math.log((math.exp(700.0) + 1) ** carpet_exponents.values[0] + 1)
+    for n in (1, 2, 20):
+        assert nested_count(carpet_chain, carpet_exponents, pot1, n=n).log_value == pytest.approx(n * log_s1, rel=1e-14)
 
 
 def test_count_past_float_range_is_computation_error():
-    """A word count that no float holds is a ComputationError naming N, on the
-    one-state route and in the multi-state big-integer blocks."""
-    # one level-2 letter over 1000 digits: the only word of length N has 1000**N bottom words
-    sponge = SpongeChain(validate_digit_system((2, 1000), [(0, k) for k in range(1000)]))
-    # the same letters on two vertices, one entered and left by its own digit:
-    # three follower states, and more than 1000**N words
+    """A word count that no float holds is a ComputationError naming N in the
+    multi-state big-integer blocks; over one state S_N = S_1^N is finite."""
+    # one level-2 letter over 1000 digits on two vertices, one entered and left
+    # by its own digit: three follower states, and more than 1000**N words
     edges = [("a", "a", (0, k)) for k in range(1000)] + [("a", "b", (0, 1000)), ("b", "a", (0, 1001))]
     graph = LabeledGraph(
         vertices=("a", "b"), edges=tuple(edges), system=validate_digit_system((2, 1002), [e[2] for e in edges])
     )
     sofic = SoficChain(graph)
     assert len(estimator._bottom_matrices(sofic, None, 1)[0]) > 1
-    for chain in (sponge, sofic):
-        a = exponents_from_bases(chain.system.bases)
-        assert math.isfinite(nested_count(chain, a, n=100).log_value)
-        with pytest.raises(ComputationError, match="a word count at N = 103 overflows a float"):
-            nested_count(chain, a, n=103)
-        with pytest.raises(ComputationError, match="N = 103"):
-            entropy_estimate(chain, a, n_max=110)
+    a = exponents_from_bases(sofic.system.bases)
+    assert math.isfinite(nested_count(sofic, a, n=100).log_value)
+    with pytest.raises(ComputationError, match="a word count at N = 103 overflows a float"):
+        nested_count(sofic, a, n=103)
+    with pytest.raises(ComputationError, match="N = 103"):
+        entropy_estimate(sofic, a, n_max=110)
+    # the sponge on the same 1000 digits of one letter: its word of length N
+    # has 1000**N bottom words, and log S_N = N a_1 log 1000
+    sponge = SpongeChain(validate_digit_system((2, 1000), [(0, k) for k in range(1000)]))
+    a = exponents_from_bases(sponge.system.bases)
+    a1 = math.log(2) / math.log(1000)
+    assert nested_count(sponge, a, n=103).log_value == pytest.approx(103 * a1 * math.log(1000), rel=1e-15)
+    assert 103 * a1 * math.log(1000) == pytest.approx(71.39415959767436, rel=1e-15)
+    series = entropy_estimate(sponge, a, n_max=110)
+    assert {value for _n, value in series.entries} == {nested_count(sponge, a, n=1).log_value}
 
 
 def test_series_starts_at_window(carpet_chain, carpet_exponents):
@@ -425,10 +442,9 @@ def test_series_rows_are_nested_counts(rng):
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=chain.rank - 1)))
         for window in (0, 1, 2):
             cases.append((chain, a, _random_potential(rng, chain.system.sorted_digits, window), 5))
-    big = validate_digit_system((2, 36), [(i, j) for i in range(2) for j in range(36)])
-    cases.append((SpongeChain(big), exponents_from_bases(big.bases), None, 12))  # 36^11 > 2^52
-    wide = validate_digit_system((3, 600), [(i, j) for i, f in enumerate((600, 7, 250)) for j in range(f)])
-    cases.append((SpongeChain(wide), exponents_from_bases(wide.bases), None, 6))  # 600^6 > 2^52
+    for fibers, n_max in (((36, 36), 12), ((600, 7, 250), 6)):  # 37^11, 601^6 > 2^52
+        chain = _multi_state_wide(fibers)
+        cases.append((chain, exponents_from_bases(chain.system.bases), None, n_max))
     for chain, a, pot, n_max in cases:
         series = entropy_estimate(chain, a, pot, n_max=n_max)
         assert [n for n, _v in series.entries] == list(range(pot.window if pot else 1, n_max + 1))
@@ -453,15 +469,23 @@ def test_series_budget_fails_before_counting(golden, monkeypatch):
     assert str(series.value) == str(single.value) == f"enumeration needs {3**15} words, budget is {budget}"
 
 
-@pytest.mark.parametrize("bases, digit", [((2, 3), (0, 0)), ((2, 3, 4), (0, 0, 0))])
-def test_one_letter_series_grows_one_position_per_n(bases, digit):
-    """One level-2 letter: the budget never stops the series, and each N adds
-    one DP position rather than rebuilding N of them (S_N = 1 throughout)."""
-    chain = SpongeChain(validate_digit_system(bases, [digit]))
+@pytest.mark.parametrize("bases", [(2, 3), (2, 3, 4)])
+def test_one_letter_series_grows_one_position_per_n(bases):
+    """One level-2 letter on a two-cycle, whose follower automaton has three
+    states: the budget never stops the series, and each N adds one DP
+    position rather than rebuilding N of them.  Each length has two words,
+    so S_N = 2^(a_1 ... a_(r-1)) throughout, and counts pass 2**52 at N = 53."""
+    zeros = (0,) * (len(bases) - 1)
+    edges = (("a", "b", zeros + (0,)), ("b", "a", zeros + (1,)))
+    chain = SoficChain(LabeledGraph(vertices=("a", "b"), edges=edges,
+                                    system=validate_digit_system(bases, [e[2] for e in edges])))
+    assert len(estimator._bottom_matrices(chain, None, 1)[0]) == 3
+    a = exponents_from_bases(bases)
     with mock.patch.object(estimator, "_grow", wraps=estimator._grow) as grow:
-        series = entropy_estimate(chain, exponents_from_bases(bases), n_max=2000)
+        series = entropy_estimate(chain, a, n_max=2000)
     assert [n for n, _v in series.entries] == list(range(1, 2001))
-    assert all(value == 0.0 for _n, value in series.entries)
+    log_s = math.prod(a.values) * math.log(2)
+    assert all(value * n == pytest.approx(log_s, rel=1e-14) for n, value in series.entries)
     assert grow.call_count <= 2000
 
 
@@ -499,6 +523,19 @@ def _random_graph_chain(rng, bases, nverts, extra):
     return SoficChain(LabeledGraph(vertices=verts, edges=tuple(sorted(edges)), system=sys))
 
 
+def _multi_state_wide(fibers):
+    """Digits (i, j), j < fibers[i], on a loop at vertex a, and one more digit
+    of the first and of the last level-2 letter from a to b and back: counts
+    as large as a sponge's on those fibers, but three follower states, so
+    each N is enumerated."""
+    edges = [("a", "a", (i, j)) for i, f in enumerate(fibers) for j in range(f)]
+    edges += [("a", "b", (0, fibers[0])), ("b", "a", (len(fibers) - 1, fibers[-1]))]
+    sys = validate_digit_system((len(fibers), max(fibers) + 1), [e[2] for e in edges])
+    chain = SoficChain(LabeledGraph(vertices=("a", "b"), edges=tuple(edges), system=sys))
+    assert len(estimator._bottom_matrices(chain, None, 1)[0]) > 1
+    return chain
+
+
 def _random_potential(rng, digits, window):
     if window == 0:
         return None
@@ -528,9 +565,8 @@ def _blocked_cases(rng):
         for window in (0, 1, 2):
             pot = _random_potential(rng, chain.system.sorted_digits, window)
             cases.append((f"{label} window {window}", chain, Exponents(tuple(vals)), pot, n))
-    bases = (2, 36)  # 36^12 > 2^52: the exact big-integer path
-    sys = validate_digit_system(bases, [(i, j) for i in range(2) for j in range(36)])
-    cases.append(("big integers", SpongeChain(sys), exponents_from_bases(bases), None, 12))
+    chain = _multi_state_wide((36, 36))  # 37^12 > 2^52: the exact big-integer path
+    cases.append(("big integers", chain, exponents_from_bases(chain.system.bases), None, 12))
     return cases
 
 

@@ -23,11 +23,11 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 REPORT_SHA256 = {
     ("carpet.json", "dimension"): "00aba8f4d0de0d56e7d4a976435087a0d6bc0f30ca1073ce21e8a2fca879c531",
     ("carpet.json", "entropy"): "8810f09c21ffb9c9dc148160389456eae0d7c74c18a8c6bfb466ae85ce36aef9",
-    ("carpet.json", "estimate"): "6e445e15f007f0791f1fef07ac0b2ffaea97af4e526e919dff24c5712b8a874b",
+    ("carpet.json", "estimate"): "a9fa30ef7811465cf04f42bc114c59be98dad1ec7011e3bed60492c043449d2e",
     ("carpet.json", "variational"): "fcd72ddccb60cfad4b2fb8aca49beb043056c36aeee4c4917eceb189a5cd3552",
     ("carpet_pressure.json", "dimension"): "6ecc9dce75e8c338422fb83ceb4bc7e4bff511d6c31d05515c3f10762477c630",
     ("carpet_pressure.json", "entropy"): "d325f8bb1ba13338f994fd3f7e8a84faedcd5151f19545fb855c15f144085eee",
-    ("carpet_pressure.json", "estimate"): "a0f3997611a2a0adeaabf7e5fb1bbe69e302ca46776e0aae3a8ba7d31f7cf141",
+    ("carpet_pressure.json", "estimate"): "b6980341fc8b3447ad6841a9af46680c038abe32f98c4568265fb971fbe10c07",
     ("carpet_pressure.json", "variational"): "226d38c2e11c2a62d371859dda8251a62061215482eda1197cb23b2b3e9b99ef",
     ("golden_sofic.json", "dimension"): "330a95d9a5a97059c29906cf0056c9d716163f3393e054c3c8739539aede8c2c",
     ("golden_sofic.json", "entropy"): "f16c92bee442cb785ea215013d8770e4b31e916de6ed4674a2218ec8be680171",

@@ -13,6 +13,8 @@ Core claims:
     - the aligned route carries its caveats as reason codes: always the
       dimension ambiguity, and the path count when a vertex repeats a label;
       a sofic chain with a potential has no closed form
+    - on random small graphs, aligned count matrices make every level from
+      2 up a full shift, which the closed form relies on unchecked
     - matrices without a common positive eigenvector are reported as absent;
       periodic matrices that share one are aligned, and power iteration on
       a periodic matrix stops at its first exact cycle
@@ -260,6 +262,45 @@ def test_not_aligned_chain_raises():
     assert mats[(1,)].tolist() == [[2, 1], [0, 1]]
     with pytest.raises(NotAligned):
         closed_form(SoficChain(g), Exponents((0.5,)))
+
+
+@st.composite
+def _small_graphs(draw):
+    """A graph of rank 2 or 3 over bases 2 and 3 on 1-3 vertices.  In about
+    half of them every vertex has d_k incoming edges of each level-2 label k,
+    with distinct digits and random sources, so their count matrices align
+    on the vector of ones; the others have 1-8 random edges."""
+    rank = draw(st.integers(2, 3))
+    bases = tuple(sorted(draw(st.lists(st.integers(2, 3), min_size=rank, max_size=rank))))
+    verts = tuple(str(v) for v in range(draw(st.integers(1, 3))))
+    vertex = st.sampled_from(verts)
+    if draw(st.booleans()):
+        labels = list(itertools.product(*(range(m) for m in bases[:-1])))
+        edges = set()
+        for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)):
+            degree = draw(st.integers(1, 2))
+            for target in verts:
+                for last in draw(st.permutations(range(bases[-1])))[:degree]:
+                    edges.add((draw(vertex), target, label + (last,)))
+    else:
+        pool = list(itertools.product(*(range(m) for m in bases)))
+        edges = set(draw(st.lists(st.tuples(vertex, vertex, st.sampled_from(pool)), min_size=1, max_size=8)))
+    sys = validate_digit_system(bases, [lab for _s, _t, lab in edges])
+    return LabeledGraph(vertices=verts, edges=tuple(sorted(edges)), system=sys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_small_graphs())
+def test_alignment_makes_every_upper_level_a_full_shift(graph):
+    """With M_k v = lambda_k v and v > 0, every vertex has an incoming edge
+    of every level-2 label, so each level-2 word reads backwards from any
+    vertex along a path: `aligned_table` relies on this instead of checking
+    each level's follower automaton."""
+    chain = SoficChain(graph)
+    if detect_alignment(build_count_matrices(graph)) is None:
+        return
+    for level in range(2, chain.rank + 1):
+        assert chain.is_full_shift(level), level
 
 
 def _log_spectral_radius(m: np.ndarray) -> float:
