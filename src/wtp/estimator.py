@@ -64,6 +64,7 @@ from .errors import (
     PotentialWindowTooLarge,
     ValidationError,
 )
+from .sofic import _transfer_matrices
 from .sponge import Potential
 from .symbolic import SoficChain
 from .weights import Exponents
@@ -134,7 +135,7 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     exact = potential is None
     states = [(start_aut, ())]
     index = {states[0]: 0}
-    entries = []  # (level-2 letter index, target, source, weight)
+    transitions = []  # (source, target, level-2 letter index, weight)
     windows = {}  # full-history source -> [(target, window value)]
     frontier = [states[0]]
     while frontier:
@@ -156,12 +157,9 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
                 if not exact and len(full) == window:
                     w = potential.weight(full)
                     windows.setdefault(index[src], []).append((index[dst], potential.value(full)))
-                entries.append((k, index[dst], index[src], w))
+                transitions.append((index[src], index[dst], k, w))
     dtype = object if exact else float
-    mats = [np.zeros((len(states), len(states)), dtype=dtype) for _ in alphabet2]
-    with np.errstate(over="ignore"):  # an infinite S_N is reported as a ComputationError
-        for k, i, j, w in entries:
-            mats[k][i, j] += w
+    mats = list(_transfer_matrices(transitions, len(states), range(len(alphabet2)), dtype).values())
     start = np.zeros(len(states), dtype=dtype)
     start[0] = 1
     if window == 1:

@@ -1,5 +1,6 @@
 """Transfer-matrix machinery for sofic chains.
 
+`_transfer_matrices` builds every per-letter matrix, the estimator's too:
 `build_count_matrices` maps each level-2 label to its count matrix, a numpy
 array of edge multiplicities; `detect_alignment` takes any such dict of
 nonnegative arrays, int or float.  When all nonzero matrices share one
@@ -21,6 +22,7 @@ POWER_TOL = 1e-13
 POWER_MAX_ITERS = 100_000
 VERIFY_TOL = 1e-10
 MIN_POSITIVE = 1e-9
+BASIC_TOL = 1e-9  # a class radius this close to the largest, relatively, is basic
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,38 @@ class SpectralAlignment:
         object.__setattr__(self, "eigenvalues", dict(self.eigenvalues))
 
 
+def _transfer_matrices(transitions, size: int, letters, dtype) -> dict:
+    """{letter: size x size array}, entry (t, s) adding the weights of the
+    (s, t, letter, weight) transitions in list order; zeros for idle letters."""
+    mats = {letter: np.zeros((size, size), dtype=dtype) for letter in letters}
+    with np.errstate(over="ignore"):  # callers report an infinite weight themselves
+        for s, t, letter, w in transitions:
+            mats[letter][t, s] += w
+    return mats
+
+
+def _classes(m: np.ndarray) -> list[tuple[list[int], bool]]:
+    """Strong components of the graph i -> j where m[i, j] > 0, by least
+    index, each with whether it is final (reaches no other component)."""
+    reach = (m > 0) | np.eye(len(m), dtype=bool)
+    while not ((closed := reach @ reach) == reach).all():  # transitive closure by squaring
+        reach = closed
+    mutual = reach & reach.T
+    leaders = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(m)))  # least index of each class
+    return [(np.flatnonzero(mutual[i]).tolist(), bool((reach[i] == mutual[i]).all())) for i in leaders]
+
+
+def _basic_classes_are_final(m: np.ndarray) -> bool:
+    """Whether m's basic classes (radius within BASIC_TOL of the largest) are
+    its final classes; one class passes without eigenvalue work."""
+    classes = _classes(m)
+    if len(classes) == 1:
+        return True
+    radii = [abs(np.linalg.eigvals(m[np.ix_(c, c)])).max() for c, _final in classes]
+    top = max(radii)
+    return all((top - r <= BASIC_TOL * top) == final for r, (_c, final) in zip(radii, classes))
+
+
 def build_count_matrices(g: LabeledGraph) -> dict[Digit, np.ndarray]:
     """Level-2 count matrices: {length-(r-1) label: int64 |V| x |V| array}.
 
@@ -44,11 +78,8 @@ def build_count_matrices(g: LabeledGraph) -> dict[Digit, np.ndarray]:
     """
     keep = g.system.rank - 1
     order = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    sums = {p: np.zeros((n, n), dtype=np.int64) for p in g.system.prefixes(keep)}
-    for s, t, lab in g.edges:
-        sums[tuple(lab)[:keep]][order[t], order[s]] += 1
-    return sums
+    transitions = ((order[s], order[t], tuple(lab)[:keep], 1) for s, t, lab in g.edges)
+    return _transfer_matrices(transitions, len(order), g.system.prefixes(keep), np.int64)
 
 
 def _power_iterate(matrix: np.ndarray):
@@ -84,11 +115,15 @@ def detect_alignment(matrices: dict) -> SpectralAlignment | None:
     """Common positive eigenvector of all nonzero matrices, or None.
 
     `matrices` maps labels to nonnegative square arrays, int or float.  The
-    candidate is the Perron vector of the summed matrix found by power
-    iteration; each nonzero matrix is then verified against it.  Iteration
-    oscillates on periodic matrices, so when it does not converge it is
-    rerun on I + M, which has the same eigenvectors.  Failure to converge to
-    a strictly positive vector means not aligned, never an error.
+    summed matrix M has a positive eigenvector only if its basic classes
+    (those of the largest spectral radius) are exactly its final classes
+    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    ch. 2), so any other M is not aligned at once.  Otherwise the candidate
+    is the Perron vector of M found by power iteration; each nonzero matrix
+    is then verified against it.  Iteration oscillates on periodic matrices,
+    so when it does not converge it is rerun on I + M, which has the same
+    eigenvectors.  Failure to converge to a strictly positive vector, or a
+    non-finite entry, means not aligned, never an error.
     """
     nonzero = {
         label: np.asarray(m, dtype=float) for label, m in matrices.items() if np.any(m)
@@ -96,6 +131,8 @@ def detect_alignment(matrices: dict) -> SpectralAlignment | None:
     if not nonzero:
         return None
     total = sum(nonzero.values())
+    if not (np.isfinite(total).all() and _basic_classes_are_final(total)):
+        return None
     v, converged, _ = _power_iterate(total)
     if v is not None and not converged:
         v, converged, _ = _power_iterate(total + np.eye(len(total)))

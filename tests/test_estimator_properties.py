@@ -26,6 +26,10 @@ Core claims:
       counts are the floats of the exact Python-int products, and the pass
       switches its dtype there once; past the switch, multi-state counts
       above 2**53 are exact integers rounded once
+    - the one transfer-matrix builder gives `_bottom_matrices` (windows
+      0-3, sponges and sofic graphs with dead ends) and
+      `build_count_matrices` the arrays, dtypes and bits of a reference
+      assembly loop of their own (the oracle)
     - on one-state bottoms (sponges of rank 2-4 and one-state sofic
       graphs, without a potential or with a window-1 one), log S_N is
       N log S_1 exactly, and every entry, Fekete bound and per_symbol is
@@ -46,6 +50,7 @@ from wtp import estimator
 from wtp.defaults import DEFAULT_BUDGET
 from wtp.errors import WtpError
 from wtp.estimator import entropy_estimate, nested_count
+from wtp.sofic import build_count_matrices
 from wtp.sponge import Potential
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases
@@ -451,3 +456,91 @@ def test_admissible_matches_brute_force_words(chain, window, n):
     some bottom word extends it by the window's overhang of window - 1 letters."""
     n = max(n, window)
     assert estimator._admissible(chain, window, n) == bool(_bottom_words(chain, n + window - 1))
+
+
+def _reference_bottom_matrices(chain, potential, n):
+    """Oracle: `_bottom_matrices` with an assembly loop of its own.  The same
+    depth-first walk lists (letter, target, source, weight) entries, and
+    each letter's matrix adds its weights in that order."""
+    alphabet2, fibers = chain.alphabet(2), chain.fibers(1)
+    window = potential.window if potential is not None else 1
+    if chain.is_full_shift(1):
+        step, start_aut = (lambda s, letter: 0), 0
+    else:
+        aut = chain.automaton(1)
+        step, start_aut = (lambda s, letter: aut.transitions.get((s, letter))), aut.initial
+    memory, exact = window - 1, potential is None
+    states = [(start_aut, ())]
+    index = {states[0]: 0}
+    entries, windows, frontier = [], {}, [states[0]]
+    while frontier:
+        src = frontier.pop()
+        s, hist = src
+        for k, letter2 in enumerate(alphabet2):
+            for letter in fibers.get(letter2, ()):
+                t = step(s, letter)
+                if t is None:
+                    continue
+                full = hist + (letter,)
+                dst = (t, full[-memory:] if memory else ())
+                if dst not in index:
+                    index[dst] = len(states)
+                    states.append(dst)
+                    frontier.append(dst)
+                w = 1
+                if not exact and len(full) == window:
+                    w = potential.weight(full)
+                    windows.setdefault(index[src], []).append((index[dst], potential.value(full)))
+                entries.append((k, index[dst], index[src], w))
+    dtype = object if exact else float
+    mats = [np.zeros((len(states), len(states)), dtype=dtype) for _ in alphabet2]
+    with np.errstate(over="ignore"):
+        for k, i, j, w in entries:
+            mats[k][i, j] += w
+    start = np.zeros(len(states), dtype=dtype)
+    start[0] = 1
+    if window == 1:
+        tail = [1] * len(states)
+    else:
+        tail = [
+            estimator._tail_weight(i, windows, memory) if len(hist) == memory else 1.0
+            for i, (_s, hist) in enumerate(states)
+        ]
+    return start, mats, np.array(tail, dtype=dtype), exact
+
+
+def _same_array(x, y):
+    """Equal dtype and shape, and equal bits (floats) or equal Python ints (object)."""
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    if x.dtype == object:
+        return [(type(a), a) for a in x.ravel()] == [(type(b), b) for b in y.ravel()]
+    return x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=_small_chains(every_length=False), window=st.integers(0, 3), data=st.data())
+def test_transfer_matrices_match_reference_assembly(chain, window, data):
+    value = st.one_of(st.floats(-3, 3), st.sampled_from([-800.0, 700.0]))
+    words = list(itertools.product(chain.system.sorted_digits, repeat=window))[:200]
+    potential = Potential(window, {w: data.draw(value) for w in words if data.draw(st.booleans())}) if window else None
+    n = max(window, 1)
+    try:
+        ref_start, ref_mats, ref_tail, ref_exact = _reference_bottom_matrices(chain, potential, n)
+    except WtpError as exc:  # a tail weight past float range
+        with pytest.raises(type(exc)) as raised:
+            estimator._bottom_matrices(chain, potential, n)
+        assert str(raised.value) == str(exc)
+        return
+    start, mats, tail, exact = estimator._bottom_matrices(chain, potential, n)
+    assert exact == ref_exact and len(mats) == len(ref_mats)
+    assert all(_same_array(x, y) for x, y in zip([start, tail, *mats], [ref_start, ref_tail, *ref_mats]))
+    if isinstance(chain, SoficChain):
+        graph = chain.graph
+        keep, order = graph.system.rank - 1, {v: i for i, v in enumerate(graph.vertices)}
+        ref = {p: np.zeros((len(order), len(order)), dtype=np.int64) for p in graph.system.prefixes(keep)}
+        for s, t, lab in graph.edges:
+            ref[tuple(lab)[:keep]][order[t], order[s]] += 1
+        counts = build_count_matrices(graph)
+        assert list(counts) == list(ref)
+        assert all(_same_array(counts[p], ref[p]) for p in ref)

@@ -18,6 +18,14 @@ Core claims:
     - matrices without a common positive eigenvector are reported as absent;
       periodic matrices that share one are aligned, and power iteration on
       a periodic matrix stops at its first exact cycle
+    - a summed matrix whose basic classes are not its final classes is not
+      aligned without power iteration: [[2,1,1],[0,1,1],[0,0,2]] (a
+      repeated Perron value, where iteration converges like 1/k) and a
+      3-vertex chain with that sum answer in well under 0.5 s
+    - the strong components and final flags of `_classes` match a
+      pure-Python reachability oracle; whenever the class check passes,
+      power iteration on I + M converges to a positive Perron vector; the
+      equal-in-degree-per-label graphs are never rejected
     - the frozen chain's presentation is not finite-to-one: graph paths grow
       faster than words, and the word count's growth rate at N = 13 sits
       more than 0.01 below the closed form (which counts paths)
@@ -26,6 +34,7 @@ Core claims:
 """
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +45,10 @@ from wtp.checks import _golden_word_and_path_counts, random_sponge
 from wtp.errors import ClosedFormUnavailable, NotAligned
 from wtp.estimator import nested_count
 from wtp.sofic import (
+    MIN_POSITIVE,
     POWER_MAX_ITERS,
+    _basic_classes_are_final,
+    _classes,
     _power_iterate,
     build_count_matrices,
     detect_alignment,
@@ -133,6 +145,12 @@ def test_misaligned_matrices_return_none():
     assert detect_alignment(mats) is None
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_matrices_return_none(bad):
+    # `eigvals` rejects a non-finite block, so these answer before the class check
+    assert detect_alignment({(0,): np.array([[bad, 1.0], [0.0, 1.0]]), (1,): np.eye(2)}) is None
+
+
 def test_periodic_matrices_align():
     # period 2: plain power iteration oscillates between two vectors, yet
     # (sqrt 2, 1) is a positive eigenvector of both matrices
@@ -152,6 +170,79 @@ def test_power_iteration_stops_at_an_exact_cycle():
     v, converged, iterations = _power_iterate(np.array([[0.0, 2.0], [1.0, 0.0]]))
     assert v is not None and not converged
     assert iterations < 100 < POWER_MAX_ITERS
+
+
+# classes {0} and {2} both have radius 2, and only {2} is final
+REPEATED_PERRON = ((2, 1, 1), (0, 1, 1), (0, 0, 2))
+
+
+def test_repeated_perron_value_is_not_aligned_at_once():
+    # power iteration converges only like 1/k here: an answer from it alone
+    # would take all POWER_MAX_ITERS iterations twice, over a second
+    start = time.perf_counter()
+    assert detect_alignment({(0,): np.array(REPEATED_PERRON)}) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_chain_with_repeated_perron_value_raises_not_aligned_fast():
+    sys = validate_digit_system((2, 2), list(itertools.product(range(2), range(2))))
+    # an edge s -> t adds 1 at entry (t, s) of its label's matrix
+    edges = (
+        ("a", "a", (0, 0)), ("a", "a", (1, 0)), ("b", "a", (0, 1)), ("c", "a", (1, 1)),
+        ("b", "b", (0, 0)), ("c", "b", (0, 0)), ("c", "c", (0, 0)), ("c", "c", (1, 1)),
+    )
+    g = LabeledGraph(vertices=("a", "b", "c"), edges=edges, system=sys)
+    assert sum(build_count_matrices(g).values()).tolist() == [list(row) for row in REPEATED_PERRON]
+    start = time.perf_counter()
+    with pytest.raises(NotAligned):
+        closed_form(SoficChain(g), Exponents((0.5,)))
+    assert time.perf_counter() - start < 0.5
+
+
+_small_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(np.array)
+
+
+def _reachability_classes(m):
+    """Oracle: reach sets by depth-first search, classes as mutual reach."""
+    n = len(m)
+    reach = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            j = stack.pop()
+            for k in range(n):
+                if m[j][k] > 0 and k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        reach.append(seen)
+    classes = []
+    for i in range(n):
+        members = sorted(j for j in reach[i] if i in reach[j])
+        if members[0] == i:
+            classes.append((members, reach[i] == set(members)))
+    return classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_small_matrices)
+def test_classes_match_reachability_oracle(m):
+    assert _classes(m) == _reachability_classes(m.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_small_matrices)
+def test_passing_class_check_has_a_positive_perron_vector(m):
+    """Basic classes equal to final classes give a positive eigenvector,
+    and power iteration on I + M, which is aperiodic, finds it."""
+    if not _basic_classes_are_final(m):
+        return
+    v, converged, _ = _power_iterate(m + np.eye(len(m)))
+    assert converged
+    assert v.min() >= MIN_POSITIVE * v.max()
+    rho = max(abs(np.linalg.eigvals(m)))
+    assert np.abs(m @ v - rho * v).max() <= 1e-9 * (1 + rho)
 
 
 def test_golden_closed_form_value(golden):
@@ -265,16 +356,17 @@ def test_not_aligned_chain_raises():
 
 
 @st.composite
-def _small_graphs(draw):
+def _small_graphs(draw, equal_in_degree=st.booleans()):
     """A graph of rank 2 or 3 over bases 2 and 3 on 1-3 vertices.  In about
-    half of them every vertex has d_k incoming edges of each level-2 label k,
-    with distinct digits and random sources, so their count matrices align
-    on the vector of ones; the others have 1-8 random edges."""
+    half of them (all, with equal_in_degree=st.just(True)) every vertex has
+    d_k incoming edges of each level-2 label k, with distinct digits and
+    random sources, so their count matrices align on the vector of ones;
+    the others have 1-8 random edges."""
     rank = draw(st.integers(2, 3))
     bases = tuple(sorted(draw(st.lists(st.integers(2, 3), min_size=rank, max_size=rank))))
     verts = tuple(str(v) for v in range(draw(st.integers(1, 3))))
     vertex = st.sampled_from(verts)
-    if draw(st.booleans()):
+    if draw(equal_in_degree):
         labels = list(itertools.product(*(range(m) for m in bases[:-1])))
         edges = set()
         for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)):
@@ -301,6 +393,16 @@ def test_alignment_makes_every_upper_level_a_full_shift(graph):
         return
     for level in range(2, chain.rank + 1):
         assert chain.is_full_shift(level), level
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_small_graphs(equal_in_degree=st.just(True)))
+def test_equal_in_degree_graphs_pass_the_class_check(graph):
+    mats = build_count_matrices(graph)
+    assert _basic_classes_are_final(sum(mats.values()))
+    alignment = detect_alignment(mats)
+    assert alignment is not None
+    assert alignment.vector == (1.0,) * len(graph.vertices)
 
 
 def _log_spectral_radius(m: np.ndarray) -> float:
