@@ -124,6 +124,10 @@ def check_degenerate_collapses(rng) -> CheckResult:
         count = nested_count(chain, zeros, n=2).log_value
         err = abs(count - 2 * math.log(len(sys.prefixes(1))))
         worst = max(worst, err)
+    golden = golden_mean_chain()  # several bottom states, so S_N is enumerated; no rng draws
+    for n in (2, 3):
+        count = nested_count(golden, Exponents((0.0, 0.0)), n=n).log_value
+        worst = max(worst, abs(count - math.log(golden.automaton(3).count_words(n))))
     return CheckResult("degenerate-collapses", worst <= COLLAPSE_TOL, f"max error = {worst:.3e}")
 
 

@@ -52,6 +52,7 @@ an S_N that is not finite is a ComputationError naming N.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +61,13 @@ from .defaults import DEFAULT_BUDGET, DEFAULT_N_MAX
 from .errors import (
     ComplexityBudgetExceeded,
     ComputationError,
-    ExponentLengthMismatch,
     PotentialWindowTooLarge,
     ValidationError,
 )
 from .sofic import _transfer_matrices
 from .sponge import Potential
 from .symbolic import SoficChain
-from .weights import Exponents
+from .weights import Exponents, check_exponents
 
 BLOCK = 2**16  # entries formed as one array: fold chunks, big-integer count blocks
 
@@ -101,12 +101,6 @@ class EstimateSeries:
         self.fekete_bounds.append(min(prev, value))
 
 
-def _check_exponents(chain: SoficChain, a: Exponents) -> tuple[float, ...]:
-    if len(a) != chain.rank - 1:
-        raise ExponentLengthMismatch(f"need {chain.rank - 1} exponents, got {len(a)}")
-    return a.values
-
-
 def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     """Per level-2 letter: transfer matrix over bottom DP states.
 
@@ -115,25 +109,22 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     state with the last k-1 bottom letters.  Returns (start vector, matrices
     in level-2 alphabet order, tail weights, exact-integers flag).
     """
-    alphabet2 = chain.alphabet(2)
-    fibers = chain.fibers(1)
+    letters = tuple(zip(chain.alphabet(1), chain.projection(1)))  # with each one's level-2 index
     window = potential.window if potential is not None else 1
     if window > n:
         raise PotentialWindowTooLarge(f"window {window} exceeds word length {n}")
 
     if chain.is_full_shift(1):
         step = lambda s, letter: 0
-        start_aut = 0
     else:
         aut = chain.automaton(1)
         step = lambda s, letter: aut.transitions.get((s, letter))
-        start_aut = aut.initial
 
-    # state = (automaton state, last window-1 bottom letters), found depth
-    # first; with window 1 this is the follower automaton's own state order
+    # state = (automaton state, last window-1 bottom letters), found depth first
+    # from state 0; with window 1 this is the follower automaton's own state order
     memory = window - 1
     exact = potential is None
-    states = [(start_aut, ())]
+    states = [(0, ())]
     index = {states[0]: 0}
     transitions = []  # (source, target, level-2 letter index, weight)
     windows = {}  # full-history source -> [(target, window value)]
@@ -141,25 +132,24 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     while frontier:
         src = frontier.pop()
         s, hist = src
-        for k, letter2 in enumerate(alphabet2):
-            for letter in fibers.get(letter2, ()):
-                t = step(s, letter)
-                if t is None:
-                    continue
-                full = hist + (letter,)
-                dst = (t, full[-memory:] if memory else ())
-                if dst not in index:
-                    index[dst] = len(states)
-                    states.append(dst)
-                    frontier.append(dst)
-                # a window is complete once the history has filled up
-                w = 1
-                if not exact and len(full) == window:
-                    w = potential.weight(full)
-                    windows.setdefault(index[src], []).append((index[dst], potential.value(full)))
-                transitions.append((index[src], index[dst], k, w))
+        for letter, k in letters:
+            t = step(s, letter)
+            if t is None:
+                continue
+            full = hist + (letter,)
+            dst = (t, full[-memory:] if memory else ())
+            if dst not in index:
+                index[dst] = len(states)
+                states.append(dst)
+                frontier.append(dst)
+            # a window is complete once the history has filled up
+            w = 1
+            if not exact and len(full) == window:
+                w = potential.weight(full)
+                windows.setdefault(index[src], []).append((index[dst], potential.value(full)))
+            transitions.append((index[src], index[dst], k, w))
     dtype = object if exact else float
-    mats = list(_transfer_matrices(transitions, len(states), range(len(alphabet2)), dtype).values())
+    mats = list(_transfer_matrices(transitions, len(states), range(len(chain.alphabet(2))), dtype).values())
     start = np.zeros(len(states), dtype=dtype)
     start[0] = 1
     if window == 1:
@@ -354,13 +344,9 @@ def _log_counts(chain: SoficChain, avals, bottom, first: int, last: int, potenti
     counted: log S_N is N log S_1, and log S_1 itself is every N's value
     per symbol.
     """
-    levels = []  # per level 2..r-1: [letter projection, size of the level above, low codes, p]
-    for lvl in range(2, chain.rank):
-        coarse = {x: k for k, x in enumerate(chain.alphabet(lvl + 1))}
-        j = chain.prefix_length(lvl)
-        proj = np.array([coarse[x[: j - 1]] for x in chain.alphabet(lvl)], dtype=np.int64)
-        levels.append([proj, len(coarse), np.zeros(1, dtype=np.int64), 0])
-    max_fiber = max((len(f) for f in chain.fibers(1).values()), default=1)
+    levels = [[np.array(chain.projection(lvl), dtype=np.int64), len(chain.alphabet(lvl + 1)),
+               np.zeros(1, dtype=np.int64), 0] for lvl in range(2, chain.rank)]  # `_fold`'s, level 2..r-1
+    max_fiber = max(Counter(chain.projection(1)).values(), default=1)
     one_state = len(bottom[0]) == 1
     values = _level2_values(bottom, max_fiber, 1 if one_state else first, 1 if one_state else last)
     # an overflow surfaces as a non-finite S_N, raised as a ComputationError;
@@ -384,7 +370,7 @@ def nested_count(
     series (over one bottom state, S_1^N)."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    avals = _check_exponents(chain, a)
+    avals = check_exponents(a, chain.rank)
     base = len(chain.alphabet(2))
     if base**n > budget:
         raise ComplexityBudgetExceeded(base**n, budget)
@@ -411,7 +397,7 @@ def entropy_estimate(
     window = potential.window if potential is not None else 1
     if n_max < window:
         raise PotentialWindowTooLarge(f"window {window} exceeds n_max {n_max}")
-    avals = _check_exponents(chain, a)
+    avals = check_exponents(a, chain.rank)
     base = len(chain.alphabet(2))
     over = next((n for n in range(window, n_max + 1) if base**n > budget), None)
     if over is not None:

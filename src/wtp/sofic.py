@@ -171,8 +171,10 @@ def aligned_table(chain: SoficChain) -> dict:
 def golden_mean_chain() -> SoficChain:
     """Three-vertex chain over bases (2, 3, 4) with golden-ratio growth.
 
-    The per-label count matrices are pinned (A, A^2, A^3 and a zero matrix
-    for the fourth projected label; A has Perron value the golden ratio).
+    The count matrices of the labels (0, 0), (0, 1), (1, 0) are pinned to A,
+    A^2, A^3 (A has Perron value the golden ratio); the other three prefixes
+    of the full 2 x 3 x 4 digit set get zero matrices, which the config
+    golden_sofic.json, whose digit set is its labels, does not.
     Third coordinates of the labels are a frozen choice maximizing the word
     count of the presentation subject to those matrices.
 

@@ -24,8 +24,6 @@ from .defaults import AMBIGUITY_WARNING
 from .errors import (
     ClosedFormUnavailable,
     ComputationError,
-    DuplicateLabelAtVertex,
-    ExponentLengthMismatch,
     ValidationError,
     WindowUnsupported,
 )
@@ -34,12 +32,12 @@ from .symbolic import (
     DigitSystem,
     SoficChain,
     SpongeChain,
+    _duplicate_label,
     _int_tuple,
     _real,
-    check_right_resolving,
     validate_digit_system,
 )
-from .weights import Exponents, exponents_from_bases
+from .weights import Exponents, check_exponents, exponents_from_bases
 
 
 def _is_clean_table(table: dict, window: int) -> bool:
@@ -183,8 +181,7 @@ def _digit_table(sys: DigitSystem, potential: Potential | None) -> dict:
 def kp_recursion(sys: DigitSystem, a: Exponents, potential: Potential | None = None) -> ClosedForm:
     """The sponge route: contract the digit counts, each digit weighted by
     exp f under a window-1 potential, with every prefix table kept."""
-    if len(a) != sys.rank - 1:
-        raise ExponentLengthMismatch(f"need {sys.rank - 1} exponents, got {len(a)}")
+    check_exponents(a, sys.rank)
     return _closed_form(_digit_table(sys, potential), a, "sponge")
 
 
@@ -201,18 +198,16 @@ def closed_form(chain: SoficChain, a: Exponents, potential: Potential | None = N
     """
     if isinstance(chain, SpongeChain):
         return kp_recursion(chain.system, a, potential)
-    if len(a) != chain.rank - 1:
-        raise ExponentLengthMismatch(f"need {chain.rank - 1} exponents, got {len(a)}")
+    check_exponents(a, chain.rank)
     if potential is not None:
         raise ClosedFormUnavailable("sofic chains with potentials are estimator-only")
     from .sofic import aligned_table
 
     table = aligned_table(chain)
     caveats = [("dimension-ambiguity", AMBIGUITY_WARNING)]
-    try:
-        check_right_resolving(chain.graph)
-    except DuplicateLabelAtVertex as e:
-        caveats.append(("not-right-resolving", str(e)))
+    duplicate = _duplicate_label(chain.graph)  # a dead vertex adds no path, so no caveat
+    if duplicate is not None:
+        caveats.append(("not-right-resolving", str(duplicate)))
     return _closed_form(table, a, "aligned", caveats)
 
 

@@ -55,19 +55,30 @@ class DigitSystem:
 
     def prefixes(self, j: int) -> tuple[Digit, ...]:
         """Distinct length-j prefixes of the digit set, sorted."""
+        return self._level(j)[0]
+
+    def parents(self, j: int) -> tuple[int, ...]:
+        """Index in prefixes(j - 1) of each length-j prefix's cut (0 at j = 1)."""
+        return self._level(j)[1]
+
+    def _level(self, j: int) -> tuple[tuple[Digit, ...], tuple[int, ...]]:
         if not 1 <= j <= self.rank:
             raise LevelOutOfRange(f"prefix length {j} not in 1..{self.rank}")
-        return self._prefixes[j - 1]
+        return self._table[j - 1]
 
     @cached_property
-    def _prefixes(self) -> tuple[tuple[Digit, ...], ...]:
-        # cutting a sorted sequence keeps it sorted, so dropping repeats of the
-        # cut (dict keys keep their first order) leaves the distinct prefixes
-        # sorted; each length is cut from the next longer, shortest last
-        levels = [self.sorted_digits]
+    def _table(self) -> tuple[tuple[tuple[Digit, ...], tuple[int, ...]], ...]:
+        # (prefixes, parents) per length j = 1..r, each cut from the next
+        # longer: cutting a sorted sequence keeps it sorted, so dropping repeats
+        # of the cut (dict keys keep their first order) leaves the distinct
+        # prefixes sorted, and a prefix's parent is its cut's place among them
+        table, level = [], self.sorted_digits
         for j in range(self.rank, 0, -1):
-            levels.append(tuple(dict.fromkeys(map(itemgetter(slice(j)), levels[-1]))))
-        return tuple(reversed(levels[1:]))
+            cuts = list(map(itemgetter(slice(j - 1)), level))
+            place = dict(zip(dict.fromkeys(cuts), itertools.count()))
+            table.append((level, tuple(map(place.__getitem__, cuts))))
+            level = tuple(place)
+        return tuple(reversed(table))
 
 
 def _int_tuple(values, what: str, error=ValidationError) -> tuple[int, ...]:
@@ -172,19 +183,22 @@ class LabeledGraph:
                 raise ValidationError(f"edge label {lab} is not a digit of the system")
 
 
-def check_right_resolving(g: LabeledGraph) -> None:
-    """Raise unless no two edges from one vertex share a label and out-degrees are >= 1."""
-    seen: dict[tuple[str, Digit], bool] = {}
-    degree = {v: 0 for v in g.vertices}
-    for s, _t, lab in g.edges:
-        key = (s, tuple(lab))
+def _duplicate_label(g: LabeledGraph) -> DuplicateLabelAtVertex | None:
+    """The error naming the first edge whose label its source already carries, if any."""
+    seen = set()
+    for key in ((s, tuple(lab)) for s, _t, lab in g.edges):
         if key in seen:
-            raise DuplicateLabelAtVertex(s, tuple(lab))
-        seen[key] = True
-        degree[s] += 1
-    for v, d in degree.items():
-        if d == 0:
-            raise DeadVertex(v)
+            return DuplicateLabelAtVertex(*key)
+        seen.add(key)
+    return None
+
+
+def check_right_resolving(g: LabeledGraph) -> None:
+    """Raise unless no vertex repeats a label and every out-degree is >= 1; a repeat is named first."""
+    live = set(map(itemgetter(0), g.edges))
+    error = _duplicate_label(g) or next((DeadVertex(v) for v in g.vertices if v not in live), None)
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -293,33 +307,33 @@ class SoficChain:
             raise LevelOutOfRange(f"level {level} not in 1..{self.rank}")
         return self.rank - level + 1
 
+    @cached_property
+    def _labels(self) -> DigitSystem:
+        """The digit set of the edge labels; the system itself when every digit labels an edge."""
+        used = frozenset(map(tuple, map(itemgetter(2), self.graph.edges)))
+        digits = frozenset(filter(used.__contains__, self.system.digits))  # the system's own tuples
+        return self.system if digits == self.system.digits else DigitSystem(self.system.bases, digits)
+
     def alphabet(self, level: int) -> tuple[Digit, ...]:
-        keep = self.prefix_length(level)
-        return tuple(sorted({tuple(lab)[:keep] for _s, _t, lab in self.graph.edges}))
+        return self._labels.prefixes(self.prefix_length(level))
+
+    def projection(self, level: int) -> tuple[int, ...]:
+        """Index in alphabet(level + 1) of each level-`level` letter's image (0 at level r)."""
+        return self._labels.parents(self.prefix_length(level))
 
     def fibers(self, level: int) -> dict[Digit, tuple[Digit, ...]]:
         """Map each level-(level+1) letter to the level-`level` letters over it."""
-        j = self.prefix_length(level)
-        out: dict[Digit, list[Digit]] = {}
-        for x in self.alphabet(level):
-            out.setdefault(x[: j - 1], []).append(x)
-        return {k: tuple(v) for k, v in out.items()}
+        coarse = self.alphabet(level + 1) if level < self.rank else ((),)
+        runs = itertools.groupby(zip(self.projection(level), self.alphabet(level)), itemgetter(0))
+        return {coarse[k]: tuple(map(itemgetter(1), run)) for k, run in runs}
 
     def automaton(self, level: int) -> FollowerAutomaton:
         return _cached_automaton(self.graph, level)
 
     def is_full_shift(self, level: int) -> bool:
-        """True iff every word over the level alphabet is admissible.
-
-        Checked on the follower automaton: from every reachable state every
-        letter must have a transition.
-        """
+        """True iff every word of the level alphabet is admissible: each automaton state reads all letters."""
         aut = self.automaton(level)
-        return all(
-            (s, letter) in aut.transitions
-            for s in range(len(aut.states))
-            for letter in aut.letters
-        )
+        return len(aut.transitions) == len(aut.states) * len(aut.letters)
 
     def admissible(self, level: int, letters) -> bool:
         """True iff the level-`level` word `letters` is read along some path."""
@@ -357,6 +371,5 @@ def preimage_count(chain: SoficChain, level: int, letters) -> int:
         raise LevelOutOfRange(f"word level {level} must be in 2..{chain.rank}")
     if not chain.admissible(level, letters):
         raise InadmissibleWord(f"{letters} is not admissible at level {level}")
-    finer = level - 1
-    fibers = chain.fibers(finer)
-    return _count_words(chain.automaton(finer), [fibers[x] for x in letters])
+    fibers = chain.fibers(level - 1)
+    return _count_words(chain.automaton(level - 1), [fibers[x] for x in letters])

@@ -97,25 +97,18 @@ class VariationalValue:
 
 def _marginal_groups(sys: DigitSystem) -> list[tuple[np.ndarray, int]]:
     """Per level i, the index of each sorted digit's length-(r-i+1) prefix
-    among that level's sorted prefixes, with the prefix count.
+    among that level's sorted prefixes, with the prefix count: the digit's
+    own index at level 1, composed upward with the system's parent table.
 
     The level-i marginal of p is the grouped sum
     `np.bincount(group, weights=p, minlength=k)`, and pulling a per-prefix
-    vector x back to the digits is the gather `x[group]`.  The digits are
-    sorted, so each prefix is a run of them: a digit starts a new length-j
-    run exactly when the first coordinate where it differs from the digit
-    before is below j, and the index is the count of run starts before it.
+    vector x back to the digits is the gather `x[group]`.
     """
-    digits = sys.sorted_digits
-    n, r = len(digits), sys.rank
-    coords = np.fromiter(itertools.chain.from_iterable(digits), dtype=np.intp, count=n * r)
-    coords = coords.reshape(n, r)
-    first_change = (coords[1:] != coords[:-1]).argmax(axis=1)
-    groups = []
-    for level in range(1, r + 1):
-        group = np.zeros(n, dtype=np.intp)
-        np.cumsum(first_change < r - level + 1, out=group[1:])
-        groups.append((group, int(group[-1]) + 1))
+    group = np.arange(len(sys.sorted_digits))
+    groups = [(group, len(group))]
+    for j in range(sys.rank, 1, -1):
+        group = np.array(sys.parents(j), dtype=np.intp)[group]
+        groups.append((group, len(sys.prefixes(j - 1))))
     return groups
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BasesNotSorted, ExponentOutOfRange
+from .errors import BasesNotSorted, ExponentLengthMismatch, ExponentOutOfRange
 
 _SUM_TOL = 1e-12
 
@@ -28,6 +28,13 @@ class Exponents:
 
     def __iter__(self):
         return iter(self.values)
+
+
+def check_exponents(a: Exponents, rank: int) -> tuple[float, ...]:
+    """a's values, once a holds one exponent per map between the rank levels."""
+    if len(a) != rank - 1:
+        raise ExponentLengthMismatch(f"need {rank - 1} exponents, got {len(a)}")
+    return a.values
 
 
 @dataclass(frozen=True)

@@ -597,6 +597,29 @@ def test_right_resolving_closed_form_has_no_caveat(command):
     assert report.warnings == [AMBIGUITY_WARNING]
 
 
+@pytest.mark.parametrize("command", ["entropy", "dimension", "estimate"])
+def test_dead_vertex_adds_no_caveat(tmp_path, capsys, command):
+    # right-resolving, but vertex b has no outgoing edge; both count matrices
+    # [[1,0],[1,0]] share the eigenvector (1, 1) with eigenvalue 1
+    edges = [["a", "a", [0, 0]], ["a", "b", [0, 1]], ["a", "a", [1, 0]], ["a", "b", [1, 1]]]
+    doc = {"system": {"sofic": {"bases": [2, 2], "vertices": ["a", "b"], "edges": edges}}}
+    doc["estimator"] = {"n_max": 3}
+    path = tmp_path / "dead_vertex.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["closed_form"]["h_a_nats"] == 0.6931471805599453
+    assert report["warnings"] == [AMBIGUITY_WARNING]
+    if command == "estimate":
+        # S_N counts 2^(N+1) words: log 2 * (1 + 1/N)
+        rows = report["estimate_series"]
+        assert [row["n"] for row in rows] == [1, 2, 3]
+        for row in rows:
+            assert row["log_s_over_n"] == pytest.approx(math.log(2) * (1 + 1 / row["n"]), rel=1e-15)
+
+
 def test_estimate_series_matches_library():
     from wtp.estimator import entropy_estimate
     from wtp.weights import exponents_from_bases

@@ -7,6 +7,10 @@ Core claims:
       or string where an integer belongs, a string where a real belongs, a
       non-sequence digit and a malformed edge are ValidationErrors
     - prefix projection is surjective level to level
+    - each level's alphabet, fibers and projection, and the ascent's marginal
+      groups, equal the per-call derivations that the one prefix table
+      replaced (kept below as oracles), on random digit systems of rank 2-4
+      and graphs whose labels are any subset of the digits
     - the subset automaton counts exactly the words brute-force path
       enumeration produces after label deduplication
     - right-resolving graphs have at most |V| path realizations per word
@@ -24,7 +28,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtp.errors import (
@@ -50,7 +54,7 @@ from wtp.symbolic import (
     preimage_count,
     validate_digit_system,
 )
-from wtp.variational import SymbolDistribution
+from wtp.variational import SymbolDistribution, _marginal_groups
 
 
 # -- validation ---------------------------------------------------------------
@@ -153,6 +157,92 @@ def test_projection_surjective_between_levels(golden, carpet):
             fibers = chain.fibers(level)
             assert set(fibers) == set(chain.alphabet(level + 1))
             assert all(len(f) >= 1 for f in fibers.values())
+
+
+# Reference derivations of the maps between levels, each computed afresh
+# from the edge labels or the digits, as the code did before the one table
+# in `DigitSystem`; kept here as oracles for that table.
+
+def _alphabet_oracle(graph, level):
+    keep = graph.system.rank - level + 1
+    return tuple(sorted({tuple(lab)[:keep] for _s, _t, lab in graph.edges}))
+
+
+def _fibers_oracle(graph, level):
+    keep = graph.system.rank - level + 1
+    out = {}
+    for x in _alphabet_oracle(graph, level):
+        out.setdefault(x[: keep - 1], []).append(x)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def _projection_oracle(graph, level):
+    """The estimator's per-level projection: each letter's index above, by dict lookup."""
+    coarse = {x: k for k, x in enumerate(_alphabet_oracle(graph, level + 1))}
+    keep = graph.system.rank - level + 1
+    return [coarse[x[: keep - 1]] for x in _alphabet_oracle(graph, level)]
+
+
+def _bottom_walk_oracle(graph):
+    """(bottom letter, level-2 index) in the order of the estimator's old double loop."""
+    fibers = _fibers_oracle(graph, 1)
+    return [(x, k) for k, y in enumerate(_alphabet_oracle(graph, 2)) for x in fibers.get(y, ())]
+
+
+def _marginal_groups_oracle(system):
+    """Run-start cumsum over the sorted digits: a digit starts a new length-j
+    run when the first coordinate where it differs from the one before is below j."""
+    digits = system.sorted_digits
+    n, r = len(digits), system.rank
+    coords = np.array(digits, dtype=np.intp).reshape(n, r)
+    first_change = (coords[1:] != coords[:-1]).argmax(axis=1)
+    groups = []
+    for level in range(1, r + 1):
+        group = np.zeros(n, dtype=np.intp)
+        np.cumsum(first_change < r - level + 1, out=group[1:])
+        groups.append((group, int(group[-1]) + 1))
+    return groups
+
+
+@st.composite
+def _label_graphs(draw):
+    """A digit system of rank 2-4 and a 1-3 vertex graph over it.  The labels
+    are any subset of the digits, none included, given as int tuples, numpy
+    int tuples or lists."""
+    bases = tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))))
+    pool = st.tuples(*(st.integers(0, m - 1) for m in bases))
+    system = validate_digit_system(bases, draw(st.lists(pool, min_size=1, max_size=25)))
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 3))))
+    spelling = st.sampled_from([tuple, list, lambda d: tuple(map(np.int64, d))])
+    vertex, digit = st.sampled_from(vertices), st.sampled_from(system.sorted_digits)
+    edge = st.tuples(vertex, vertex, digit, spelling)
+    edges = tuple((s, t, spell(d)) for s, t, d, spell in draw(st.lists(edge, max_size=30)))
+    return LabeledGraph(vertices=vertices, edges=edges, system=system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_label_graphs())
+@example(graph=LabeledGraph(vertices=("v",), edges=(), system=validate_digit_system((2, 3), [(0, 0)])))
+def test_level_maps_match_reference_derivations(graph):
+    chain = SoficChain(graph)
+    r = graph.system.rank
+    for level in range(1, r + 1):
+        assert chain.alphabet(level) == _alphabet_oracle(graph, level)
+        assert chain.fibers(level) == _fibers_oracle(graph, level)
+    for level in range(1, r):
+        assert list(chain.projection(level)) == _projection_oracle(graph, level)
+    assert list(zip(chain.alphabet(1), chain.projection(1))) == _bottom_walk_oracle(graph)
+    groups, reference = _marginal_groups(graph.system), _marginal_groups_oracle(graph.system)
+    assert [(g.tolist(), k) for g, k in groups] == [(g.tolist(), k) for g, k in reference]
+
+
+def test_golden_labels_use_half_the_digits(golden):
+    # 12 of the 24 digits label an edge; the alphabets are those of the labels
+    assert len(golden.system.digits) == 24
+    assert len(golden.alphabet(1)) == 12
+    assert golden.alphabet(2) == ((0, 0), (0, 1), (1, 0))
+    assert golden.fibers(2) == {(0,): ((0, 0), (0, 1)), (1,): ((1, 0),)}
+    assert golden.projection(2) == (0, 0, 1)
 
 
 # -- right-resolving ----------------------------------------------------------

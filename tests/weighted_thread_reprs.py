@@ -3,8 +3,8 @@
     PYTHONPATH=src python tests/weighted_thread_reprs.py
 
 Their level-2 weights are BLAS products, which fix no order of their sums, so
-CI runs this under 1 and under 2 BLAS threads and fails if the outputs
-differ.  The chains are window-2 potentials on sponges of the benchmark's
+tests/test_blas_threads.py runs this under 1 and under 2 BLAS threads and
+fails if the outputs differ.  The chains are window-2 potentials on sponges of the benchmark's
 window-2 shapes (rank 3 and rank 4, five level-2 letters, ten digits, N up
 to 8), a window-3 potential on a 15-digit sponge, whose bottom DP has
 241 states, up to N = 11, and a window-1 potential on the golden chain, a
