@@ -2,8 +2,9 @@
 
 One closed form (`closed_form`) for full-shift sponge chains and
 eigenvector-aligned sofic chains, exact finite-N nested cylinder counts
-with Fekete upper bounds for general chains, and a numerical certification
-of the variational principle over Bernoulli measures.
+with Fekete upper bounds for general chains, and a certificate of the
+variational principle: the Bernoulli measure built from the sponge
+recursion, whose objective reaches log Z_0.
 
 The names below and the submodules are imported on first access (PEP 562),
 so `import wtp` loads neither numpy nor a module it does not use.
@@ -51,7 +52,6 @@ _EXPORTS = {
         "SymbolDistribution",
         "VariationalValue",
         "bernoulli_objective",
-        "maximize_bernoulli",
         "optimal_measure_from_recursion",
     ),
     "weights": (

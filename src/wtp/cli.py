@@ -20,12 +20,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from . import __version__
-from .defaults import (
-    DEFAULT_BUDGET,
-    DEFAULT_N_MAX,
-    MAX_ITERS,
-    STALL_GAIN,
-)
+from .defaults import DEFAULT_BUDGET, DEFAULT_N_MAX
 from .errors import (
     ClosedFormUnavailable,
     ParseError,
@@ -35,6 +30,7 @@ from .errors import (
     WtpError,
 )
 from .sponge import (
+    ClosedForm,
     Potential,
     closed_form,
     hausdorff_dimension,
@@ -66,12 +62,6 @@ def entropy_estimate(*args, **kwargs):
     return entropy_estimate(*args, **kwargs)
 
 
-def maximize_bernoulli(*args, **kwargs):
-    from .variational import maximize_bernoulli
-
-    return maximize_bernoulli(*args, **kwargs)
-
-
 COMMANDS = ("entropy", "dimension", "estimate", "variational", "check")
 # report warning for each caveat code of a ClosedForm, filled with its detail
 CAVEAT_WARNINGS = {
@@ -91,8 +81,6 @@ class RunConfig:
     potential: Potential | None
     n_max: int
     budget: int
-    max_iters: int
-    tolerance: float
 
 
 @dataclass
@@ -295,13 +283,6 @@ def _real(value, path) -> float:
         raise ParseError(path, f"{value} is out of float range") from None
 
 
-def _tolerance(value, path) -> float:
-    tolerance = _real(value, path)
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ParseError(path, f"expected a finite number >= 0, got {value!r}")
-    return tolerance
-
-
 def _potential_table(entries) -> dict | None:
     """The potential table when every `[word, value]` entry is well formed and
     its value a float, checked a whole list at a time; None otherwise, and
@@ -390,11 +371,14 @@ def parse_config(doc) -> RunConfig:
                 table[key] = _real(value, f"$.potential.table[{k}][1]")
         potential = Potential(window=window, table=table)
 
+    if "optimizer" in doc:
+        # a report echoes its config, so an ignored section would misstate its number
+        raise ParseError(
+            "$.optimizer", "expected no optimizer section: the variational maximizer is now built in closed form"
+        )
     est = doc.get("estimator") or {}
-    opt = doc.get("optimizer") or {}
-    for name, section in (("estimator", est), ("optimizer", opt)):
-        if not isinstance(section, dict):
-            raise ParseError(f"$.{name}", "expected an object")
+    if not isinstance(est, dict):
+        raise ParseError("$.estimator", "expected an object")
     return RunConfig(
         raw=doc,
         chain=chain,
@@ -402,8 +386,6 @@ def parse_config(doc) -> RunConfig:
         potential=potential,
         n_max=_count(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
         budget=_count(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
-        max_iters=_count(opt.get("max_iters", MAX_ITERS), "$.optimizer.max_iters"),
-        tolerance=_tolerance(opt.get("tolerance", STALL_GAIN), "$.optimizer.tolerance"),
     )
 
 
@@ -415,19 +397,21 @@ def _dimensions(config: RunConfig) -> dict:
     }
 
 
-def _closed_form_fields(config: RunConfig, report: Report) -> dict:
-    """`closed_form` on the config, laid out as its route's report fields;
-    its caveats become report warnings."""
+def _report_closed_form(config: RunConfig, report: Report) -> ClosedForm:
+    """`closed_form` on the config, laid out in the report as its route's
+    fields, its caveats as report warnings; returns the `ClosedForm`."""
     result = closed_form(config.chain, config.exponents, config.potential)
     report.warnings += [CAVEAT_WARNINGS[code].format(detail) for code, detail in result.caveats]
     h = result.h_a_nats
     if result.route == "sponge":
-        return {"h_a_nats": h, "z0": result.z0, **_dimensions(config)}
-    return {
-        "h_a_nats": h,
-        "h_over_log_m1": h / math.log(config.chain.system.bases[0]),
-        "bracket_value": math.exp(h),
-    }
+        report.closed_form = {"h_a_nats": h, "z0": result.z0, **_dimensions(config)}
+    else:
+        report.closed_form = {
+            "h_a_nats": h,
+            "h_over_log_m1": h / math.log(config.chain.system.bases[0]),
+            "bracket_value": math.exp(h),
+        }
+    return result
 
 
 def run(config: RunConfig, command: str) -> Report:
@@ -453,29 +437,24 @@ def run(config: RunConfig, command: str) -> Report:
         if not sponge:
             raise UnsupportedCombination("variational optimization is restricted to sponge chains")
         try:
-            closed = _closed_form_fields(config, report)
+            closed = _report_closed_form(config, report)
         except WindowUnsupported as e:
             raise UnsupportedCombination("variational optimization takes window-1 potentials") from e
-        dist, value = maximize_bernoulli(
-            config.chain.system,
-            config.exponents,
-            config.potential,
-            max_iters=config.max_iters,
-            tolerance=config.tolerance,
-            closed_form=closed["h_a_nats"],
-        )
-        report.closed_form = closed
+        from .variational import bernoulli_objective, optimal_measure_from_recursion  # loads numpy
+
+        # the witness is read off the closed form's tables, its value evaluated apart from them
+        system, a, f = config.chain.system, config.exponents, config.potential
+        dist = optimal_measure_from_recursion(system, a, f, closed)
+        value = bernoulli_objective(system, a, dist, f).value
         report.variational = {
-            "value": value.value,
-            "gap_to_closed_form": closed["h_a_nats"] - value.value,
-            "maximizer": [
-                [list(d), p] for d, p in sorted(dist.probs.items())
-            ],
+            "value": value,
+            "gap_to_closed_form": closed.h_a_nats - value,
+            "maximizer": [[list(d), p] for d, p in sorted(dist.probs.items())],
         }
         return report
 
     try:
-        report.closed_form = _closed_form_fields(config, report)
+        _report_closed_form(config, report)
     except ClosedFormUnavailable as e:
         unavailable = f"closed form unavailable: {e}"
         if command == "dimension" and not sponge:

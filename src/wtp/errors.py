@@ -92,13 +92,6 @@ class DistributionInvalid(ValidationError):
     pass
 
 
-class DidNotConverge(ComputationError):
-    def __init__(self, message, best_value=None, best_distribution=None):
-        self.best_value = best_value
-        self.best_distribution = best_distribution
-        super().__init__(message)
-
-
 class ParseError(ValidationError):
     def __init__(self, path, message):
         self.path = path

@@ -61,6 +61,7 @@ from .defaults import DEFAULT_BUDGET, DEFAULT_N_MAX
 from .errors import (
     ComplexityBudgetExceeded,
     ComputationError,
+    EmptyDigits,
     PotentialWindowTooLarge,
     ValidationError,
 )
@@ -110,6 +111,8 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     in level-2 alphabet order, tail weights, exact-integers flag).
     """
     letters = tuple(zip(chain.alphabet(1), chain.projection(1)))  # with each one's level-2 index
+    if not letters:
+        raise EmptyDigits("the chain's graph has no edges, so it has no words")
     window = potential.window if potential is not None else 1
     if window > n:
         raise PotentialWindowTooLarge(f"window {window} exceeds word length {n}")

@@ -12,7 +12,8 @@ Core claims:
       count past float range is a ComputationError naming N on a multi-state
       bottom; on a sponge, where S_N = S_1^N, it is N a_1 log 1000 for
       1000 digits of one level-2 letter
-    - the enumeration budget and window preconditions are enforced
+    - the enumeration budget and window preconditions are enforced; a
+      chain whose graph has no edges is a ValidationError, not a numpy error
     - S_N keeps its bits when BLOCK splits the fold and the big-integer
       count products into blocks of one or 500 entries
     - an overflowing tail weight is a ComputationError; NaN weights from
@@ -39,7 +40,7 @@ import pytest
 
 from wtp import estimator
 from wtp.checks import random_sponge
-from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge
+from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge, ValidationError
 from wtp.estimator import entropy_estimate, nested_count, submultiplicativity_check
 from wtp.sponge import Potential, closed_form, kp_recursion
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
@@ -178,6 +179,17 @@ def test_budget_enforced(golden):
     a = exponents_from_bases(golden.system.bases)
     with pytest.raises(ComplexityBudgetExceeded):
         nested_count(golden, a, n=12, budget=1000)
+
+
+def test_edgeless_chain_is_validation_error():
+    # no edge, no level-2 letter, no transfer matrix to stack
+    graph = LabeledGraph(vertices=("v",), edges=(), system=validate_digit_system((2, 3), [(0, 0)]))
+    chain = SoficChain(graph)
+    a = exponents_from_bases((2, 3))
+    with pytest.raises(ValidationError, match="no edges"):
+        entropy_estimate(chain, a, n_max=3)
+    with pytest.raises(ValidationError, match="no edges"):
+        nested_count(chain, a, n=2)
 
 
 def test_window_larger_than_word_rejected(carpet_chain, carpet_exponents):

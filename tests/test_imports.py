@@ -1,7 +1,7 @@
 """The package root resolves its re-exports lazily; cold commands load only what they run.
 
 Core claims:
-    - `wtp` re-exports 37 names, each the very object its defining module
+    - `wtp` re-exports 36 names, each the very object its defining module
       holds, and lists them in `__all__` and `dir(wtp)`; an unknown name is
       an AttributeError
     - every submodule resolves as an attribute of `wtp` on first access
@@ -36,8 +36,7 @@ REEXPORTS = {
         "check_right_resolving", "determinize", "preimage_count", "validate_digit_system",
     ],
     "variational": [
-        "SymbolDistribution", "VariationalValue", "bernoulli_objective", "maximize_bernoulli",
-        "optimal_measure_from_recursion",
+        "SymbolDistribution", "VariationalValue", "bernoulli_objective", "optimal_measure_from_recursion",
     ],
     "weights": [
         "Exponents", "WeightVector", "bowen_weights_from_bases", "exponents_from_bases",
@@ -52,7 +51,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_reexports_are_the_defining_modules_objects():
-    assert len(NAMES) == len(set(NAMES)) == 37
+    assert len(NAMES) == len(set(NAMES)) == 36
     for module, names in REEXPORTS.items():
         defining = importlib.import_module(f"wtp.{module}")
         for name in names:

@@ -7,7 +7,7 @@ Core claims:
       or string where an integer belongs, a string where a real belongs, a
       non-sequence digit and a malformed edge are ValidationErrors
     - prefix projection is surjective level to level
-    - each level's alphabet, fibers and projection, and the ascent's marginal
+    - each level's alphabet, fibers and projection, and the objective's marginal
       groups, equal the per-call derivations that the one prefix table
       replaced (kept below as oracles), on random digit systems of rank 2-4
       and graphs whose labels are any subset of the digits
