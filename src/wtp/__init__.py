@@ -21,7 +21,6 @@ _EXPORTS = {
         "NestedCount",
         "entropy_estimate",
         "nested_count",
-        "submultiplicativity_check",
     ),
     "sofic": (
         "SpectralAlignment",

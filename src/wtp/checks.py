@@ -1,35 +1,44 @@
-"""Always-on invariant suite behind the `check` command.
+"""Claims against claims on the chain of one config: the `check` command.
 
-Each check returns a CheckResult; randomized checks use a fixed seed so runs
-are reproducible.  The golden-mean chain checks compare word counts against
-per-symbol eigenvalue products with the constant |V| * (max v / min v); the
-path-per-word upper bound |V| itself holds only for right-resolving
-presentations and is asserted on those.
+The paper defines weighted entropy and pressure through nested counts S_N
+and proves a variational principle for them, so every value `wtp` reports
+for a chain can be tested against that same chain's other routes.
+`run_all_checks(config)` takes the config's chain, exponents, potential,
+n_max and budget, and each line names the claim it tests:
+
+    submultiplicativity       log S_(n+m) <= log S_n + log S_m on the
+                              series that `wtp estimate` prints
+    closed-form-below-fekete  the closed form is at most the last Fekete
+                              bound; on a sponge route, where S_N = S_1^N,
+                              the two agree
+    degenerate-collapses      at a = 0 and a = 1, S_N counts the top and
+                              the bottom words (the automaton DP of
+                              `wtp.symbolic`), N <= 3
+    pressure-shift            P(f + 0.5) = P(f) + 0.5 w_1, on S_N at
+                              N = min(3, n_max) and on the closed form
+    variational-witness       the Bernoulli measure read off the sponge
+                              recursion reaches log Z_0
+    weights-consistency       the two formulas for the base-derived weights
+
+A claim that does not apply to the chain (no closed form, no pair in the
+series, a potential wider than one letter) prints no line.  Errors are
+those of the routes: a budget overflow exits 2, as `estimate` does.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import ClosedFormUnavailable
+from .estimator import entropy_estimate, nested_count
+from .sponge import ClosedForm, Potential, closed_form
+from .variational import bernoulli_objective, optimal_measure_from_recursion
+from .weights import Exponents, bowen_weights_from_bases, exponents_from_bases, weights_from_exponents
 
-from .estimator import _bottom_matrices, nested_count, submultiplicativity_check
-from .sofic import build_count_matrices, detect_alignment, golden_mean_chain
-from .sponge import Potential, closed_form, m_fold_potential, m_fold_system
-from .symbolic import DigitSystem, SpongeChain, validate_digit_system
-from .weights import (
-    Exponents,
-    bowen_weights_from_bases,
-    exponents_from_bases,
-    weights_from_exponents,
-)
-
-SHIFT_TOL = 1e-9
-COLLAPSE_TOL = 1e-12
-WEIGHTS_TOL = 1e-12
-SUBMULT_SLACK = 1e-9
-MONOTONE_TRIALS = 200
+SLACK = 1e-9  # two float routes to one value; times max(1, |h|) against a closed form h
+EXACT_TOL = 1e-12  # two routes to one exact count or weight
+SHIFT = 0.5  # added to the potential on every bottom letter
+COLLAPSE_N = 3  # longest N of the count and shift lines
 
 
 @dataclass(frozen=True)
@@ -42,204 +51,106 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def random_sponge(rng, max_rank=4, max_base=5, max_digits=10) -> DigitSystem:
-    r = int(rng.integers(2, max_rank + 1))
-    bases = tuple(sorted(int(rng.integers(2, max_base + 1)) for _ in range(r)))
-    pool = list(itertools.product(*(range(m) for m in bases)))
-    k = int(rng.integers(1, min(max_digits, len(pool)) + 1))
-    picked = rng.choice(len(pool), size=k, replace=False)
-    return validate_digit_system(bases, [pool[i] for i in picked])
+def _tolerance(value: float) -> float:
+    return SLACK * max(1.0, abs(value))
 
 
-def random_exponents(rng, r) -> Exponents:
-    return Exponents(tuple(float(rng.uniform(0.0, 1.0)) for _ in range(r - 1)))
+def _closed_form(chain, a: Exponents, potential: Potential | None) -> ClosedForm | None:
+    try:
+        return closed_form(chain, a, potential)
+    except ClosedFormUnavailable:
+        return None
 
 
-def check_pressure_shift(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(20):
-        sys = random_sponge(rng)
-        chain = SpongeChain(sys)
-        a = random_exponents(rng, sys.rank)
-        w1 = weights_from_exponents(a)[0]
-        f = Potential(
-            window=1,
-            table={(d,): float(rng.normal()) for d in sys.sorted_digits},
-        )
-        c = float(rng.normal())
-        shifted = Potential(window=1, table={k: v + c for k, v in f.table.items()})
-        err = abs(
-            closed_form(chain, a, shifted).h_a_nats
-            - closed_form(chain, a, f).h_a_nats
-            - w1 * c
-        )
-        worst = max(worst, err)
-        # estimator route: f == c against f == 0 is exact
-        const = Potential(window=1, table={(d,): c for d in sys.sorted_digits})
-        lhs = nested_count(chain, a, const, n=3).per_symbol
-        rhs = nested_count(chain, a, None, n=3).per_symbol + w1 * c
-        worst = max(worst, abs(lhs - rhs))
+def _submultiplicativity(series) -> CheckResult | None:
+    logs = {n: n * value for n, value in series.entries}
+    excess = [logs[n + m] - logs[n] - logs[m] for n in logs for m in logs if n <= m and n + m in logs]
+    if not excess:
+        return None
+    worst = max(excess)
     return CheckResult(
-        "pressure-shift", worst <= SHIFT_TOL, f"max |P(f+c) - P(f) - w1*c| = {worst:.3e}"
+        "submultiplicativity",
+        worst <= math.log1p(SLACK),
+        f"max log S_(n+m) - log S_n - log S_m = {worst:.3e} over {len(excess)} pairs",
     )
 
 
-def check_monotonicity(rng) -> CheckResult:
-    min_increase = math.inf
-    for _ in range(MONOTONE_TRIALS):
-        sys = random_sponge(rng)
-        chain = SpongeChain(sys)
-        a = random_exponents(rng, sys.rank)
-        i = int(rng.integers(0, sys.rank - 1))
-        bumped = list(a.values)
-        bumped[i] = float(rng.uniform(bumped[i], 1.0))
-        low = closed_form(chain, a).h_a_nats
-        high = closed_form(chain, Exponents(tuple(bumped))).h_a_nats
-        min_increase = min(min_increase, high - low)
+def _below_fekete(closed: ClosedForm, series) -> CheckResult:
+    h, bound = closed.h_a_nats, series.fekete_bounds[-1]
+    tol = _tolerance(h)
+    equal = closed.route == "sponge"  # one bottom state: every entry is log S_1
+    passed = h <= bound + tol and (not equal or abs(h - bound) <= tol)
+    relation = "=" if equal else "<="
     return CheckResult(
-        "entropy-monotone-in-a",
-        min_increase >= -COLLAPSE_TOL,
-        f"min increase over {MONOTONE_TRIALS} trials = {min_increase:.3e}",
+        "closed-form-below-fekete",
+        passed,
+        f"h_a_nats {h!r} {relation} Fekete bound {bound!r} within {tol:.1e}",
     )
 
 
-def check_degenerate_collapses(rng) -> CheckResult:
+def _degenerate_collapses(chain, n_max: int, budget: int) -> CheckResult:
+    r, top = chain.rank, min(COLLAPSE_N, n_max)
     worst = 0.0
-    for _ in range(20):
-        sys = random_sponge(rng)
-        chain = SpongeChain(sys)
-        r = sys.rank
-        ones = Exponents((1.0,) * (r - 1))
-        err = abs(closed_form(chain, ones).h_a_nats - math.log(len(sys.digits)))
-        worst = max(worst, err)
-        zero_top = list(random_exponents(rng, r).values)
-        zero_top[-1] = 0.0
-        err = abs(
-            closed_form(chain, Exponents(tuple(zero_top))).h_a_nats
-            - math.log(len(sys.prefixes(1)))
-        )
-        worst = max(worst, err)
-        # estimator collapse: all-zero exponents count admissible top words
-        zeros = Exponents((0.0,) * (r - 1))
-        count = nested_count(chain, zeros, n=2).log_value
-        err = abs(count - 2 * math.log(len(sys.prefixes(1))))
-        worst = max(worst, err)
-    golden = golden_mean_chain()  # several bottom states, so S_N is enumerated; no rng draws
-    for n in (2, 3):
-        count = nested_count(golden, Exponents((0.0, 0.0)), n=n).log_value
-        worst = max(worst, abs(count - math.log(golden.automaton(3).count_words(n))))
-    return CheckResult("degenerate-collapses", worst <= COLLAPSE_TOL, f"max error = {worst:.3e}")
-
-
-def check_weights_consistency(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(200):
-        r = int(rng.integers(2, 6))
-        bases = tuple(sorted(int(rng.integers(2, 12)) for _ in range(r)))
-        via_exponents = weights_from_exponents(exponents_from_bases(bases))
-        direct = bowen_weights_from_bases(bases)
-        worst = max(
-            worst, max(abs(x - y) for x, y in zip(via_exponents.values, direct.values))
-        )
-    return CheckResult("weights-consistency", worst <= WEIGHTS_TOL, f"max gap = {worst:.3e}")
-
-
-def _window2_potential(sys: DigitSystem) -> Potential:
-    """f(x, y) = ((i + 2 j) mod 3) / 4 for the i-th and j-th sorted digits, no rng:
-    its DP states keep the last digit, so a sponge's S_N is enumerated, not S_1^N."""
-    ranked = enumerate(sys.sorted_digits)
-    table = {(x, y): ((i + 2 * j) % 3) / 4 for (i, x), (j, y) in itertools.product(ranked, repeat=2)}
-    return Potential(2, table)
-
-
-def check_submultiplicativity(rng) -> CheckResult:
-    cases = []
-    carpet = validate_digit_system((2, 3), [(0, 0), (1, 1), (0, 2)])
-    cases.append((SpongeChain(carpet), exponents_from_bases(carpet.bases), 2, 3, _window2_potential(carpet)))
-    golden = golden_mean_chain()
-    cases.append((golden, exponents_from_bases(golden.system.bases), 3, 4, None))
-    sys = random_sponge(rng, max_rank=3, max_base=4, max_digits=6)
-    cases.append((SpongeChain(sys), random_exponents(rng, sys.rank), 2, 2, _window2_potential(sys)))
-    ok = all(
-        submultiplicativity_check(chain, a, n, m, potential, slack=SUBMULT_SLACK)
-        for chain, a, n, m, potential in cases
-    )
-    return CheckResult("submultiplicativity", ok, f"{len(cases)} chains, slack {SUBMULT_SLACK}")
-
-
-def _golden_word_and_path_counts(n_max=10):
-    """Word counts, eigenvalue products, and path totals for every admissible
-    level-2 word of the golden-mean chain up to length n_max."""
-    chain = golden_mean_chain()
-    mats = build_count_matrices(chain.graph)
-    alignment = detect_alignment(mats)
-    labels = sorted(alignment.eigenvalues)
-    start, bottom, _tail, _exact = _bottom_matrices(chain, None, 1)
-    transfer = dict(zip(chain.alphabet(2), (m.astype(float) for m in bottom)))
-
-    words = start.astype(float)[None, :]
-    paths = np.ones((1, len(chain.graph.vertices)))
-    lam = np.ones(1)
-    for n in range(1, n_max + 1):
-        words = np.concatenate([words @ transfer[lab].T for lab in labels], axis=0)
-        # rows are P 1 for the path-count matrix P = A_{k_n} ... A_{k_1}:
-        # appending a letter left-multiplies P, so the pairing with `words` is
-        # positionwise exact, and the entry sum of P is that of P 1
-        paths = np.concatenate([paths @ mats[lab].T for lab in labels], axis=0)
-        lam = np.concatenate([lam * alignment.eigenvalues[lab] for lab in labels])
-        yield n, words.sum(axis=1), paths.sum(axis=1), lam, alignment
-
-
-def check_golden_growth_sandwich(n_max=10) -> CheckResult:
-    chain = golden_mean_chain()
-    nv = len(chain.graph.vertices)
-    lo, hi = math.inf, 0.0
-    paths_ok = True
-    c = None
-    for _n, wc, paths, lam, alignment in _golden_word_and_path_counts(n_max):
-        vec = np.array(alignment.vector)
-        c = nv * float(vec.max() / vec.min())
-        if wc.min() <= 0:
-            return CheckResult("golden-growth-sandwich", False, "inadmissible word found")
-        ratio = wc / lam
-        lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
-        if (paths < wc - 1e-9).any():
-            paths_ok = False
-    ok = paths_ok and lo >= 1.0 / c and hi <= c
+    for n in range(1, top + 1):
+        for exponent, level in ((0.0, r), (1.0, 1)):
+            count = nested_count(chain, Exponents((exponent,) * (r - 1)), n=n, budget=budget).log_value
+            exact = math.log(chain.automaton(level).count_words(n))
+            worst = max(worst, abs(count - exact) / max(1.0, abs(exact)))
     return CheckResult(
-        "golden-growth-sandwich",
-        ok,
-        f"word/eigen ratios in [{lo:.4f}, {hi:.4f}] within [1/{c:.3f}, {c:.3f}]; paths >= words: {paths_ok}",
+        "degenerate-collapses",
+        worst <= EXACT_TOL,
+        f"max relative error of log S_N against word counts at N <= {top}: {worst:.3e}",
     )
 
 
-def check_power_scaling(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(6):
-        sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=4)
-        a = random_exponents(rng, sys.rank)
-        f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits})
-        base_value = closed_form(SpongeChain(sys), a, f).h_a_nats
-        for m in (2, 3):
-            folded = m_fold_system(sys, m)
-            folded_f = m_fold_potential(sys, f, m)
-            err = abs(closed_form(SpongeChain(folded), a, folded_f).h_a_nats - m * base_value)
-            worst = max(worst, err)
-            # estimator at matched total length
-            lhs = nested_count(SpongeChain(folded), a, folded_f, n=2).log_value
-            rhs = nested_count(SpongeChain(sys), a, f, n=2 * m).log_value
-            worst = max(worst, abs(lhs - rhs))
-    return CheckResult("power-scaling", worst <= SHIFT_TOL, f"max error = {worst:.3e}")
+def _pressure_shift(chain, a, potential, closed, n_max: int, budget: int) -> CheckResult | None:
+    if potential is not None and potential.window != 1:
+        return None
+    letters = chain.alphabet(1)
+    values = potential.letter_values(letters) if potential is not None else [0.0] * len(letters)
+    shifted = Potential(window=1, table={(x,): v + SHIFT for x, v in zip(letters, values)})
+    n = min(COLLAPSE_N, n_max)
+    pairs = [(nested_count(chain, a, potential, n, budget).per_symbol,
+              nested_count(chain, a, shifted, n, budget).per_symbol)]
+    closed_shifted = _closed_form(chain, a, shifted)
+    if closed is not None and closed_shifted is not None:
+        pairs.append((closed.h_a_nats, closed_shifted.h_a_nats))
+    expected = weights_from_exponents(a)[0] * SHIFT
+    worst = max(abs(high - low - expected) for low, high in pairs)
+    routes = "S_N and closed form" if len(pairs) == 2 else "S_N"
+    detail = f"max |P(f+{SHIFT}) - P(f) - w1*{SHIFT}| = {worst:.3e} ({routes}, N = {n})"
+    return CheckResult("pressure-shift", worst <= SLACK, detail)
 
 
-def run_all_checks(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    return [
-        check_pressure_shift(rng),
-        check_monotonicity(rng),
-        check_degenerate_collapses(rng),
-        check_weights_consistency(rng),
-        check_submultiplicativity(rng),
-        check_golden_growth_sandwich(),
-        check_power_scaling(rng),
+def _variational_witness(chain, a, potential, closed: ClosedForm) -> CheckResult:
+    dist = optimal_measure_from_recursion(chain.system, a, potential, closed)
+    gap = closed.h_a_nats - bernoulli_objective(chain.system, a, dist, potential).value
+    return CheckResult(
+        "variational-witness",
+        abs(gap) <= _tolerance(closed.h_a_nats),
+        f"log Z_0 - objective of the recursion's measure = {gap:.3e}",
+    )
+
+
+def _weights_consistency(bases) -> CheckResult:
+    via_exponents = weights_from_exponents(exponents_from_bases(bases))
+    direct = bowen_weights_from_bases(bases)
+    gap = max(abs(x - y) for x, y in zip(via_exponents.values, direct.values))
+    return CheckResult("weights-consistency", gap <= EXACT_TOL, f"max gap = {gap:.3e} at bases {list(bases)}")
+
+
+def run_all_checks(config) -> list[CheckResult]:
+    """The claims that apply to the chain of `config` (a `wtp.cli.RunConfig`), in a fixed order."""
+    chain, a, potential = config.chain, config.exponents, config.potential
+    series = entropy_estimate(chain, a, potential, n_max=config.n_max, budget=config.budget)
+    closed = _closed_form(chain, a, potential)
+    sponge_route = closed is not None and closed.route == "sponge"
+    results = [
+        _submultiplicativity(series),
+        _below_fekete(closed, series) if closed is not None else None,
+        _degenerate_collapses(chain, config.n_max, config.budget),
+        _pressure_shift(chain, a, potential, closed, config.n_max, config.budget),
+        _variational_witness(chain, a, potential, closed) if sponge_route else None,
+        _weights_consistency(chain.system.bases),
     ]
+    return [result for result in results if result is not None]

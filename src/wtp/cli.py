@@ -50,10 +50,10 @@ from .weights import Exponents, exponents_from_bases
 # `run` looks these names up at call time, so a caller may replace them here.
 
 
-def run_all_checks():
+def run_all_checks(config):
     from .checks import run_all_checks
 
-    return run_all_checks()
+    return run_all_checks(config)
 
 
 def entropy_estimate(*args, **kwargs):
@@ -425,7 +425,7 @@ def run(config: RunConfig, command: str) -> Report:
     sponge = isinstance(config.chain, SpongeChain)
 
     if command == "check":
-        results = run_all_checks()
+        results = run_all_checks(config)
         report.checks = [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ]

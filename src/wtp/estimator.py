@@ -40,12 +40,12 @@ whole, so memory is about 8 bytes per level-2 word, plus
 O(|A_2|^ceil(N/2) * states) for the prefix and suffix vectors.  The nested
 groupings then run over those weights in chunks, in word order, so results
 are independent of block sizes and of any worker scheduling.  A budget caps
-the number of enumerated words; a series checks it for every N before it
-counts the first.  Counts stay integer-exact: float64 carries them while the
-largest possible count fits a 52-bit mantissa, and Python ints, switched to
-once, after that, about BLOCK at a time, until each is rounded to a float
-for the first exponentiation; a count past float range is a
-ComputationError naming N.
+the number of enumerated words, |A_2| over one bottom state, where only S_1
+is counted; a series checks it for every N before it counts the first.
+Counts stay integer-exact: float64 carries them while the largest possible
+count fits a 52-bit mantissa, and Python ints, switched to once, after that,
+about BLOCK at a time, until each is rounded to a float for the first
+exponentiation; a count past float range is a ComputationError naming N.
 Float weights that overflow are not dropped (NaN ** 0 still counts a word);
 an S_N that is not finite is a ComputationError naming N.
 """
@@ -362,6 +362,19 @@ def _log_counts(chain: SoficChain, avals, bottom, first: int, last: int, potenti
     return [NestedCount(n, log_value, log_value / n) for n, log_value in enumerate(logs, first)]
 
 
+def _check_budget(chain: SoficChain, potential: Potential | None, first: int, last: int, budget: int) -> None:
+    """ComplexityBudgetExceeded at the first N in first..last whose count
+    enumerates more than `budget` level-2 words: |A_2|**N, or |A_2| over one
+    bottom state (a full-shift bottom and a window of at most 1), where only
+    S_1 is counted.  Decided before anything is built."""
+    base = len(chain.alphabet(2))
+    if (potential is None or potential.window == 1) and chain.is_full_shift(1):
+        first = last = 1
+    over = next((n for n in range(first, last + 1) if base**n > budget), None)
+    if over is not None:
+        raise ComplexityBudgetExceeded(base**over, budget)
+
+
 def nested_count(
     chain: SoficChain,
     a: Exponents,
@@ -374,9 +387,7 @@ def nested_count(
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     avals = check_exponents(a, chain.rank)
-    base = len(chain.alphabet(2))
-    if base**n > budget:
-        raise ComplexityBudgetExceeded(base**n, budget)
+    _check_budget(chain, potential, n, n, budget)
     bottom = _bottom_matrices(chain, potential, n)
     return _log_counts(chain, avals, bottom, n, n, potential)[0]
 
@@ -401,30 +412,10 @@ def entropy_estimate(
     if n_max < window:
         raise PotentialWindowTooLarge(f"window {window} exceeds n_max {n_max}")
     avals = check_exponents(a, chain.rank)
-    base = len(chain.alphabet(2))
-    over = next((n for n in range(window, n_max + 1) if base**n > budget), None)
-    if over is not None:
-        raise ComplexityBudgetExceeded(base**over, budget)
+    _check_budget(chain, potential, window, n_max, budget)
     bottom = _bottom_matrices(chain, potential, window)
     series = EstimateSeries()
     for count in _log_counts(chain, avals, bottom, window, n_max, potential):
         series.append(count.n, count.per_symbol)
     return series
 
-
-def submultiplicativity_check(
-    chain: SoficChain,
-    a: Exponents,
-    n: int,
-    m: int,
-    potential: Potential | None = None,
-    budget: int = DEFAULT_BUDGET,
-    slack: float = 1e-9,
-) -> bool:
-    """True iff S_{n+m} <= S_n * S_m * (1 + slack)."""
-    if n < 1 or m < 1:
-        raise ValidationError("need n, m >= 1")
-    log_nm = nested_count(chain, a, potential, n + m, budget).log_value
-    log_n = nested_count(chain, a, potential, n, budget).log_value
-    log_m = nested_count(chain, a, potential, m, budget).log_value
-    return log_nm <= log_n + log_m + math.log1p(slack)

@@ -35,7 +35,6 @@ from .symbolic import (
     _duplicate_label,
     _int_tuple,
     _real,
-    validate_digit_system,
 )
 from .weights import Exponents, check_exponents, exponents_from_bases
 
@@ -245,31 +244,3 @@ def anisotropic_box_count(sys: DigitSystem, n: int) -> int:
         seen.add(key)
     return len(seen)
 
-
-def _blocks(sys: DigitSystem, m: int):
-    """Each m-block of digits with its code in the block system.
-
-    Coordinate i of the code is the base-m_i integer built from the i-th
-    coordinates of the m constituent digits, so prefix structure is
-    preserved coordinatewise.
-    """
-    for block in itertools.product(sys.sorted_digits, repeat=m):
-        yield block, tuple(
-            sum(block[t][i] * sys.bases[i] ** (m - 1 - t) for t in range(m))
-            for i in range(sys.rank)
-        )
-
-
-def m_fold_system(sys: DigitSystem, m: int) -> DigitSystem:
-    """Block-code the chain: digits become m-blocks, base i becomes m_i^m."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    bases = tuple(b**m for b in sys.bases)
-    return validate_digit_system(bases, [code for _block, code in _blocks(sys, m)])
-
-
-def m_fold_potential(sys: DigitSystem, potential: Potential, m: int) -> Potential:
-    """Window-1 potential on the block system summing f over the block."""
-    f = dict(zip(sys.sorted_digits, potential.letter_values(sys.sorted_digits)))
-    table = {(code,): sum(map(f.__getitem__, block)) for block, code in _blocks(sys, m)}
-    return Potential(window=1, table=table)

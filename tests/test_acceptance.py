@@ -12,7 +12,10 @@ Criteria, with their stated tolerances and runtime limits:
        bounds nonincreasing, < 60 s
     7. the recursion maximizer's objective reaches the closed form on 20
        random sponges (1e-6, overshoot < 1e-9), < 60 s
-    8. invariant property suite passes
+    8. `wtp check` passes on each shipped config: every claim that applies
+       to its chain holds (submultiplicativity, closed form at most the
+       Fekete bound, degenerate exponents count words, pressure shift,
+       variational witness, weight formulas)
 
 A final strictly-expected-failure records that the literal per-word
 path-per-word bound |V| cannot hold on the frozen chain: its matrices are
@@ -25,11 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from wtp.checks import (
-    _golden_word_and_path_counts,
-    random_sponge,
-    run_all_checks,
-)
+from wtp.checks import run_all_checks
 from wtp.cli import parse_config, run
 from wtp.estimator import entropy_estimate, nested_count
 from wtp.sofic import build_count_matrices, golden_mean_chain
@@ -37,6 +36,8 @@ from wtp.sponge import closed_form, kp_recursion
 from wtp.symbolic import SpongeChain
 from wtp.variational import bernoulli_objective, optimal_measure_from_recursion
 from wtp.weights import Exponents, exponents_from_bases
+
+from chain_tools import golden_word_and_path_counts, random_sponge
 
 L32 = math.log(2) / math.log(3)
 PHI = (1 + math.sqrt(5)) / 2
@@ -175,12 +176,14 @@ def test_criterion_7_variational_principle():
 
 
 @pytest.mark.slow
-def test_criterion_8_property_suites():
-    results, elapsed = _timed(run_all_checks)
+@pytest.mark.parametrize("name", ["carpet.json", "carpet_pressure.json", "golden_sofic.json"])
+def test_criterion_8_property_suites(name):
+    config = _load(name)
+    results, elapsed = _timed(lambda: run_all_checks(config))
     for r in results:
         print(f"\n{r.line()}")
-    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-    print(f"PASS criterion 8: {len(results)} property suites ({elapsed:.1f} s)")
+    assert results and all(r.passed for r in results), [r.name for r in results if not r.passed]
+    print(f"PASS criterion 8: {name}, {len(results)} claims ({elapsed:.1f} s)")
 
 
 @pytest.mark.xfail(
@@ -190,9 +193,9 @@ def test_criterion_8_property_suites():
         "for the single-letter word class (1,0) while at most 4 = m_3 distinct "
         "labels project to it, so paths/words = 3.25 > |V| = 3 at N = 1 for "
         "every faithful presentation; the enforced growth-sandwich form lives "
-        "in the golden-growth-sandwich check"
+        "in test_golden_growth_sandwich (tests/test_sofic.py)"
     ),
 )
 def test_pathword_ratio_at_most_vertex_count_literal():
-    for _n, wc, paths, _lam, _alignment in _golden_word_and_path_counts(10):
+    for _n, wc, paths, _lam, _alignment in golden_word_and_path_counts(10):
         assert (paths <= 3 * wc).all()

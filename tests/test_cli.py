@@ -16,7 +16,10 @@ Core claims:
       on a sponge, where S_N = S_1^N, weights and counts past float range
       give finite rows equal to log S_1 of an in-test oracle; an estimate whose
       n_max is past the budget exits 2 before it counts any N; a reader
-      that closes stdout early gets one error line and exit 1
+      that closes stdout early gets one error line and exit 1; a one-state
+      estimate is charged the words of S_1 alone, so the carpet runs to N = 60
+    - `check` passes its config to the suite and exits 3 when a line fails;
+      on each shipped config every line passes and names its claim
     - a one-letter estimate to N = 2000 on a multi-state bottom, which the
       budget does not stop, finishes within 5 s
     - a sofic closed form on a presentation that is not right-resolving
@@ -792,10 +795,15 @@ def test_cli_check_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     path = tmp_path / "carpet.json"
     path.write_text(json.dumps(_carpet_config()))
-    monkeypatch.setattr(
-        cli_module, "run_all_checks", lambda: [CheckResult("stub", False, "forced")]
-    )
-    assert main(["check", "--config", str(path)]) == 3
+    seen = []
+
+    def failing(config):
+        seen.append(config)
+        return [CheckResult("stub", False, "forced")]
+
+    monkeypatch.setattr(cli_module, "run_all_checks", failing)
+    assert main(["check", "--config", str(path), "--n-max", "4"]) == 3
+    assert [(c.chain.rank, c.n_max) for c in seen] == [(2, 4)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -817,12 +825,29 @@ def test_closed_stdout_is_one_error_line(fmt):
     assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
+SPONGE_CLAIMS = [
+    "submultiplicativity", "closed-form-below-fekete", "degenerate-collapses", "pressure-shift",
+    "variational-witness", "weights-consistency",
+]
+
+
 @pytest.mark.slow
-def test_cli_check_passes(tmp_path, capsys):
-    path = tmp_path / "carpet.json"
-    path.write_text(json.dumps(_carpet_config()))
-    code = main(["check", "--config", str(path)])
+@pytest.mark.parametrize("name, claims", [
+    ("carpet.json", SPONGE_CLAIMS),
+    ("carpet_pressure.json", SPONGE_CLAIMS),
+    ("golden_sofic.json", [c for c in SPONGE_CLAIMS if c != "variational-witness"]),
+])
+def test_cli_check_passes(name, claims, capsys):
+    code = main(["check", "--config", os.path.join(CONFIG_DIR, name)])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert all(row["passed"] for row in out["checks"])
-    assert len(out["checks"]) == 7
+    assert [row["name"] for row in out["checks"]] == claims
+
+
+def test_cli_one_state_estimate_is_charged_the_words_of_s1(capsys):
+    """The carpet has one bottom state, so N = 60 (2^60 level-2 words) forms
+    only the 2 words of S_1 and stays within the default budget."""
+    assert main(["estimate", "--config", os.path.join(CONFIG_DIR, "carpet.json"), "--n-max", "60"]) == 0
+    rows = json.loads(capsys.readouterr().out)["estimate_series"]
+    assert [row["n"] for row in rows] == list(range(1, 61))

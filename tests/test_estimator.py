@@ -6,14 +6,19 @@ Core claims:
     - at all-zero exponents S_N counts admissible top-level words
     - the series on the frozen sofic chain is nonincreasing and approaches
       the closed form
+    - log S_(n+m) <= log S_n + log S_m on series entries, with window-2
+      potentials on the carpet and on a random sponge
+    - a constant potential c shifts log S_N / N by w_1 c, and block coding
+      by m gives S_(mN) at N
     - a window-2 potential matches an in-test brute-force sup-over-cylinder
       computation exactly
     - counts survive the exact big-integer path when they exceed 2^52, and a
       count past float range is a ComputationError naming N on a multi-state
       bottom; on a sponge, where S_N = S_1^N, it is N a_1 log 1000 for
       1000 digits of one level-2 letter
-    - the enumeration budget and window preconditions are enforced; a
-      chain whose graph has no edges is a ValidationError, not a numpy error
+    - the enumeration budget and window preconditions are enforced; over
+      one bottom state the budget charges the |A_2| words of S_1 at every N;
+      a chain whose graph has no edges is a ValidationError, not a numpy error
     - S_N keeps its bits when BLOCK splits the fold and the big-integer
       count products into blocks of one or 500 entries
     - an overflowing tail weight is a ComputationError; NaN weights from
@@ -39,12 +44,20 @@ import numpy as np
 import pytest
 
 from wtp import estimator
-from wtp.checks import random_sponge
 from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge, ValidationError
-from wtp.estimator import entropy_estimate, nested_count, submultiplicativity_check
+from wtp.estimator import entropy_estimate, nested_count
 from wtp.sponge import Potential, closed_form, kp_recursion
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases, weights_from_exponents
+
+from chain_tools import (
+    m_fold_potential,
+    m_fold_system,
+    random_exponents,
+    random_potential,
+    random_sponge,
+    window2_potential,
+)
 
 L32 = math.log(2) / math.log(3)
 
@@ -61,7 +74,7 @@ def test_carpet_counts_are_powers_of_z0(carpet, carpet_chain, carpet_exponents):
         assert count.log_value == pytest.approx(n * log_z0, rel=1e-12, abs=1e-12)
 
 
-def test_zero_exponents_count_top_words(carpet_chain, golden):
+def test_zero_exponents_count_top_words(carpet_chain, golden, rng):
     zeros2 = Exponents((0.0,))
     for n in (1, 3, 5):
         count = nested_count(carpet_chain, zeros2, n=n)
@@ -70,6 +83,13 @@ def test_zero_exponents_count_top_words(carpet_chain, golden):
     for n in (1, 4):
         count = nested_count(golden, zeros3, n=n)
         assert count.log_value == pytest.approx(n * math.log(2), abs=1e-12)
+    for n in (2, 3):  # several bottom states, so S_N is enumerated
+        count = nested_count(golden, zeros3, n=n)
+        assert count.log_value == pytest.approx(math.log(golden.automaton(3).count_words(n)), abs=1e-12)
+    for _ in range(20):
+        sys = random_sponge(rng)
+        count = nested_count(SpongeChain(sys), Exponents((0.0,) * (sys.rank - 1)), n=2)
+        assert count.log_value == pytest.approx(2 * math.log(len(sys.prefixes(1))), abs=1e-12)
 
 
 def test_all_one_exponents_count_bottom_words(carpet_chain):
@@ -96,19 +116,28 @@ def test_single_entry_series(carpet_chain, carpet_exponents):
     assert series.entries[0][0] == 1
 
 
-def test_submultiplicativity_examples(carpet_chain, carpet_exponents, golden):
+def test_submultiplicativity_examples(carpet_chain, carpet_exponents, golden, rng):
     # multiplicative chains meet the bound with equality
     s2 = nested_count(carpet_chain, carpet_exponents, n=2).log_value
     s3 = nested_count(carpet_chain, carpet_exponents, n=3).log_value
     s5 = nested_count(carpet_chain, carpet_exponents, n=5).log_value
     assert s5 == pytest.approx(s2 + s3, abs=1e-12)
-    assert submultiplicativity_check(carpet_chain, carpet_exponents, 2, 3)
-    a = exponents_from_bases(golden.system.bases)
-    assert submultiplicativity_check(golden, a, 3, 4)
-    assert submultiplicativity_check(golden, Exponents((1.0, 1.0)), 3, 4)
+    # log S_(n+m) <= log S_n + log S_m, read off one series; window-2
+    # potentials keep the last digit in the DP state, so S_N is enumerated
+    sys = random_sponge(rng, max_rank=3, max_base=4, max_digits=6)
+    cases = [
+        (carpet_chain, carpet_exponents, None, 2, 3),
+        (carpet_chain, carpet_exponents, window2_potential(carpet_chain.system), 2, 3),
+        (golden, exponents_from_bases(golden.system.bases), None, 3, 4),
+        (golden, Exponents((1.0, 1.0)), None, 3, 4),
+        (SpongeChain(sys), random_exponents(rng, sys.rank), window2_potential(sys), 2, 2),
+    ]
+    for chain, a, pot, n, m in cases:
+        log_s = {k: k * value for k, value in entropy_estimate(chain, a, pot, n_max=n + m).entries}
+        assert log_s[n + m] <= log_s[n] + log_s[m] + math.log1p(1e-9), (pot, n, m)
 
 
-def test_pressure_consistency_constant_potential(carpet, carpet_chain, carpet_exponents):
+def test_pressure_consistency_constant_potential(carpet, carpet_chain, carpet_exponents, rng):
     w1 = weights_from_exponents(carpet_exponents)[0]
     c = 0.7
     pot = Potential(window=1, table={(d,): c for d in carpet.sorted_digits})
@@ -116,6 +145,15 @@ def test_pressure_consistency_constant_potential(carpet, carpet_chain, carpet_ex
         with_f = nested_count(carpet_chain, carpet_exponents, pot, n=n).per_symbol
         without = nested_count(carpet_chain, carpet_exponents, None, n=n).per_symbol
         assert with_f == pytest.approx(without + w1 * c, abs=1e-12)
+    for _ in range(20):
+        sys = random_sponge(rng)
+        chain = SpongeChain(sys)
+        a = random_exponents(rng, sys.rank)
+        c = float(rng.normal())
+        pot = Potential(window=1, table={(d,): c for d in sys.sorted_digits})
+        with_f = nested_count(chain, a, pot, n=3).per_symbol
+        without = nested_count(chain, a, None, n=3).per_symbol
+        assert with_f == pytest.approx(without + weights_from_exponents(a)[0] * c, abs=1e-9)
 
 
 def test_monotone_in_exponents_at_fixed_n(rng):
@@ -362,7 +400,7 @@ def test_sponge_is_the_one_vertex_sofic_chain(rng):
         assert sponge == graph
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=rank - 1)))
         for window in (0, 1, 2):
-            pot = _random_potential(rng, sys.sorted_digits, window)
+            pot = random_potential(rng, sys.sorted_digits, window)
             start, mats, tail, exact = estimator._bottom_matrices(sponge, pot, 3)
             g_start, g_mats, g_tail, g_exact = estimator._bottom_matrices(graph, pot, 3)
             assert exact == g_exact and len(mats) == len(g_mats)
@@ -453,7 +491,7 @@ def test_series_rows_are_nested_counts(rng):
     for chain in chains:
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=chain.rank - 1)))
         for window in (0, 1, 2):
-            cases.append((chain, a, _random_potential(rng, chain.system.sorted_digits, window), 5))
+            cases.append((chain, a, random_potential(rng, chain.system.sorted_digits, window), 5))
     for fibers, n_max in (((36, 36), 12), ((600, 7, 250), 6)):  # 37^11, 601^6 > 2^52
         chain = _multi_state_wide(fibers)
         cases.append((chain, exponents_from_bases(chain.system.bases), None, n_max))
@@ -481,6 +519,18 @@ def test_series_budget_fails_before_counting(golden, monkeypatch):
     assert str(series.value) == str(single.value) == f"enumeration needs {3**15} words, budget is {budget}"
 
 
+def test_one_state_budget_charges_the_words_of_s1(carpet_chain, carpet_exponents):
+    """Over one bottom state only the |A_2| = 2 words of S_1 are formed, so
+    N = 50 (2^50 level-2 words) passes the default budget; a window-2
+    potential keeps the last digit in the DP state and is charged 2^N."""
+    log_s1 = nested_count(carpet_chain, carpet_exponents, n=1).log_value
+    assert nested_count(carpet_chain, carpet_exponents, n=50).log_value == 50 * log_s1
+    with pytest.raises(ComplexityBudgetExceeded, match="needs 2 words, budget is 1$"):
+        nested_count(carpet_chain, carpet_exponents, n=50, budget=1)
+    with pytest.raises(ComplexityBudgetExceeded, match=f"needs {2**50} words"):
+        nested_count(carpet_chain, carpet_exponents, window2_potential(carpet_chain.system), n=50)
+
+
 @pytest.mark.parametrize("bases", [(2, 3), (2, 3, 4)])
 def test_one_letter_series_grows_one_position_per_n(bases):
     """One level-2 letter on a two-cycle, whose follower automaton has three
@@ -502,16 +552,15 @@ def test_one_letter_series_grows_one_position_per_n(bases):
 
 
 def test_block_chain_reproduces_matched_length(rng):
-    from wtp.sponge import m_fold_potential, m_fold_system
-
-    sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=4)
-    a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=sys.rank - 1)))
-    f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits})
-    for m in (2, 3):
-        folded = m_fold_system(sys, m)
-        lhs = nested_count(SpongeChain(folded), a, m_fold_potential(sys, f, m), n=2).log_value
-        rhs = nested_count(SpongeChain(sys), a, f, n=2 * m).log_value
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+    for _ in range(6):
+        sys = random_sponge(rng, max_rank=3, max_base=3, max_digits=4)
+        a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=sys.rank - 1)))
+        f = Potential(window=1, table={(d,): float(rng.normal()) for d in sys.sorted_digits})
+        for m in (2, 3):
+            folded = m_fold_system(sys, m)
+            lhs = nested_count(SpongeChain(folded), a, m_fold_potential(sys, f, m), n=2).log_value
+            rhs = nested_count(SpongeChain(sys), a, f, n=2 * m).log_value
+            assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_overflowing_tail_weight_is_computation_error(carpet_chain, carpet_exponents):
@@ -548,13 +597,6 @@ def _multi_state_wide(fibers):
     return chain
 
 
-def _random_potential(rng, digits, window):
-    if window == 0:
-        return None
-    words = itertools.product(digits, repeat=window)
-    return Potential(window=window, table={w: float(rng.normal()) for w in words if rng.random() < 0.7})
-
-
 def _blocked_cases(rng):
     """(label, chain, exponents, potential, n) with at least 64 * base**2 level-2 words."""
     chains = []
@@ -575,7 +617,7 @@ def _blocked_cases(rng):
         vals = [float(x) for x in rng.uniform(0, 1, size=chain.rank - 1)]
         vals[int(rng.integers(len(vals)))] = 0.0  # an exponent of 0
         for window in (0, 1, 2):
-            pot = _random_potential(rng, chain.system.sorted_digits, window)
+            pot = random_potential(rng, chain.system.sorted_digits, window)
             cases.append((f"{label} window {window}", chain, Exponents(tuple(vals)), pot, n))
     chain = _multi_state_wide((36, 36))  # 37^12 > 2^52: the exact big-integer path
     cases.append(("big integers", chain, exponents_from_bases(chain.system.bases), None, 12))

@@ -1,10 +1,9 @@
 """Every report on the shipped configs is pinned by the sha256 of its bytes.
 
 Core claims:
-    - `wtp dimension`, `entropy`, `estimate` and `variational` on each
-      shipped config, and `wtp check` on the carpet config, print exactly
-      the pinned report (12 reports), so the README's bit-for-bit promise
-      holds across refactors
+    - `wtp dimension`, `entropy`, `estimate`, `variational` and `check` on
+      each shipped config print exactly the pinned report (14 reports), so
+      the README's bit-for-bit promise holds across refactors
     - `variational` on the sofic config exits 1 with one error line
 
 An intended report change updates its pin here and records in CHANGES.md
@@ -32,15 +31,17 @@ REPORT_SHA256 = {
     ("golden_sofic.json", "dimension"): "330a95d9a5a97059c29906cf0056c9d716163f3393e054c3c8739539aede8c2c",
     ("golden_sofic.json", "entropy"): "f16c92bee442cb785ea215013d8770e4b31e916de6ed4674a2218ec8be680171",
     ("golden_sofic.json", "estimate"): "27cffdd186f0864cd808a59ccf2b20d70b1474619fcc24b133da090eceba7508",
-    ("carpet.json", "check"): "943de41487a36e8d8161651ec2f84b05065b30a1449804cfe4927db15c57fbae",
+    ("carpet.json", "check"): "fffe12e123099ebae06435ba2515204341064bcbb1cba025f5d4f2ed611bcdae",
+    ("carpet_pressure.json", "check"): "d401f2f01b27fc19c500e03e21395e2c6877d872121110d9c2a9538191af356f",
+    ("golden_sofic.json", "check"): "d15aad9feb21781f5530ca70786494e4b5d384715994ab0371b6b82f02943fe7",
 }
 
 
 def test_every_shipped_config_is_pinned():
     configs = sorted(name for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
-    commands = ("dimension", "entropy", "estimate", "variational")
+    commands = ("dimension", "entropy", "estimate", "variational", "check")
     expected = {(name, c) for name in configs for c in commands} - {("golden_sofic.json", "variational")}
-    assert set(REPORT_SHA256) == expected | {("carpet.json", "check")}
+    assert set(REPORT_SHA256) == expected
 
 
 @pytest.mark.parametrize("name, command", sorted(REPORT_SHA256))

@@ -29,8 +29,11 @@ Core claims:
     - the frozen chain's presentation is not finite-to-one: graph paths grow
       faster than words, and the word count's growth rate at N = 13 sits
       more than 0.01 below the closed form (which counts paths)
-    - the golden check's path totals equal those of the path-count
-      matrices (the oracle) byte for byte up to N = 10
+    - on the frozen chain up to N = 10, every level-2 word is admissible,
+      has at least as many paths as words, and its word count stays within
+      the constant |V| * (max v / min v) of its eigenvalue product
+    - those path totals equal the path-count matrices' (the oracle) byte
+      for byte up to N = 10
 """
 import itertools
 import math
@@ -41,7 +44,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtp.checks import _golden_word_and_path_counts, random_sponge
 from wtp.errors import ClosedFormUnavailable, NotAligned
 from wtp.estimator import nested_count
 from wtp.sofic import (
@@ -57,6 +59,8 @@ from wtp.sofic import (
 from wtp.sponge import Potential, closed_form, hausdorff_dimension
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, determinize, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases
+
+from chain_tools import golden_word_and_path_counts, random_sponge
 
 PHI = (1 + math.sqrt(5)) / 2
 A00 = ((0, 1, 1), (0, 0, 1), (1, 1, 0))
@@ -440,13 +444,28 @@ def test_golden_chain_paths_outgrow_words(golden):
 
 
 def test_golden_path_totals_match_einsum_oracle():
-    # Oracle: the path-count matrices themselves, left-multiplied by einsum as
-    # the check once carried them; the check carries only their row sums.
+    # Oracle: the path-count matrices themselves, left-multiplied by einsum;
+    # `golden_word_and_path_counts` carries only their row sums.
     chain = golden_mean_chain()
     mats = build_count_matrices(chain.graph)
     labels = sorted(detect_alignment(mats).eigenvalues)
     arrays = {label: mats[label].astype(float) for label in labels}
     paths = np.eye(len(chain.graph.vertices))[None, :, :]
-    for n, _words, totals, _lam, _alignment in _golden_word_and_path_counts(10):
+    for n, _words, totals, _lam, _alignment in golden_word_and_path_counts(10):
         paths = np.concatenate([np.einsum("ij,kjl->kil", arrays[lab], paths) for lab in labels], axis=0)
         assert totals.tobytes() == paths.sum(axis=(1, 2)).tobytes(), n
+
+
+def test_golden_growth_sandwich():
+    # |V| * (max v / min v) bounds the word/eigenvalue ratios only up to the
+    # length tested: the smallest ratio shrinks by about 4 / phi^3 per letter
+    nv = len(golden_mean_chain().graph.vertices)
+    lo, hi, c = math.inf, 0.0, None
+    for n, wc, paths, lam, alignment in golden_word_and_path_counts(10):
+        vec = np.array(alignment.vector)
+        c = nv * float(vec.max() / vec.min())
+        assert wc.min() > 0, f"inadmissible word at N = {n}"
+        assert not (paths < wc - 1e-9).any(), n
+        ratio = wc / lam
+        lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
+    assert lo >= 1.0 / c and hi <= c, (lo, hi, c)

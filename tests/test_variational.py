@@ -33,7 +33,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtp.checks import random_exponents, random_sponge
 from wtp import sponge, variational
 from wtp.errors import ComputationError, DistributionInvalid
 from wtp.sponge import Potential, kp_recursion
@@ -45,6 +44,8 @@ from wtp.variational import (
     optimal_measure_from_recursion,
 )
 from wtp.weights import Exponents, weights_from_exponents
+
+from chain_tools import random_exponents, random_sponge
 
 L32 = math.log(2) / math.log(3)
 # stopping rule of the reference ascent: within STALL_GAIN of the bound, or
