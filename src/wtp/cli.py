@@ -241,6 +241,14 @@ def _expect(doc, key, kind, path):
     return value
 
 
+def _only(doc: dict, path: str, *keys: str) -> dict:
+    """`doc` if it holds no key but `keys`: an unread key, echoed, would misstate the run."""
+    for key in doc:
+        if key not in keys:
+            raise ParseError(f"{path}.{key}", f"expected only the keys {', '.join(keys)} in {path}")
+    return doc
+
+
 def _integer(value, path) -> int:
     if type(value) is not int:  # JSON booleans are not integers here
         raise ParseError(path, f"expected an integer, got {value!r}")
@@ -302,7 +310,7 @@ def _potential_table(entries) -> dict | None:
 def parse_config(doc) -> RunConfig:
     """Validate a config document (dict or JSON text) and fill defaults.
 
-    Every malformed field raises a ParseError carrying its JSON path.
+    Every malformed field or unread key raises a ParseError carrying its JSON path.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -314,7 +322,8 @@ def parse_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
 
-    system = _expect(doc, "system", dict, "$")
+    _only(doc, "$", "system", "exponents", "potential", "estimator")
+    system = _only(_expect(doc, "system", dict, "$"), "$.system", "sponge", "sofic")
     kinds = [k for k in ("sponge", "sofic") if k in system]
     if len(kinds) != 1:
         raise ParseError("$.system", "exactly one of 'sponge' or 'sofic' required")
@@ -323,10 +332,12 @@ def parse_config(doc) -> RunConfig:
     body = _expect(system, kind, dict, "$.system")
     bases = _integers(_expect(body, "bases", None, path), f"{path}.bases")
     if kind == "sponge":
+        _only(body, path, "bases", "digits")
         digits = _expect(body, "digits", list, path)
         digit_system = validate_digit_system(bases, _integer_rows(digits, f"{path}.digits"))
         chain: SoficChain = SpongeChain(digit_system)
     else:
+        _only(body, path, "bases", "vertices", "edges")
         vertices = _expect(body, "vertices", list, path)
         edges = _expect(body, "edges", list, path)
         parsed_edges = []
@@ -357,7 +368,7 @@ def parse_config(doc) -> RunConfig:
 
     potential = None
     if doc.get("potential") is not None:
-        pot = _expect(doc, "potential", dict, "$")
+        pot = _only(_expect(doc, "potential", dict, "$"), "$.potential", "window", "table")
         window = _integer(_expect(pot, "window", None, "$.potential"), "$.potential.window")
         table_raw = _expect(pot, "table", list, "$.potential")
         table = _potential_table(table_raw)
@@ -369,16 +380,23 @@ def parse_config(doc) -> RunConfig:
                 word, value = entry
                 key = tuple(_integers(d, f"$.potential.table[{k}][0][{t}]") for t, d in enumerate(word))
                 table[key] = _real(value, f"$.potential.table[{k}][1]")
+        # an entry on a letter outside the digit set, or on a window given
+        # before, could never apply; the loop only names the first such entry
+        digits = chain.system.digits
+        if len(table) < len(table_raw) or not digits.issuperset(itertools.chain(*table)):
+            seen = set()
+            for k, (word, _value) in enumerate(table_raw):
+                key = tuple(map(tuple, word))
+                for t, letter in enumerate(key):
+                    if letter not in digits:
+                        raise ParseError(f"$.potential.table[{k}][0][{t}]", f"expected a digit, got {list(letter)}")
+                if key in seen:
+                    raise ParseError(f"$.potential.table[{k}][0]", f"expected a window not given before, got {word}")
+                seen.add(key)
         potential = Potential(window=window, table=table)
 
-    if "optimizer" in doc:
-        # a report echoes its config, so an ignored section would misstate its number
-        raise ParseError(
-            "$.optimizer", "expected no optimizer section: the variational maximizer is now built in closed form"
-        )
-    est = doc.get("estimator") or {}
-    if not isinstance(est, dict):
-        raise ParseError("$.estimator", "expected an object")
+    est = {} if doc.get("estimator") is None else _expect(doc, "estimator", dict, "$")
+    _only(est, "$.estimator", "n_max", "budget")
     return RunConfig(
         raw=doc,
         chain=chain,
@@ -510,22 +528,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--n-max", type=int, default=None, help="override estimator n_max")
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # --help exits 0; a malformed command line is a validation error
+        return 0 if e.code == 0 else 1
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
-        if args.n_max is not None:
-            config.n_max = _count(args.n_max, "--n-max")
-        env_budget = os.environ.get("WTP_BUDGET")
-        if env_budget:
-            try:
-                budget = int(env_budget)
-            except ValueError:
-                raise ParseError("WTP_BUDGET", f"expected an integer, got {env_budget!r}") from None
-            config.budget = _count(budget, "WTP_BUDGET")
         report = run(config, args.command)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -105,9 +105,12 @@ def test_one_label_graph_fails_only_below_fekete(tmp_path, capsys):
     assert "h_a_nats 0.48121182505960347 <= Fekete bound 0.0 " in failed[0]["detail"]
 
 
-def test_budget_error_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("WTP_BUDGET", str(3**5))
-    assert main(["check", "--config", os.path.join(CONFIG_DIR, "golden_sofic.json")]) == 2
+def test_budget_error_exits_2(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "golden_sofic.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({**doc, "estimator": {**doc["estimator"], "budget": 3**5}}))
+    assert main(["check", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: enumeration needs {3**6} words, budget is {3**5}\n"

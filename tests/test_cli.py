@@ -1,9 +1,13 @@
 """Config parsing, command dispatch, report round-trips, and exit codes.
 
 Core claims:
-    - the carpet and sofic configs parse; malformed ones, an n_max < 1 in
-      the config or on the command line included, raise with a path; so
-      does any optimizer section, since the maximizer has no settings
+    - the carpet and sofic configs parse; malformed ones, an n_max < 1
+      included, raise with a path; so does a key that parse_config does not
+      read, at every object level (an optimizer section among them), and a
+      potential entry that cannot apply: a letter outside the digit set or
+      a window given twice
+    - every setting is a config key: a malformed command line, an unknown
+      flag or command or the removed --n-max, exits 1 with the usage text
     - dimension/entropy/estimate/variational reports carry the documented
       fields and warnings
     - re-running on a report's echoed config reproduces the JSON bit for bit
@@ -109,7 +113,7 @@ def test_two_system_variants_rejected():
 def test_optimizer_section_rejected(section):
     doc = _carpet_config()
     doc["optimizer"] = section
-    with pytest.raises(ParseError, match="built in closed form") as info:
+    with pytest.raises(ParseError, match="expected only the keys system, exponents, potential, estimator") as info:
         parse_config(doc)
     assert info.value.path == "$.optimizer"
 
@@ -164,68 +168,98 @@ def _setter(*keys, value):
     return mutate
 
 
-def _cli_args(*argv):
-    """Leaves the config as it is and passes `argv` on the command line."""
-    return lambda doc: list(argv)
-
-
 @pytest.mark.parametrize(
-    "path, make, mutate, env_budget",
+    "path, make, mutate",
     [
-        ("$.estimator.n_max", _carpet_config, _setter("estimator", value={"n_max": "many"}), None),
-        ("$.estimator.budget", _carpet_config, _setter("estimator", value={"budget": "lots"}), None),
-        # the maximizer has no settings: an optimizer section would misstate the report
-        ("$.optimizer", _carpet_config, _setter("optimizer", value={"max_iters": 100000}), None),
-        ("$.exponents[0]", _carpet_config, _setter("exponents", value=["x"]), None),
-        ("$.system.sponge.digits[0][1]", _carpet_config, _setter("system", "sponge", "digits", 0, 1, value="x"), None),
-        ("$.system.sponge.bases[0]", _carpet_config, _setter("system", "sponge", "bases", 0, value=2.5), None),
-        ("$.system.sofic.bases[0]", _golden_config, _setter("system", "sofic", "bases", 0, value="x"), None),
-        ("$.system.sofic.edges[0][2][1]", _golden_config, _setter("system", "sofic", "edges", 0, 2, 1, value="x"), None),
-        ("$.potential.window", _carpet_config, _setter("potential", value={"window": "one", "table": []}), None),
-        (
-            "$.potential.table[0][1]",
-            _carpet_config,
-            _setter("potential", value={"window": 1, "table": [[[[0, 0]], "x"]]}),
-            None,
-        ),
+        ("$.estimator.n_max", _carpet_config, _setter("estimator", value={"n_max": "many"})),
+        ("$.estimator.budget", _carpet_config, _setter("estimator", value={"budget": "lots"})),
+        ("$.estimator", _carpet_config, _setter("estimator", value=[])),
+        ("$.exponents[0]", _carpet_config, _setter("exponents", value=["x"])),
+        ("$.system.sponge.digits[0][1]", _carpet_config, _setter("system", "sponge", "digits", 0, 1, value="x")),
+        ("$.system.sponge.bases[0]", _carpet_config, _setter("system", "sponge", "bases", 0, value=2.5)),
+        ("$.system.sofic.bases[0]", _golden_config, _setter("system", "sofic", "bases", 0, value="x")),
+        ("$.system.sofic.edges[0][2][1]", _golden_config, _setter("system", "sofic", "edges", 0, 2, 1, value="x")),
+        ("$.potential.window", _carpet_config, _setter("potential", value={"window": "one", "table": []})),
+        ("$.potential.table[0][1]", _carpet_config, _setter("potential", value={"window": 1, "table": [[[[0, 0]], "x"]]})),
         (
             "$.potential.table[0][0][0][1]",
             _carpet_config,
             _setter("potential", value={"window": 1, "table": [[[[0, "x"]], 1.0]]}),
-            None,
         ),
-        ("WTP_BUDGET", _carpet_config, _setter("exponents", value="from-bases"), "1e6"),
         # whole lists are checked at once; the path still names the first bad value
-        ("$.system.sponge.digits[2][0]", _carpet_config, _setter("system", "sponge", "digits", 2, 0, value=0.0), None),
+        ("$.system.sponge.digits[2][0]", _carpet_config, _setter("system", "sponge", "digits", 2, 0, value=0.0)),
         (
             "$.potential.table[1][0][0][1]",
             _carpet_config,
             _setter("potential", value={"window": 1, "table": [[[[0, 0]], 1.0], [[[1, True]], 2.0]]}),
-            None,
+        ),
+        # a key parse_config does not read, at each object level: the echoed
+        # config would carry a setting that changed nothing
+        ("$.potentail", _carpet_config, _setter("potentail", value={"window": 1, "table": []})),
+        ("$.optimizer", _carpet_config, _setter("optimizer", value={"max_iters": 100000})),
+        ("$.system.spnge", _carpet_config, _setter("system", "spnge", value={})),
+        ("$.system.sponge.vertices", _carpet_config, _setter("system", "sponge", "vertices", value=["a"])),
+        ("$.system.sofic.digits", _golden_config, _setter("system", "sofic", "digits", value=[[0, 0, 0]])),
+        ("$.potential.windw", _carpet_config, _setter("potential", value={"windw": 2, "window": 1, "table": []})),
+        ("$.estimator.nmax", _carpet_config, _setter("estimator", value={"nmax": 3})),
+        # potential entries that could never apply: a letter outside the
+        # digit set (for a sofic chain, its edge labels) or a window given twice
+        ("$.potential.table[0][0][0]", _carpet_config, _setter("potential", value={"window": 1, "table": [[[[9, 9]], 5.0]]})),
+        (
+            "$.potential.table[1][0][2]",
+            _carpet_config,
+            _setter("potential", value={"window": 3, "table": [[[[0, 0]] * 3, 1.0], [[[0, 0], [1, 1], [0, 0, 0]], 5.0]]}),
+        ),
+        ("$.potential.table[0][0][0]", _golden_config, _setter("potential", value={"window": 1, "table": [[[[1, 2, 3]], 1.0]]})),
+        (
+            "$.potential.table[2][0]",
+            _carpet_config,
+            _setter("potential", value={"window": 1, "table": [[[[0, 0]], 5.0], [[[1, 1]], 1.0], [[[0, 0]], 0.0]]}),
+        ),
+        (
+            "$.potential.table[1][0]",
+            _carpet_config,
+            _setter("potential", value={"window": 2, "table": [[[[0, 0], [1, 1]], 5.0], [[[0, 0], [1, 1]], 1]]}),
         ),
         # settings that cannot work: no word
         *(
-            pytest.param(path, _carpet_config, _setter(section, value=value), env, id=f"{path}={value if env is None else env}")
-            for path, section, value, env in [
-                ("$.estimator.budget", "estimator", {"budget": -1}, None),
-                ("$.estimator.n_max", "estimator", {"n_max": 0}, None),
-                ("$.estimator.n_max", "estimator", {"n_max": -3}, None),
-                ("WTP_BUDGET", "exponents", "from-bases", "-1"),
+            pytest.param(path, _carpet_config, _setter("estimator", value=value), id=f"{path}={value}")
+            for path, value in [
+                ("$.estimator.budget", {"budget": -1}),
+                ("$.estimator.n_max", {"n_max": 0}),
+                ("$.estimator.n_max", {"n_max": -3}),
             ]
         ),
-        pytest.param("--n-max", _carpet_config, _cli_args("--n-max", "0"), None, id="--n-max=0"),
-        pytest.param("--n-max", _golden_config, _cli_args("--n-max", "-1"), None, id="--n-max=-1"),
     ],
 )
-def test_untyped_field_is_parse_error(tmp_path, capsys, monkeypatch, path, make, mutate, env_budget):
+def test_untyped_field_is_parse_error(tmp_path, capsys, path, make, mutate):
     doc = make()
-    argv = mutate(doc) or []
+    mutate(doc)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
-    if env_budget is not None:
-        monkeypatch.setenv("WTP_BUDGET", env_budget)
-    assert main(["dimension", "--config", str(config_path), *argv]) == 1
+    assert main(["dimension", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--bogus", "1"], ["bogus"], ["estimate", "--n-max", "3"], ["estimate", "--format", "xml"]],
+    ids=["unknown-flag", "unknown-command", "removed-n-max", "unknown-format"],
+)
+def test_malformed_command_line_is_validation_error(argv, capsys):
+    # every setting is a config key; exit 2 is kept for computation errors
+    config = os.path.join(CONFIG_DIR, "carpet.json")
+    assert main([*argv, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: wtp ")
+    assert "\nwtp: error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "--format" in out and "--n-max" not in out
 
 
 @pytest.mark.parametrize("command", ["entropy", "estimate", "dimension", "variational"])
@@ -741,10 +775,9 @@ def test_cli_bad_config_is_validation_error(tmp_path, capsys):
     assert main(["entropy", "--config", str(path)]) == 1
 
 
-def test_cli_budget_env_triggers_computation_error(tmp_path, capsys, monkeypatch):
+def test_cli_budget_triggers_computation_error(tmp_path, capsys):
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps(_golden_config()))
-    monkeypatch.setenv("WTP_BUDGET", "100")
+    path.write_text(json.dumps({**_golden_config(), "estimator": {"budget": 100}}))
     assert main(["estimate", "--config", str(path)]) == 2
     assert "budget" in capsys.readouterr().err
 
@@ -753,15 +786,14 @@ def test_cli_budget_fails_before_counting(tmp_path, capsys, monkeypatch):
     """n_max 16 on the golden chain: N = 15 is past the budget, and the error
     (exit 2) comes before N = 1..14 are counted."""
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps(_golden_config()))
-    monkeypatch.setenv("WTP_BUDGET", str(3**14))
+    path.write_text(json.dumps({**_golden_config(), "estimator": {"n_max": 16, "budget": 3**14}}))
 
     def never(*_args):
         raise AssertionError("counted before the budget check")
 
     monkeypatch.setattr(estimator, "_bottom_matrices", never)
     monkeypatch.setattr(estimator, "_level2_values", never)
-    assert main(["estimate", "--config", str(path), "--n-max", "16"]) == 2
+    assert main(["estimate", "--config", str(path)]) == 2
     assert f"enumeration needs {3**15} words, budget is {3**14}" in capsys.readouterr().err
 
 
@@ -773,17 +805,17 @@ def test_cli_one_letter_series_to_n_2000_is_quick(tmp_path, capsys):
     path = tmp_path / "one.json"
     edges = [["a", "b", [0, 0, 0]], ["b", "a", [0, 0, 1]]]
     path.write_text(json.dumps({"system": {"sofic": {"bases": [2, 3, 4], "vertices": ["a", "b"], "edges": edges}},
-                                "exponents": "from-bases"}))
+                                "exponents": "from-bases", "estimator": {"n_max": 2000}}))
     start = time.perf_counter()
-    assert main(["estimate", "--config", str(path), "--n-max", "2000"]) == 0
+    assert main(["estimate", "--config", str(path)]) == 0
     assert time.perf_counter() - start < 5.0
     assert len(json.loads(capsys.readouterr().out)["estimate_series"]) == 2000
 
 
-def test_cli_n_max_flag_overrides(tmp_path, capsys):
+def test_cli_n_max_key_sets_the_series(tmp_path, capsys):
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps(_golden_config()))
-    code = main(["estimate", "--config", str(path), "--n-max", "2"])
+    path.write_text(json.dumps({**_golden_config(), "estimator": {"n_max": 2}}))
+    code = main(["estimate", "--config", str(path)])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert [row["n"] for row in out["estimate_series"]] == [1, 2]
@@ -794,7 +826,7 @@ def test_cli_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     from wtp.checks import CheckResult
 
     path = tmp_path / "carpet.json"
-    path.write_text(json.dumps(_carpet_config()))
+    path.write_text(json.dumps({**_carpet_config(), "estimator": {"n_max": 4}}))
     seen = []
 
     def failing(config):
@@ -802,7 +834,7 @@ def test_cli_check_failure_exit_code(tmp_path, capsys, monkeypatch):
         return [CheckResult("stub", False, "forced")]
 
     monkeypatch.setattr(cli_module, "run_all_checks", failing)
-    assert main(["check", "--config", str(path), "--n-max", "4"]) == 3
+    assert main(["check", "--config", str(path)]) == 3
     assert [(c.chain.rank, c.n_max) for c in seen] == [(2, 4)]
 
 
@@ -845,9 +877,13 @@ def test_cli_check_passes(name, claims, capsys):
     assert [row["name"] for row in out["checks"]] == claims
 
 
-def test_cli_one_state_estimate_is_charged_the_words_of_s1(capsys):
+def test_cli_one_state_estimate_is_charged_the_words_of_s1(tmp_path, capsys):
     """The carpet has one bottom state, so N = 60 (2^60 level-2 words) forms
     only the 2 words of S_1 and stays within the default budget."""
-    assert main(["estimate", "--config", os.path.join(CONFIG_DIR, "carpet.json"), "--n-max", "60"]) == 0
+    with open(os.path.join(CONFIG_DIR, "carpet.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "carpet.json"
+    path.write_text(json.dumps({**doc, "estimator": {"n_max": 60}}))
+    assert main(["estimate", "--config", str(path)]) == 0
     rows = json.loads(capsys.readouterr().out)["estimate_series"]
     assert [row["n"] for row in rows] == list(range(1, 61))

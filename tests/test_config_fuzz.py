@@ -6,7 +6,7 @@ its documented exit class (ValidationError: exit 1, ComputationError:
 exit 2), never in another exception.  The mutations swap types, drop keys,
 append junk, and put in out-of-range and huge integers and NaN and
 +-Infinity literals, anywhere in the document.  The invariant suite (`check`)
-ignores the config, so it is not run here.
+audits the config it is given, so it runs here with the other commands.
 """
 import copy
 import json
@@ -23,7 +23,7 @@ SHIPPED = {}
 for _name in sorted(os.listdir(CONFIG_DIR)):
     with open(os.path.join(CONFIG_DIR, _name)) as _fh:
         SHIPPED[_name] = json.load(_fh)
-COMMANDS = ("dimension", "entropy", "estimate", "variational")
+COMMANDS = ("dimension", "entropy", "estimate", "variational", "check")
 # each example runs in milliseconds under this cap
 BUDGET_CAP = 10**4
 
@@ -75,12 +75,14 @@ def mutated_configs(draw):
     if draw(st.booleans()):
         doc["estimator"] = {"n_max": draw(st.integers(-1, 14)), "budget": draw(st.integers(-1, BUDGET_CAP))}
     if draw(st.booleans()):
-        # a potential on the config's own digits, so that runs get past parsing
+        # a potential on the config's own digits, each window once, so that
+        # runs get past parsing
         body = next(iter(doc["system"].values()))
         digits = body["digits"] if "digits" in body else [label for _s, _t, label in body["edges"]]
         window = draw(st.integers(1, 3))
         words = st.lists(st.sampled_from(digits), min_size=window, max_size=window)
-        table = draw(st.lists(st.tuples(words, mostly(st.floats(-3, 3))).map(list), max_size=4))
+        entries = st.tuples(words, mostly(st.floats(-3, 3))).map(list)
+        table = draw(st.lists(entries, max_size=4, unique_by=lambda entry: json.dumps(entry[0])))
         doc["potential"] = {"window": window, "table": table}
     for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))

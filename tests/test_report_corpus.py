@@ -5,11 +5,15 @@ Core claims:
       each shipped config print exactly the pinned report (14 reports), so
       the README's bit-for-bit promise holds across refactors
     - `variational` on the sofic config exits 1 with one error line
+    - every setting of a run is in its report's echoed config: rerun on
+      that config, each pinned report, and a golden estimate with its own
+      `n_max` and budget, prints the same bytes
 
 An intended report change updates its pin here and records in CHANGES.md
 why the bytes changed.
 """
 import hashlib
+import json
 import os
 
 import pytest
@@ -57,3 +61,24 @@ def test_sofic_variational_is_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: variational optimization is restricted to sponge chains\n"
+
+
+def _echo_cases():
+    for name, command in sorted(REPORT_SHA256):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            yield pytest.param(fh.read(), command, id=f"{name}-{command}")
+    with open(os.path.join(CONFIG_DIR, "golden_sofic.json")) as fh:
+        doc = json.load(fh)
+    doc["estimator"] = {"n_max": 5, "budget": 1000000}
+    yield pytest.param(json.dumps(doc), "estimate", id="golden_sofic.json-estimate-n_max-5")
+
+
+@pytest.mark.parametrize("text, command", _echo_cases())
+def test_echoed_config_reruns_to_the_same_bytes(text, command, tmp_path, capsys):
+    first, second = tmp_path / "config.json", tmp_path / "echoed.json"
+    first.write_text(text)
+    assert main([command, "--config", str(first)]) == 0
+    report = capsys.readouterr().out
+    second.write_text(json.dumps(json.loads(report)["provenance"]["config"]))
+    assert main([command, "--config", str(second)]) == 0
+    assert capsys.readouterr().out == report

@@ -119,8 +119,6 @@ def _shipped_reports():
         with open(os.path.join(CONFIG_DIR, name)) as fh:
             text = fh.read()
         for command in COMMANDS:
-            if command == "check" and name != "carpet.json":
-                continue  # the invariant suite ignores the config
             config = parse_config(text)
             config.n_max = 5
             if command == "variational" and "sofic" in text:
@@ -130,7 +128,7 @@ def _shipped_reports():
 
 def test_shipped_config_reports_match_json_dumps():
     reports = list(_shipped_reports())
-    assert len(reports) == 3 * 4 - 1 + 1  # variational skips the sofic chain; check runs once
+    assert len(reports) == 3 * 5 - 1  # variational skips the sofic chain
     for report in reports:
         assert report.to_json() == oracle(report.to_dict())
 
