@@ -369,7 +369,7 @@ def parse_config(doc) -> RunConfig:
     potential = None
     if doc.get("potential") is not None:
         pot = _only(_expect(doc, "potential", dict, "$"), "$.potential", "window", "table")
-        window = _integer(_expect(pot, "window", None, "$.potential"), "$.potential.window")
+        window = _count(_expect(pot, "window", None, "$.potential"), "$.potential.window")
         table_raw = _expect(pot, "table", list, "$.potential")
         table = _potential_table(table_raw)
         if table is None:
@@ -380,13 +380,18 @@ def parse_config(doc) -> RunConfig:
                 word, value = entry
                 key = tuple(_integers(d, f"$.potential.table[{k}][0][{t}]") for t, d in enumerate(word))
                 table[key] = _real(value, f"$.potential.table[{k}][1]")
-        # an entry on a letter outside the digit set, or on a window given
-        # before, could never apply; the loop only names the first such entry
+        # an entry whose word is not one window long, on a letter outside the
+        # digit set, or on a window given before could never apply; the loop
+        # only names the first such entry
         digits = chain.system.digits
-        if len(table) < len(table_raw) or not digits.issuperset(itertools.chain(*table)):
+        if (len(table) < len(table_raw) or not set(map(len, table)) <= {window}
+                or not digits.issuperset(itertools.chain(*table))):
             seen = set()
             for k, (word, _value) in enumerate(table_raw):
                 key = tuple(map(tuple, word))
+                if len(key) != window:
+                    raise ParseError(f"$.potential.table[{k}][0]",
+                                     f"expected a word of length {window} (the window), got {word}")
                 for t, letter in enumerate(key):
                     if letter not in digits:
                         raise ParseError(f"$.potential.table[{k}][0][{t}]", f"expected a digit, got {list(letter)}")

@@ -13,13 +13,16 @@ One walk over the bottom automaton builds the transfer matrices and, for
 window-k potentials, the max-plus tails of the windows that overhang the
 word end.  The series starts at N = k, the first length holding a window.
 
-Over one bottom DP state (every sponge, and a sofic chain whose follower
-automaton has one state) every level is a full shift, and a word's count,
-or its weight under a window-1 potential, is the product of its letters'.
-The nested sums then factor position by position, S_N = S_1^N exactly, so a
-series counts S_1 alone, by the route below at N = 1: log S_N is N log S_1,
-and log S_1 itself is each N's value per symbol and its Fekete bound.  An
-error in S_1 names N = 1, and no S_N overflows that S_1 does not.
+Over one bottom state (a full-shift bottom, such as every sponge or a
+sofic chain whose follower automaton has one state, with no potential or a
+window-1 one) every level is a full shift, and a word's count, or its
+weight, is the product of its letters'.  The nested sums then factor
+position by position, S_N = S_1^N exactly, and S_1 is the nested sum over
+the edge labels that the sponge recursion contracts: log S_1 is
+`kp_recursion`'s log Z_0, in Python floats, with nothing enumerated and no
+transfer matrix built.  log S_N is N log S_1, and log S_1 itself is each
+N's value per symbol and its Fekete bound.  A Z_0 of 0 or inf is the
+recursion's ComputationError, and no S_N overflows that S_1 does not.
 
 Over several states every level-2 word is enumerated.  Without a potential a
 word's weight is its count of bottom words, an exact integer, and so is
@@ -40,8 +43,9 @@ whole, so memory is about 8 bytes per level-2 word, plus
 O(|A_2|^ceil(N/2) * states) for the prefix and suffix vectors.  The nested
 groupings then run over those weights in chunks, in word order, so results
 are independent of block sizes and of any worker scheduling.  A budget caps
-the number of enumerated words, |A_2| over one bottom state, where only S_1
-is counted; a series checks it for every N before it counts the first.
+the number of enumerated words; over one bottom state it is charged the
+|A_2| letters of S_1 at every N.  A series checks it for every N before it
+counts the first.
 Counts stay integer-exact: float64 carries them while the largest possible
 count fits a 52-bit mantissa, and Python ints, switched to once, after that,
 about BLOCK at a time, until each is rounded to a float for the first
@@ -57,6 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sponge
 from .defaults import DEFAULT_BUDGET, DEFAULT_N_MAX
 from .errors import (
     ComplexityBudgetExceeded,
@@ -111,8 +116,6 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
     in level-2 alphabet order, tail weights, exact-integers flag).
     """
     letters = tuple(zip(chain.alphabet(1), chain.projection(1)))  # with each one's level-2 index
-    if not letters:
-        raise EmptyDigits("the chain's graph has no edges, so it has no words")
     window = potential.window if potential is not None else 1
     if window > n:
         raise PotentialWindowTooLarge(f"window {window} exceeds word length {n}")
@@ -342,37 +345,47 @@ def _log_counts(chain: SoficChain, avals, bottom, first: int, last: int, potenti
     """NestedCount for N = first..last in one pass over the series.
 
     The letter projections of each level are built once; the level-2 values
-    of each N are folded and dropped before the next N's are formed.  Over
-    one bottom state S_N = S_1^N (see the module docstring), so only S_1 is
-    counted: log S_N is N log S_1, and log S_1 itself is every N's value
-    per symbol.
+    of each N are folded and dropped before the next N's are formed.
     """
     levels = [[np.array(chain.projection(lvl), dtype=np.int64), len(chain.alphabet(lvl + 1)),
                np.zeros(1, dtype=np.int64), 0] for lvl in range(2, chain.rank)]  # `_fold`'s, level 2..r-1
     max_fiber = max(Counter(chain.projection(1)).values(), default=1)
-    one_state = len(bottom[0]) == 1
-    values = _level2_values(bottom, max_fiber, 1 if one_state else first, 1 if one_state else last)
+    values = _level2_values(bottom, max_fiber, first, last)
     # an overflow surfaces as a non-finite S_N, raised as a ComputationError;
     # numpy's warnings would only print ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
-        if one_state:
-            log_s1 = _log_nested(chain, avals, levels, values, potential)
-            return [NestedCount(n, n * log_s1, log_s1) for n in range(first, last + 1)]
         logs = [_log_nested(chain, avals, levels, values, potential) for _n in range(first, last + 1)]
     return [NestedCount(n, log_value, log_value / n) for n, log_value in enumerate(logs, first)]
 
 
-def _check_budget(chain: SoficChain, potential: Potential | None, first: int, last: int, budget: int) -> None:
+def _check_budget(chain: SoficChain, one_state: bool, first: int, last: int, budget: int) -> None:
     """ComplexityBudgetExceeded at the first N in first..last whose count
     enumerates more than `budget` level-2 words: |A_2|**N, or |A_2| over one
-    bottom state (a full-shift bottom and a window of at most 1), where only
-    S_1 is counted.  Decided before anything is built."""
+    bottom state, where only S_1 is computed.  Decided before anything is built."""
     base = len(chain.alphabet(2))
-    if (potential is None or potential.window == 1) and chain.is_full_shift(1):
+    if one_state:
         first = last = 1
     over = next((n for n in range(first, last + 1) if base**n > budget), None)
     if over is not None:
         raise ComplexityBudgetExceeded(base**over, budget)
+
+
+def _nested_counts(chain: SoficChain, a: Exponents, potential: Potential | None, first: int, last: int,
+                   budget: int) -> list:
+    """NestedCount for N = first..last, the budget checked for every N
+    before anything is built.  Over one bottom state (a full-shift bottom
+    and a window of at most 1) log S_N is N log S_1, with log S_1 the sponge
+    recursion's log Z_0 over the edge labels; otherwise one pass of
+    `_log_counts` over the bottom DP."""
+    avals = check_exponents(a, chain.rank)
+    if not chain.graph.edges:
+        raise EmptyDigits("the chain's graph has no edges, so it has no words")
+    one_state = (potential is None or potential.window == 1) and chain.is_full_shift(1)
+    _check_budget(chain, one_state, first, last, budget)
+    if not one_state:
+        return _log_counts(chain, avals, _bottom_matrices(chain, potential, first), first, last, potential)
+    log_s1 = sponge.kp_recursion(chain._labels, a, potential).h_a_nats
+    return [NestedCount(n, n * log_s1, log_s1) for n in range(first, last + 1)]
 
 
 def nested_count(
@@ -383,13 +396,11 @@ def nested_count(
     budget: int = DEFAULT_BUDGET,
 ) -> NestedCount:
     """S_N from its level-2 words, nested exponent sums above: the one-N
-    series (over one bottom state, S_1^N)."""
+    series.  Over one bottom state it is S_1^N, with log S_1 from the sponge
+    recursion over the edge labels, and per_symbol is log S_1 itself."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    avals = check_exponents(a, chain.rank)
-    _check_budget(chain, potential, n, n, budget)
-    bottom = _bottom_matrices(chain, potential, n)
-    return _log_counts(chain, avals, bottom, n, n, potential)[0]
+    return _nested_counts(chain, a, potential, n, n, budget)[0]
 
 
 def entropy_estimate(
@@ -411,11 +422,7 @@ def entropy_estimate(
     window = potential.window if potential is not None else 1
     if n_max < window:
         raise PotentialWindowTooLarge(f"window {window} exceeds n_max {n_max}")
-    avals = check_exponents(a, chain.rank)
-    _check_budget(chain, potential, window, n_max, budget)
-    bottom = _bottom_matrices(chain, potential, window)
     series = EstimateSeries()
-    for count in _log_counts(chain, avals, bottom, window, n_max, potential):
+    for count in _nested_counts(chain, a, potential, window, n_max, budget):
         series.append(count.n, count.per_symbol)
     return series
-

@@ -11,7 +11,9 @@ two indexings they take.
 
 One chain class: SoficChain presents the bottom level by a labeled graph,
 and a sponge (SpongeChain) is its one-vertex case, with one self-loop per
-digit.  Whether a level is a full shift is read off its follower automaton.
+digit.  Whether a level is a full shift is read off its follower automaton,
+except on a sponge, whose one vertex makes every level a full shift: it
+answers from its class and determinizes nothing.
 
 Counting is done with Python integers (counts grow like |D|^N); callers
 convert to floats only when taking logarithms.
@@ -352,6 +354,11 @@ class SpongeChain(SoficChain):
     def __init__(self, system: DigitSystem):
         edges = tuple(("*", "*", d) for d in system.sorted_digits)
         super().__init__(LabeledGraph(vertices=("*",), edges=edges, system=system))
+
+    def is_full_shift(self, level: int) -> bool:
+        """True at every level: one vertex reads every digit."""
+        self.prefix_length(level)  # range-checks the level
+        return True
 
 
 @lru_cache(maxsize=64)

@@ -4,8 +4,9 @@ Core claims:
     - the carpet and sofic configs parse; malformed ones, an n_max < 1
       included, raise with a path; so does a key that parse_config does not
       read, at every object level (an optimizer section among them), and a
-      potential entry that cannot apply: a letter outside the digit set or
-      a window given twice
+      potential entry that cannot apply: a letter outside the digit set, a
+      window given twice, or a word whose length is not the window (exact
+      stderr), and a window below 1
     - every setting is a config key: a malformed command line, an unknown
       flag or command or the removed --n-max, exits 1 with the usage text
     - dimension/entropy/estimate/variational reports carry the documented
@@ -221,6 +222,7 @@ def _setter(*keys, value):
             _carpet_config,
             _setter("potential", value={"window": 2, "table": [[[[0, 0], [1, 1]], 5.0], [[[0, 0], [1, 1]], 1]]}),
         ),
+        ("$.potential.window", _carpet_config, _setter("potential", value={"window": 0, "table": []})),
         # settings that cannot work: no word
         *(
             pytest.param(path, _carpet_config, _setter("estimator", value=value), id=f"{path}={value}")
@@ -239,6 +241,28 @@ def test_untyped_field_is_parse_error(tmp_path, capsys, path, make, mutate):
     config_path.write_text(json.dumps(doc))
     assert main(["dimension", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
+
+
+@pytest.mark.parametrize(
+    "potential, err",
+    [
+        ({"window": 1, "table": [[[[0, 0], [1, 1]], 5.0]]},
+         "error: $.potential.table[0][0]: expected a word of length 1 (the window), got [[0, 0], [1, 1]]\n"),
+        ({"window": 2, "table": [[[[0, 0], [1, 1]], 1.0], [[[0, 0]], 5.0]]},
+         "error: $.potential.table[1][0]: expected a word of length 2 (the window), got [[0, 0]]\n"),
+    ],
+    ids=["two-letters-window-1", "one-letter-window-2"],
+)
+def test_potential_word_off_the_window_names_its_path(tmp_path, capsys, potential, err):
+    # exit 1 at the entry's JSON path, as every other malformed field
+    doc = _carpet_config()
+    doc["potential"] = potential
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["entropy", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 @pytest.mark.parametrize(

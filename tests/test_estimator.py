@@ -28,6 +28,12 @@ Core claims:
       range is N log S_1 of an in-test oracle
     - a window-3 potential on a sofic graph whose overhang can dead-end
       matches brute force
+    - a weight that underflows to 0 counts once at exponent 0, as in
+      closed_form (log S_1 = log 2 on the carpet with f = -1e4 on (1, 1));
+      at a_1 = 1e-4 it is still dropped (strict xfail, ROADMAP item 6)
+    - a full-shift bottom whose follower automaton has several states is
+      one DP state: it takes the recursion, charged |A_2| words, and its
+      enumeration agrees
     - a sponge is the one-vertex sofic chain: same transfer matrices, same
       bits
     - the series starts at N = window; each row keeps the bits of
@@ -441,6 +447,56 @@ def test_overflowing_level2_weights_still_count_words(carpet_chain, carpet_expon
     log_s1 = math.log((math.exp(700.0) + 1) ** carpet_exponents.values[0] + 1)
     for n in (1, 2, 20):
         assert nested_count(carpet_chain, carpet_exponents, pot1, n=n).log_value == pytest.approx(n * log_s1, rel=1e-14)
+
+
+# exp(-1e4) is 0.0 in floats: on the carpet the digit (1, 1) weighs nothing
+UNDERFLOW_ON_11 = Potential(window=1, table={((1, 1),): -1e4})
+
+
+def test_underflowing_weight_counts_at_exponent_zero(carpet_chain):
+    """At a_1 = 0 the fiber {(1, 1)} of weight 0.0 still counts once, 0.0 ** 0
+    being 1, as in closed_form: S_1 = 2, not the 1 of a fold that drops the
+    weight as inadmissible."""
+    f = UNDERFLOW_ON_11
+    a = Exponents((0.0,))
+    assert closed_form(carpet_chain, a, f).h_a_nats == math.log(2)
+    assert nested_count(carpet_chain, a, f, n=1).log_value == math.log(2)
+    assert entropy_estimate(carpet_chain, a, f, n_max=3).entries == [(n, math.log(2)) for n in (1, 2, 3)]
+
+
+@pytest.mark.xfail(strict=True, reason="a weight that underflows to 0 is dropped, not rescaled (ROADMAP item 6)")
+def test_underflowing_weight_keeps_its_share_at_small_exponent(carpet_chain):
+    """At a_1 = 1e-4 the exact S_1 is 2^a_1 + e^(-1e4 a_1) = 2^a_1 + e^-1, so
+    log S_1 is 0.3133; the underflowed 0.0 ** a_1 gives 6.93e-05 instead."""
+    f = UNDERFLOW_ON_11
+    a = Exponents((1e-4,))
+    exact = math.log(2**1e-4 + math.exp(-1.0))
+    assert nested_count(carpet_chain, a, f, n=1).log_value == pytest.approx(exact, rel=1e-12)
+
+
+def test_full_shift_with_several_follower_states_takes_the_recursion():
+    """Vertex a reads x back to a and y on to b, and b reads both back to a:
+    every word is admissible, but the follower automaton has the three
+    states {a, b}, {a} and {b}.  A full-shift bottom is one DP state, so
+    the chain is charged the |A_2| = 1 word of S_1, and its S_N is S_1^N
+    from the recursion over the labels, which enumeration reproduces."""
+    x, y = (0, 0), (0, 1)
+    graph = LabeledGraph(
+        vertices=("a", "b"),
+        edges=(("a", "a", x), ("a", "b", y), ("b", "a", x), ("b", "a", y)),
+        system=validate_digit_system((2, 2), [x, y]),
+    )
+    chain = SoficChain(graph)
+    assert chain.is_full_shift(1) and len(chain.automaton(1).states) == 3
+    a = Exponents((0.7,))
+    h = kp_recursion(chain.system, a).h_a_nats
+    assert h == pytest.approx(0.7 * math.log(2), rel=1e-15)
+    bottom = estimator._bottom_matrices(chain, None, 1)
+    assert len(bottom[0]) == 1
+    enumerated = estimator._log_counts(chain, a.values, bottom, 1, 8, None)
+    for words in enumerated:
+        assert nested_count(chain, a, n=words.n, budget=1).log_value == words.n * h
+        assert words.log_value == pytest.approx(words.n * h, rel=1e-14)
 
 
 def test_count_past_float_range_is_computation_error():

@@ -31,11 +31,12 @@ Core claims:
       `build_count_matrices` the arrays, dtypes and bits of a reference
       assembly loop of their own (the oracle)
     - on one-state bottoms (sponges of rank 2-4 and one-state sofic
-      graphs, without a potential or with a window-1 one), log S_N is
-      N log S_1 exactly, and every entry, Fekete bound and per_symbol is
-      log S_1 by repr; S_1 is the enumerated S_1 of the same bottom with an
-      unreachable second state added, byte for byte, and that enumeration's
-      log S_N agrees with N log S_1 within 1e-12 relative up to N = 6
+      graphs on all or some of the digits, without a potential or with a
+      window-1 one), every entry, Fekete bound and per_symbol is the sponge
+      recursion's h_a_nats over the edge labels by repr (on a sponge,
+      closed_form's), log S_N is N times it exactly, and
+      no transfer matrix is built; enumerating the same one-state bottom
+      gives log S_N within 1e-12 relative of N log S_1 up to N = 6
 """
 import itertools
 import math
@@ -51,7 +52,7 @@ from wtp.defaults import DEFAULT_BUDGET
 from wtp.errors import WtpError
 from wtp.estimator import entropy_estimate, nested_count
 from wtp.sofic import build_count_matrices
-from wtp.sponge import Potential
+from wtp.sponge import Potential, closed_form, kp_recursion
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases
 
@@ -164,22 +165,6 @@ def _series_values(bottom, max_fiber, first, last):
     return list(estimator._level2_values(bottom, max_fiber, first, last))
 
 
-def _general_route(bottom):
-    """The same bottom with a second, unreachable state, so a series enumerates
-    its words at every N.  The padding zeros have the bottom's dtype: np.pad
-    would put numpy int64 zeros into Python-int matrices, and sums with them
-    overflow int64."""
-    start, mats, tail, exact = bottom
-    grow = lambda v: np.concatenate([v, np.zeros(1, dtype=v.dtype)])
-
-    def pad(m):
-        out = np.zeros((len(m) + 1, len(m) + 1), dtype=m.dtype)
-        out[:-1, :-1] = m
-        return out
-
-    return grow(start), [pad(m) for m in mats], grow(tail), exact
-
-
 @settings(max_examples=150, deadline=None)
 @given(chain=_small_chains(every_length=False), n=st.integers(1, 6))
 def test_count_product_matches_whole_dp(chain, n):
@@ -284,12 +269,15 @@ def _exponents(draw, chain):
 
 @st.composite
 def _one_state_chains(draw):
-    """A sponge of rank 2-4, or the same digits on every edge between two
-    vertices, a sofic graph whose follower automaton has one state."""
+    """A sponge of rank 2-4, or the same labels on every edge between two
+    vertices, a sofic graph whose follower automaton has one state; its
+    labels are all of the sponge's digits or some of them."""
     chain = draw(_sponges())
     if draw(st.booleans()):
         return chain
-    edges = tuple((s, t, d) for s in "ab" for t in "ab" for d in chain.system.sorted_digits)
+    digits = chain.system.sorted_digits
+    labels = draw(st.one_of(st.just(digits), st.lists(st.sampled_from(digits), min_size=1, unique=True)))
+    edges = tuple((s, t, d) for s in "ab" for t in "ab" for d in labels)
     return SoficChain(LabeledGraph(vertices=("a", "b"), edges=edges, system=chain.system))
 
 
@@ -304,47 +292,54 @@ def _one_state_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_one_state_cases(), n_max=st.integers(1, 40))
-def test_one_state_series_is_s1_to_the_n(case, n_max):
-    """S_N = S_1^N: log S_N is N log S_1 exactly, and every entry, Fekete
-    bound and per_symbol is log S_1 itself, not (N log S_1) / N."""
+def test_one_state_series_is_the_recursion(case, n_max):
+    """S_N = S_1^N, and log S_1 is the sponge recursion's log Z_0 over the
+    edge labels, not the whole digit set: every entry, Fekete bound and
+    per_symbol is its h_a_nats by repr, log S_N is N times it, and on a
+    sponge it is closed_form's.  Nothing numpy is built on the way."""
     chain, a, potential = case
     while len(chain.alphabet(2)) ** n_max > DEFAULT_BUDGET:
         n_max -= 1
-    log_s1 = nested_count(chain, a, potential, 1).log_value
-    series = entropy_estimate(chain, a, potential, n_max=n_max)
+    labels = validate_digit_system(chain.system.bases, sorted({d for _s, _t, d in chain.graph.edges}))
+    h = kp_recursion(labels, a, potential).h_a_nats
+    if isinstance(chain, SpongeChain):
+        assert repr(closed_form(chain, a, potential).h_a_nats) == repr(h)
+    with mock.patch.object(estimator, "_bottom_matrices", side_effect=AssertionError("built")):
+        series = entropy_estimate(chain, a, potential, n_max=n_max)
+        counts = [nested_count(chain, a, potential, n) for n in {1, 2, n_max}]
     assert [n for n, _v in series.entries] == list(range(1, n_max + 1))
-    assert [repr(v) for _n, v in series.entries] == [repr(log_s1)] * n_max
-    assert list(map(repr, series.fekete_bounds)) == [repr(log_s1)] * n_max
-    for n in {1, 2, n_max}:
-        count = nested_count(chain, a, potential, n)
-        assert count.log_value == n * log_s1
-        assert repr(count.per_symbol) == repr(log_s1)
+    assert [repr(v) for _n, v in series.entries] == [repr(h)] * n_max
+    assert list(map(repr, series.fekete_bounds)) == [repr(h)] * n_max
+    for count in counts:
+        assert count.log_value == count.n * h
+        assert repr(count.per_symbol) == repr(h)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=st.one_of(_one_state_cases(), st.tuples(_wide_sponges(), st.just(None), st.none())),
        n=st.integers(1, 6), data=st.data())
-def test_one_state_product_matches_enumeration(case, n, data):
-    """The same bottom with an unreachable second state enumerates its
-    level-2 words at every N.  At N = 1 its S_1 is the product route's byte
-    for byte: the zero state adds exact zeros to the same prefix x suffix
-    product and fold.  Up to N = 6 its log S_N agrees with N log S_1 within
-    1e-12 (relative, or absolute near 0): S_N sums at most 4096 nonnegative
-    terms, each a product of at most 6 rounded weights raised at most three
-    times, so its relative error, which is log S_N's absolute error, stays
-    below about (4096 + 6 + 3 * 4) u < 5e-13, u = 2**-53, and N log S_1
-    carries at most N times S_1's far smaller error.  The fibers of up to 600
-    digits take the big-integer path of the enumeration by N = 6."""
+def test_one_state_recursion_matches_enumeration(case, n, data):
+    """`_log_counts` on the one-state bottom enumerates its level-2 words at
+    every N, in numpy; nested_count takes N log S_1 from the recursion, in
+    Python floats.  Up to N = 6 they agree within 1e-12 (relative, or
+    absolute near 0), N = 1 included: numpy's SIMD `**` and Python's may
+    differ in the last bit, so S_1 need not keep its bits.  S_N sums at most
+    4096 nonnegative terms, each a product of at most 6 rounded weights
+    raised at most three times, so its relative error, which is log S_N's
+    absolute error, stays below about (4096 + 6 + 3 * 4) u < 5e-13,
+    u = 2**-53, and N log S_1 carries at most N times S_1's far smaller
+    error.  The fibers of up to 600 digits take the big-integer path of the
+    enumeration by N = 6."""
     chain, a, potential = case
     a = a or _exponents(data.draw, chain)
     while len(chain.alphabet(2)) ** n > 4096:
         n -= 1
     bottom = estimator._bottom_matrices(chain, potential, 1)
-    product = estimator._log_counts(chain, a.values, bottom, 1, n, potential)
-    enumerated = estimator._log_counts(chain, a.values, _general_route(bottom), 1, n, potential)
-    assert repr(enumerated[0].log_value) == repr(product[0].log_value)
-    for one_state, words in zip(product, enumerated):
-        assert one_state.log_value == pytest.approx(words.log_value, rel=1e-12, abs=1e-12)
+    assert len(bottom[0]) == 1
+    enumerated = estimator._log_counts(chain, a.values, bottom, 1, n, potential)
+    for words in enumerated:
+        recursion = nested_count(chain, a, potential, words.n)
+        assert recursion.log_value == pytest.approx(words.log_value, rel=1e-12, abs=1e-12)
 
 
 @st.composite

@@ -13,6 +13,8 @@ Core claims:
       and graphs whose labels are any subset of the digits
     - the subset automaton counts exactly the words brute-force path
       enumeration produces after label deduplication
+    - a sponge is a full shift at every level, as its follower automaton
+      says, answered without determinizing; levels out of range raise
     - right-resolving graphs have at most |V| path realizations per word
     - the frozen three-vertex chain necessarily carries one duplicated label
       (five same-projection edges leave one vertex, only four labels exist)
@@ -25,6 +27,7 @@ Core claims:
 import itertools
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -399,6 +402,26 @@ def test_full_shift_encoding_accepts_everything(carpet):
     aut = chain.automaton(1)
     for n in range(4):
         assert aut.count_words(n) == len(carpet.digits) ** n
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases=st.lists(st.integers(2, 4), min_size=2, max_size=4).map(sorted), data=st.data())
+def test_sponge_is_full_shift_from_its_class(bases, data):
+    """Every level of a sponge is a full shift, as its follower automaton
+    says; the sponge answers without determinizing, and range-checks the
+    level as prefix_length does."""
+    pool = list(itertools.product(*(range(m) for m in bases)))
+    system = validate_digit_system(bases, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+    chain = SpongeChain(system)
+    r = system.rank
+    with mock.patch.object(SoficChain, "automaton", side_effect=AssertionError("determinized")):
+        answers = [chain.is_full_shift(level) for level in range(1, r + 1)]
+        for level in (0, r + 1):
+            with pytest.raises(LevelOutOfRange):
+                chain.is_full_shift(level)
+    for level, answer in enumerate(answers, 1):
+        aut = determinize(chain.graph, level)
+        assert answer is (len(aut.transitions) == len(aut.states) * len(aut.letters)) is True
 
 
 def _random_graph(rng):
