@@ -83,7 +83,7 @@ def build_count_matrices(g: LabeledGraph) -> dict[Digit, np.ndarray]:
 
 
 def _power_iterate(matrix: np.ndarray):
-    """Power iteration from the uniform vector, each iterate scaled to max 1.
+    """Power iteration from the all-ones vector, each iterate scaled to max 1.
 
     Returns (vector, converged, iterations); the vector is None once an
     iterate vanishes.  Each iterate is also compared with a checkpoint moved
@@ -91,8 +91,9 @@ def _power_iterate(matrix: np.ndarray):
     iterates cycle through values already tested, so the iteration stops as
     not converged, as all POWER_MAX_ITERS iterations would.
     """
-    n = matrix.shape[0]
-    v = np.full(n, 1.0 / n)
+    # all ones, not 1/n: an integer matrix with equal row sums then maps it
+    # to an exact multiple of itself, so its Perron vector is exactly all ones
+    v = np.ones(matrix.shape[0])
     checkpoint, next_move = v.tobytes(), 1  # equal bytes imply an equal iterate
     for k in range(1, POWER_MAX_ITERS + 1):
         w = matrix @ v
