@@ -61,7 +61,7 @@ _EXPORTS = {
         "weights_from_exponents",
     ),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "defaults"}
+_SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "defaults", "enumeration"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

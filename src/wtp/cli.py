@@ -45,8 +45,8 @@ from .symbolic import (
 from .weights import Exponents, exponents_from_bases
 
 
-# Entry points of the modules that load numpy, which config parsing and
-# `closed_form` on a sponge do without: each imports its module at the first call.
+# Entry points of the modules that config parsing and `closed_form` do
+# without: each imports its module at the first call.
 # `run` looks these names up at call time, so a caller may replace them here.
 
 
@@ -398,6 +398,14 @@ def parse_config(doc) -> RunConfig:
                 if key in seen:
                     raise ParseError(f"$.potential.table[{k}][0]", f"expected a window not given before, got {word}")
                 seen.add(key)
+        # a sofic chain carries only the windows that its follower automaton reads
+        # from state 0, where the estimator's DP starts; sponges carry every word
+        if window > 1 and not isinstance(chain, SpongeChain):
+            aut = chain.automaton(1)
+            for k, word in enumerate(table):
+                if aut.run(word) is None:
+                    raise ParseError(f"$.potential.table[{k}][0]",
+                                     f"expected a word that the chain carries, got {list(map(list, word))}")
         potential = Potential(window=window, table=table)
 
     est = {} if doc.get("estimator") is None else _expect(doc, "estimator", dict, "$")
@@ -463,7 +471,7 @@ def run(config: RunConfig, command: str) -> Report:
             closed = _report_closed_form(config, report)
         except WindowUnsupported as e:
             raise UnsupportedCombination("variational optimization takes window-1 potentials") from e
-        from .variational import bernoulli_objective, optimal_measure_from_recursion  # loads numpy
+        from .variational import bernoulli_objective, optimal_measure_from_recursion
 
         # the witness is read off the closed form's tables, its value evaluated apart from them
         system, a, f = config.chain.system, config.exponents, config.potential

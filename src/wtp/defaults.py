@@ -1,8 +1,8 @@
 """Estimator defaults and report texts that the CLI reads before any numeric work.
 
-They live apart from the numpy modules that use them, so that parsing a
-config and the sponge closed forms never load numpy.  The variational
-certificate has no settings: its maximizer is built in closed form.
+They live in a module that imports nothing, so that parsing a config loads
+none of the numeric modules that use them.  The variational certificate has
+no settings: its maximizer is built in closed form.
 """
 
 DEFAULT_BUDGET = 10**7  # level-2 words the estimator may enumerate per N

@@ -1,6 +1,6 @@
 """Transfer-matrix machinery for sofic chains.
 
-`_transfer_matrices` builds every per-letter matrix, the estimator's too:
+`_transfer_matrices` builds every per-letter matrix, the enumerator's too:
 `build_count_matrices` maps each level-2 label to its count matrix, a numpy
 array of edge multiplicities; `detect_alignment` takes any such dict of
 nonnegative arrays, int or float.  When all nonzero matrices share one

@@ -14,17 +14,16 @@ reaching log Z_0 proves the supremum attained; `wtp variational` reports
 that value and its gap to log Z_0.
 
 Each level marginal is a grouped sum over the digits' prefix indices, so an
-evaluation costs O(|D|) per level.  Its rounding differs from a dense 0/1
-matrix product, so values may differ from such an evaluation in the last
-bits.
+evaluation costs O(|D|) per level: the adds run in digit order, those of
+`numpy.bincount`.  Entropies and the potential term are correctly rounded
+sums (`math.fsum`) of Python float terms, so the module runs without numpy.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .errors import DistributionInvalid
 from .sponge import ClosedForm, Potential, kp_recursion
@@ -74,9 +73,9 @@ class SymbolDistribution:
     def prob(self, digit: Digit) -> float:
         return self.probs.get(tuple(digit), 0.0)
 
-    def as_array(self) -> np.ndarray:
-        digits = self.system.sorted_digits
-        return np.fromiter(map(self.probs.get, digits, itertools.repeat(0.0)), float, len(digits))
+    def as_array(self) -> list[float]:
+        """The probabilities in sorted digit order."""
+        return list(map(self.probs.get, self.system.sorted_digits, itertools.repeat(0.0)))
 
 
 @dataclass(frozen=True)
@@ -87,32 +86,39 @@ class VariationalValue:
     breakdown: tuple  # ((label, contribution), ...)
 
 
-def _marginal_groups(sys: DigitSystem) -> list[tuple[np.ndarray, int]]:
+def _marginal_groups(sys: DigitSystem) -> list[tuple[list[int], int]]:
     """Per level i, the index of each sorted digit's length-(r-i+1) prefix
     among that level's sorted prefixes, with the prefix count: the digit's
     own index at level 1, composed upward with the system's parent table.
 
-    The level-i marginal of p is the grouped sum
-    `np.bincount(group, weights=p, minlength=k)`.
+    The level-i marginal of p is the grouped sum `_marginal(group, k, p)`.
     """
-    group = np.arange(len(sys.sorted_digits))
+    group = list(range(len(sys.sorted_digits)))
     groups = [(group, len(group))]
     for j in range(sys.rank, 1, -1):
-        group = np.array(sys.parents(j), dtype=np.intp)[group]
+        parents = sys.parents(j)
+        group = [parents[g] for g in group]
         groups.append((group, len(sys.prefixes(j - 1))))
     return groups
 
 
-def _entropy(q: np.ndarray) -> float:
-    q = q[q > 0]
-    return float(-np.sum(q * np.log(q)))
+def _marginal(group: list[int], k: int, p: list[float]) -> list[float]:
+    """q[group[i]] += p[i] in index order: `np.bincount(group, weights=p, minlength=k)`."""
+    q = [0.0] * k
+    for g, x in zip(group, p):
+        q[g] += x
+    return q
 
 
-def _potential_vector(sys: DigitSystem, potential: Potential | None) -> np.ndarray:
+def _entropy(q: list[float]) -> float:
+    return -math.fsum([x * math.log(x) for x in q if x > 0])
+
+
+def _potential_vector(sys: DigitSystem, potential: Potential | None) -> list[float]:
     digits = sys.sorted_digits
     if potential is None:
-        return np.zeros(len(digits))
-    return np.array(potential.letter_values(digits), dtype=float)
+        return [0.0] * len(digits)
+    return potential.letter_values(digits)
 
 
 def bernoulli_objective(
@@ -129,11 +135,11 @@ def bernoulli_objective(
     breakdown = []
     total = 0.0
     for i, (group, k) in enumerate(_marginal_groups(sys), start=1):
-        q = p if i == 1 else np.bincount(group, weights=p, minlength=k)
+        q = p if i == 1 else _marginal(group, k, p)
         contribution = w[i - 1] * _entropy(q)
         breakdown.append((f"w{i}*H(level {i})", contribution))
         total += contribution
-    potential_term = w[0] * float(_potential_vector(sys, potential) @ p)
+    potential_term = w[0] * math.fsum(map(mul, _potential_vector(sys, potential), p))
     breakdown.append(("w1*E[f]", potential_term))
     total += potential_term
     return VariationalValue(value=total, breakdown=tuple(breakdown))
@@ -152,8 +158,8 @@ def optimal_measure_from_recursion(
     length-(r-1) prefix x with probability exp f(e) / Z_{r-1}(x).  The tables
     are those of `closed_form`, the sponge `ClosedForm` of the same system,
     exponents and potential; without it, `kp_recursion` computes them.  Each
-    level gathers its parents' values through the system's parent table, so
-    no Python code runs per digit.
+    level gathers its parents' values through the system's parent table, and
+    every divide and multiply is one float operation per prefix.
 
     A prefix whose table value underflows to 0 gets probability 0, and its
     children, whose conditionals are 0 / 0, split its mass evenly.  That
@@ -165,19 +171,20 @@ def optimal_measure_from_recursion(
     if closed_form is None:
         closed_form = kp_recursion(sys, a, potential)
     r = sys.rank
-    digits = sys.sorted_digits
-    mass = np.ones(1)
-    values = np.array([closed_form.z0])  # table values of the length-(j-1) prefixes
+    mass = [1.0]
+    values = [closed_form.z0]  # table values of the length-(j-1) prefixes
     for j in range(1, r + 1):
-        parents = np.array(sys.parents(j), dtype=np.intp)
-        parent_values = values[parents]
+        parents = sys.parents(j)
         # Python's pow and exp, as the contraction takes them: each share has
         # the bits of the term that was summed into its parent's table value
         if j < r:
-            values = np.array(list(map(closed_form.tables[j].__getitem__, sys.prefixes(j))))
-            share = np.array(list(map(pow, values.tolist(), itertools.repeat(a.values[r - j - 1]))))
+            children = list(map(closed_form.tables[j].__getitem__, sys.prefixes(j)))
+            share = list(map(pow, children, itertools.repeat(a.values[r - j - 1])))
         else:
-            share = np.array(list(map(math.exp, _potential_vector(sys, potential).tolist())))
-        even = 1.0 / np.bincount(parents)[parents]
-        mass = mass[parents] * np.divide(share, parent_values, out=even, where=parent_values > 0)
-    return SymbolDistribution(system=sys, probs=dict(zip(digits, mass.tolist())))
+            children, share = None, list(map(math.exp, _potential_vector(sys, potential)))
+        sizes = [0] * len(values)
+        for x in parents:
+            sizes[x] += 1
+        mass = [mass[x] * (s / values[x] if values[x] > 0 else 1.0 / sizes[x]) for x, s in zip(parents, share)]
+        values = children
+    return SymbolDistribution(system=sys, probs=dict(zip(sys.sorted_digits, mass)))

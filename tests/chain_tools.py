@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from wtp.errors import ValidationError
-from wtp.estimator import _bottom_matrices
+from wtp.enumeration import _bottom_matrices
 from wtp.sofic import build_count_matrices, detect_alignment, golden_mean_chain
 from wtp.sponge import Potential
 from wtp.symbolic import DigitSystem, validate_digit_system

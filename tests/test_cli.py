@@ -48,7 +48,7 @@ import time
 
 import pytest
 
-from wtp import estimator, sponge, variational
+from wtp import enumeration, sponge, variational
 from wtp.cli import main, parse_config, run
 from wtp.errors import DigitOutOfRange, ParseError, UnsupportedCombination
 from wtp.sofic import golden_mean_chain
@@ -263,6 +263,34 @@ def test_potential_word_off_the_window_names_its_path(tmp_path, capsys, potentia
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_potential_window_the_chain_never_carries_names_its_path(tmp_path, capsys):
+    # golden never reads (0, 0, 1) twice in a row: the entry used to be accepted
+    # and left every S_N as it was without the potential
+    doc = {**_golden_config(), "estimator": {"n_max": 4}}
+    doc["potential"] = {"window": 2, "table": [[[[0, 0, 1], [0, 0, 0]], 1.0], [[[0, 0, 1], [0, 0, 1]], 5.0]]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.potential.table[1][0]: expected a word that the chain carries, got [[0, 0, 1], [0, 0, 1]]\n"
+    )
+
+
+def test_potential_window_the_chain_carries_changes_the_series(tmp_path, capsys):
+    doc = {**_golden_config(), "estimator": {"n_max": 2}}
+    rows = {}
+    for label, table in (("plain", []), ("weighted", [[[[0, 0, 1], [0, 0, 0]], 5.0]])):
+        doc["potential"] = {"window": 2, "table": table}
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(path)]) == 0
+        rows[label] = json.loads(capsys.readouterr().out)["estimate_series"]
+    assert [row["n"] for row in rows["plain"]] == [row["n"] for row in rows["weighted"]] == [2]
+    assert rows["weighted"][0]["log_s_over_n"] > rows["plain"][0]["log_s_over_n"]
 
 
 @pytest.mark.parametrize(
@@ -491,13 +519,13 @@ def test_empty_language_is_computation_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["entropy", "estimate"])
 @pytest.mark.parametrize("window", [1, 2])
 def test_underflowing_weights_are_named(tmp_path, capsys, command, window):
-    # every golden word is admissible, but each weight exp(-1e4) is 0.0, so S_1 is 0:
+    # every admissible golden word weighs exp(-1e4), which is 0.0, so S_1 is 0:
     # the error names the underflow, not a missing word
     with open(os.path.join(CONFIG_DIR, "golden_sofic.json")) as fh:
         doc = json.load(fh)
-    labels = sorted({tuple(label) for _s, _t, label in doc["system"]["sofic"]["edges"]})
-    doc["potential"] = {"window": window, "table": [[[list(x) for x in word], -1e4]
-                                                    for word in itertools.product(labels, repeat=window)]}
+    chain = parse_config(doc).chain
+    words = [word for word in itertools.product(chain.alphabet(1), repeat=window) if chain.admissible(1, word)]
+    doc["potential"] = {"window": window, "table": [[[list(x) for x in word], -1e4] for word in words]}
     path = tmp_path / "golden_underflow.json"
     path.write_text(json.dumps(doc))
     assert main([command, "--config", str(path)]) == 2
@@ -815,8 +843,8 @@ def test_cli_budget_fails_before_counting(tmp_path, capsys, monkeypatch):
     def never(*_args):
         raise AssertionError("counted before the budget check")
 
-    monkeypatch.setattr(estimator, "_bottom_matrices", never)
-    monkeypatch.setattr(estimator, "_level2_values", never)
+    monkeypatch.setattr(enumeration, "_bottom_matrices", never)
+    monkeypatch.setattr(enumeration, "_level2_values", never)
     assert main(["estimate", "--config", str(path)]) == 2
     assert f"enumeration needs {3**15} words, budget is {3**14}" in capsys.readouterr().err
 

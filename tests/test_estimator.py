@@ -49,7 +49,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from wtp import estimator
+from wtp import enumeration
 from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge, ValidationError
 from wtp.estimator import entropy_estimate, nested_count
 from wtp.sponge import Potential, closed_form, kp_recursion
@@ -386,7 +386,7 @@ def test_sofic_window_three_with_dead_ends_matches_brute_force(rng):
         window=3,
         table={w: float(rng.normal()) for w in itertools.product(sys.sorted_digits, repeat=3)},
     )
-    _start, _mats, tail, _exact = estimator._bottom_matrices(chain, pot, 3)
+    _start, _mats, tail, _exact = enumeration._bottom_matrices(chain, pot, 3)
     assert 0.0 in tail  # some full-history state dead-ends within two letters
     for a in (Exponents((0.61,)), Exponents((0.0,))):
         for n in (3, 4, 6):
@@ -407,8 +407,8 @@ def test_sponge_is_the_one_vertex_sofic_chain(rng):
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=rank - 1)))
         for window in (0, 1, 2):
             pot = random_potential(rng, sys.sorted_digits, window)
-            start, mats, tail, exact = estimator._bottom_matrices(sponge, pot, 3)
-            g_start, g_mats, g_tail, g_exact = estimator._bottom_matrices(graph, pot, 3)
+            start, mats, tail, exact = enumeration._bottom_matrices(sponge, pot, 3)
+            g_start, g_mats, g_tail, g_exact = enumeration._bottom_matrices(graph, pot, 3)
             assert exact == g_exact and len(mats) == len(g_mats)
             for x, y in zip([start, tail, *mats], [g_start, g_tail, *g_mats]):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -491,12 +491,13 @@ def test_full_shift_with_several_follower_states_takes_the_recursion():
     a = Exponents((0.7,))
     h = kp_recursion(chain.system, a).h_a_nats
     assert h == pytest.approx(0.7 * math.log(2), rel=1e-15)
-    bottom = estimator._bottom_matrices(chain, None, 1)
+    bottom = enumeration._bottom_matrices(chain, None, 1)
     assert len(bottom[0]) == 1
-    enumerated = estimator._log_counts(chain, a.values, bottom, 1, 8, None)
-    for words in enumerated:
-        assert nested_count(chain, a, n=words.n, budget=1).log_value == words.n * h
-        assert words.log_value == pytest.approx(words.n * h, rel=1e-14)
+    enumerated = enumeration._log_counts(chain, a.values, bottom, 1, 8, None)
+    assert len(enumerated) == 8
+    for n, log_value in enumerate(enumerated, 1):
+        assert nested_count(chain, a, n=n, budget=1).log_value == n * h
+        assert log_value == pytest.approx(n * h, rel=1e-14)
 
 
 def test_count_past_float_range_is_computation_error():
@@ -509,7 +510,7 @@ def test_count_past_float_range_is_computation_error():
         vertices=("a", "b"), edges=tuple(edges), system=validate_digit_system((2, 1002), [e[2] for e in edges])
     )
     sofic = SoficChain(graph)
-    assert len(estimator._bottom_matrices(sofic, None, 1)[0]) > 1
+    assert len(enumeration._bottom_matrices(sofic, None, 1)[0]) > 1
     a = exponents_from_bases(sofic.system.bases)
     assert math.isfinite(nested_count(sofic, a, n=100).log_value)
     with pytest.raises(ComputationError, match="a word count at N = 103 overflows a float"):
@@ -568,8 +569,8 @@ def test_series_budget_fails_before_counting(golden, monkeypatch):
     def never(*_args):
         raise AssertionError("counted before the budget check")
 
-    monkeypatch.setattr(estimator, "_bottom_matrices", never)
-    monkeypatch.setattr(estimator, "_level2_values", never)
+    monkeypatch.setattr(enumeration, "_bottom_matrices", never)
+    monkeypatch.setattr(enumeration, "_level2_values", never)
     with pytest.raises(ComplexityBudgetExceeded) as series:
         entropy_estimate(golden, a, n_max=16, budget=budget)
     assert str(series.value) == str(single.value) == f"enumeration needs {3**15} words, budget is {budget}"
@@ -597,9 +598,9 @@ def test_one_letter_series_grows_one_position_per_n(bases):
     edges = (("a", "b", zeros + (0,)), ("b", "a", zeros + (1,)))
     chain = SoficChain(LabeledGraph(vertices=("a", "b"), edges=edges,
                                     system=validate_digit_system(bases, [e[2] for e in edges])))
-    assert len(estimator._bottom_matrices(chain, None, 1)[0]) == 3
+    assert len(enumeration._bottom_matrices(chain, None, 1)[0]) == 3
     a = exponents_from_bases(bases)
-    with mock.patch.object(estimator, "_grow", wraps=estimator._grow) as grow:
+    with mock.patch.object(enumeration, "_grow", wraps=enumeration._grow) as grow:
         series = entropy_estimate(chain, a, n_max=2000)
     assert [n for n, _v in series.entries] == list(range(1, 2001))
     log_s = math.prod(a.values) * math.log(2)
@@ -649,7 +650,7 @@ def _multi_state_wide(fibers):
     edges += [("a", "b", (0, fibers[0])), ("b", "a", (len(fibers) - 1, fibers[-1]))]
     sys = validate_digit_system((len(fibers), max(fibers) + 1), [e[2] for e in edges])
     chain = SoficChain(LabeledGraph(vertices=("a", "b"), edges=tuple(edges), system=sys))
-    assert len(estimator._bottom_matrices(chain, None, 1)[0]) > 1
+    assert len(enumeration._bottom_matrices(chain, None, 1)[0]) > 1
     return chain
 
 
@@ -686,8 +687,8 @@ def test_blocked_dp_matches_all_at_once(monkeypatch, rng, block):
     count products into blocks of few suffixes; the reference takes each as
     one array.  The floats must agree bit for bit."""
     for label, chain, a, pot, n in _blocked_cases(rng):
-        monkeypatch.setattr(estimator, "BLOCK", 2**62)
+        monkeypatch.setattr(enumeration, "BLOCK", 2**62)
         whole = nested_count(chain, a, pot, n).log_value
-        monkeypatch.setattr(estimator, "BLOCK", block)
+        monkeypatch.setattr(enumeration, "BLOCK", block)
         blocked = nested_count(chain, a, pot, n).log_value
         assert repr(blocked) == repr(whole), label

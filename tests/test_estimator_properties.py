@@ -47,7 +47,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wtp import estimator
+from wtp import enumeration
 from wtp.defaults import DEFAULT_BUDGET
 from wtp.errors import WtpError
 from wtp.estimator import entropy_estimate, nested_count
@@ -143,7 +143,7 @@ def test_nested_count_matches_brute_force_words(chain, n, data):
     expected = _brute_nested_count(chain, a, n, potential)
     assert nested_count(chain, a, potential, n).log_value == pytest.approx(expected, rel=1e-12, abs=1e-12)
     # BLOCK = 1: the fold's smallest chunks, one suffix per big-integer block
-    with mock.patch.object(estimator, "BLOCK", 1):
+    with mock.patch.object(enumeration, "BLOCK", 1):
         assert nested_count(chain, a, potential, n).log_value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -162,7 +162,7 @@ def _max_fiber(chain):
 
 def _series_values(bottom, max_fiber, first, last):
     """[(N, level-2 values)] of one pass."""
-    return list(estimator._level2_values(bottom, max_fiber, first, last))
+    return list(enumeration._level2_values(bottom, max_fiber, first, last))
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,7 +170,7 @@ def _series_values(bottom, max_fiber, first, last):
 def test_count_product_matches_whole_dp(chain, n):
     """Float-carried counts: at every N of one pass, the product's weights are
     the DP's, byte for byte."""
-    bottom = estimator._bottom_matrices(chain, None, 1)
+    bottom = enumeration._bottom_matrices(chain, None, 1)
     start, mats, tail, _exact = bottom
     floats = start.astype(float), [m.astype(float) for m in mats], tail.astype(float)
     series = _series_values(bottom, _max_fiber(chain), 1, n)
@@ -196,8 +196,8 @@ _SWITCHES = [2**53, 2**26 + 1, 8193, 2**11]
 def test_count_product_big_integers_match_brute_force(chain, n, step, max_fiber):
     """Python-int counts (the big-integer path, switched to from floats at the
     N that max_fiber sets), in blocks of `step` entries, at every N."""
-    bottom = estimator._bottom_matrices(chain, None, 1)
-    with mock.patch.object(estimator, "BLOCK", step):
+    bottom = enumeration._bottom_matrices(chain, None, 1)
+    with mock.patch.object(enumeration, "BLOCK", step):
         series = _series_values(bottom, max_fiber, 1, n)
     for m, weights in series:
         expected = np.zeros(len(chain.alphabet(2)) ** m)
@@ -230,8 +230,8 @@ def test_counts_at_the_float_threshold(n):
     digits = [(i, j) for i, size in enumerate(fibers) for j in range(size)]
     chain = SpongeChain(validate_digit_system((2, 8192), digits))
     assert max(fibers) ** 4 == 2**52
-    bottom = estimator._bottom_matrices(chain, None, 1)
-    with mock.patch.object(estimator, "_count_products", wraps=estimator._count_products) as product:
+    bottom = enumeration._bottom_matrices(chain, None, 1)
+    with mock.patch.object(enumeration, "_count_products", wraps=enumeration._count_products) as product:
         series = _series_values(bottom, _max_fiber(chain), 1, n)
     dtypes = [call.args[0].dtype for call in product.call_args_list]
     assert dtypes == [np.float64] * min(n, 4) + [object] * (n - 4)
@@ -286,7 +286,7 @@ def _one_state_cases(draw):
     """(chain, exponents, potential) over one bottom DP state: no potential or a window-1 one."""
     chain = draw(_one_state_chains())
     potential = draw(_window1_potentials(chain))
-    assert len(estimator._bottom_matrices(chain, potential, 1)[0]) == 1
+    assert len(enumeration._bottom_matrices(chain, potential, 1)[0]) == 1
     return chain, _exponents(draw, chain), potential
 
 
@@ -304,7 +304,7 @@ def test_one_state_series_is_the_recursion(case, n_max):
     h = kp_recursion(labels, a, potential).h_a_nats
     if isinstance(chain, SpongeChain):
         assert repr(closed_form(chain, a, potential).h_a_nats) == repr(h)
-    with mock.patch.object(estimator, "_bottom_matrices", side_effect=AssertionError("built")):
+    with mock.patch.object(enumeration, "_bottom_matrices", side_effect=AssertionError("built")):
         series = entropy_estimate(chain, a, potential, n_max=n_max)
         counts = [nested_count(chain, a, potential, n) for n in {1, 2, n_max}]
     assert [n for n, _v in series.entries] == list(range(1, n_max + 1))
@@ -334,12 +334,13 @@ def test_one_state_recursion_matches_enumeration(case, n, data):
     a = a or _exponents(data.draw, chain)
     while len(chain.alphabet(2)) ** n > 4096:
         n -= 1
-    bottom = estimator._bottom_matrices(chain, potential, 1)
+    bottom = enumeration._bottom_matrices(chain, potential, 1)
     assert len(bottom[0]) == 1
-    enumerated = estimator._log_counts(chain, a.values, bottom, 1, n, potential)
-    for words in enumerated:
-        recursion = nested_count(chain, a, potential, words.n)
-        assert recursion.log_value == pytest.approx(words.log_value, rel=1e-12, abs=1e-12)
+    enumerated = enumeration._log_counts(chain, a.values, bottom, 1, n, potential)
+    assert len(enumerated) == n
+    for words_n, log_value in enumerate(enumerated, 1):
+        recursion = nested_count(chain, a, potential, words_n)
+        assert recursion.log_value == pytest.approx(log_value, rel=1e-12, abs=1e-12)
 
 
 @st.composite
@@ -377,7 +378,7 @@ def test_multi_state_weights_within_forward_error_of_whole_dp(case, n):
     n = max(n, potential.window)
     if len(chain.alphabet(2)) ** n > 5000:
         return
-    bottom = estimator._bottom_matrices(chain, potential, potential.window)
+    bottom = enumeration._bottom_matrices(chain, potential, potential.window)
     start, mats, tail, _exact = bottom
     if len(start) == 1:
         return
@@ -450,7 +451,7 @@ def test_admissible_matches_brute_force_words(chain, window, n):
     """A word of length n weighs more than 0 in exact arithmetic exactly when
     some bottom word extends it by the window's overhang of window - 1 letters."""
     n = max(n, window)
-    assert estimator._admissible(chain, window, n) == bool(_bottom_words(chain, n + window - 1))
+    assert enumeration._admissible(chain, window, n) == bool(_bottom_words(chain, n + window - 1))
 
 
 def _reference_bottom_matrices(chain, potential, n):
@@ -498,7 +499,7 @@ def _reference_bottom_matrices(chain, potential, n):
         tail = [1] * len(states)
     else:
         tail = [
-            estimator._tail_weight(i, windows, memory) if len(hist) == memory else 1.0
+            enumeration._tail_weight(i, windows, memory) if len(hist) == memory else 1.0
             for i, (_s, hist) in enumerate(states)
         ]
     return start, mats, np.array(tail, dtype=dtype), exact
@@ -524,10 +525,10 @@ def test_transfer_matrices_match_reference_assembly(chain, window, data):
         ref_start, ref_mats, ref_tail, ref_exact = _reference_bottom_matrices(chain, potential, n)
     except WtpError as exc:  # a tail weight past float range
         with pytest.raises(type(exc)) as raised:
-            estimator._bottom_matrices(chain, potential, n)
+            enumeration._bottom_matrices(chain, potential, n)
         assert str(raised.value) == str(exc)
         return
-    start, mats, tail, exact = estimator._bottom_matrices(chain, potential, n)
+    start, mats, tail, exact = enumeration._bottom_matrices(chain, potential, n)
     assert exact == ref_exact and len(mats) == len(ref_mats)
     assert all(_same_array(x, y) for x, y in zip([start, tail, *mats], [ref_start, ref_tail, *ref_mats]))
     if isinstance(chain, SoficChain):

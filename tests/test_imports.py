@@ -5,9 +5,10 @@ Core claims:
       holds, and lists them in `__all__` and `dir(wtp)`; an unknown name is
       an AttributeError
     - every submodule resolves as an attribute of `wtp` on first access
-    - in a fresh interpreter, `import wtp`, `import wtp.cli` and the sponge
-      `dimension` and `entropy` commands load no numpy and only the modules
-      they run; `estimate`, `variational` and `check` still succeed
+    - in a fresh interpreter, `import wtp`, `import wtp.cli` and all five
+      commands on both sponge configs load no numpy and only the modules
+      they run; the golden `estimate` loads `wtp.enumeration`
+    - `wtp.estimator`, `wtp.variational` and `wtp.checks` import without numpy
 """
 import importlib
 import json
@@ -86,32 +87,54 @@ import contextlib, io, json, sys
 def loaded():
     return sorted(m for m in sys.modules if m == "wtp" or m.startswith("wtp."))
 
+def report(command, name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert wtp.cli.main([command, "--config", f"{sys.argv[1]}/{name}"]) == 0, (command, name)
+    return json.loads(out.getvalue())
+
 import wtp
 assert loaded() == ["wtp"], loaded()
 import wtp.cli
-after_cli = loaded()
-for command in ("dimension", "entropy"):
+after = {"cli": loaded()}
+for command in ("dimension", "entropy", "estimate", "variational", "check"):
     for name in ("carpet.json", "carpet_pressure.json"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert wtp.cli.main([command, "--config", f"{sys.argv[1]}/{name}"]) == 0
-        assert json.loads(out.getvalue())["closed_form"]["hausdorff_dimension"] > 0
-print(json.dumps({"numpy": "numpy" in sys.modules, "after_cli": after_cli, "after_sponge": loaded()}))
-assert "wtp.estimator" not in sys.modules
-assert wtp.estimator.entropy_estimate is wtp.entropy_estimate
-for command, name in (("estimate", "carpet.json"), ("variational", "carpet_pressure.json"), ("check", "carpet.json")):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert wtp.cli.main([command, "--config", f"{sys.argv[1]}/{name}"]) == 0, command
+        result = report(command, name)
+        assert result["command"] == command and result["warnings"] == [], (command, name)
+        if command in ("dimension", "entropy"):
+            assert result["closed_form"]["hausdorff_dimension"] > 0, (command, name)
+    after[command] = loaded()
+after["numpy"] = "numpy" in sys.modules
+assert report("estimate", "golden_sofic.json")["estimate_series"]
+after["golden estimate"] = loaded()
+print(json.dumps(after))
 """
 
+SPONGE = ["wtp", "wtp.cli", "wtp.defaults", "wtp.errors", "wtp.sponge", "wtp.symbolic", "wtp.weights"]
 
-def test_sponge_closed_forms_load_no_numpy():
+
+def _run(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD, CONFIG_DIR], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["numpy"] is False
-    expected = ["wtp", "wtp.cli", "wtp.defaults", "wtp.errors", "wtp.sponge", "wtp.symbolic", "wtp.weights"]
-    assert result["after_cli"] == result["after_sponge"] == expected
+    return json.loads(proc.stdout)
+
+
+def test_sponge_commands_load_no_numpy():
+    """Each sponge command, in the order a fresh interpreter runs them, adds
+    exactly its own modules; none loads numpy, `wtp.sofic` or `wtp.enumeration`."""
+    after = _run("-c", COLD, CONFIG_DIR)
+    assert after["numpy"] is False
+    assert after["cli"] == after["dimension"] == after["entropy"] == SPONGE
+    assert after["estimate"] == sorted(SPONGE + ["wtp.estimator"])
+    assert after["variational"] == sorted(SPONGE + ["wtp.estimator", "wtp.variational"])
+    assert after["check"] == sorted(SPONGE + ["wtp.checks", "wtp.estimator", "wtp.variational"])
+    # the golden chain's bottom DP has several states: it is enumerated
+    assert after["golden estimate"] == sorted(after["check"] + ["wtp.enumeration", "wtp.sofic"])
+
+
+def test_numeric_sponge_modules_import_without_numpy():
+    imported = _run("-c", "import json, sys, wtp.estimator, wtp.variational, wtp.checks; "
+                          "print(json.dumps(sorted(m for m in ('numpy', 'wtp.sofic', 'wtp.enumeration') "
+                          "if m in sys.modules)))")
+    assert imported == []

@@ -19,7 +19,8 @@ Core claims:
       certifies sponges on which a decaying-step ascent ran out of steps
     - random distributions never beat the closed form (the variational
       inequality for product measures)
-    - the grouped-sum marginals agree with dense 0/1 marginal matrices
+    - the grouped-sum marginals agree with dense 0/1 marginal matrices, and
+      bit for bit with `numpy.bincount`
     - distributions keep their coercions and errors; a NaN or infinite
       probability is an error naming its digit
     - a Z_0 of 0 or inf is a ComputationError for the recursion maximizer
@@ -39,6 +40,7 @@ from wtp.sponge import Potential, kp_recursion
 from wtp.symbolic import validate_digit_system
 from wtp.variational import (
     SymbolDistribution,
+    _marginal,
     _marginal_groups,
     bernoulli_objective,
     optimal_measure_from_recursion,
@@ -272,6 +274,7 @@ def test_grouped_marginals_match_dense_oracle(case):
     for i, ((group, k), m) in enumerate(zip(groups, dense)):
         q = m @ p
         np.testing.assert_allclose(np.bincount(group, weights=p, minlength=k), q, rtol=1e-15, atol=0)
+        assert _marginal(group, k, p) == np.bincount(group, weights=p, minlength=k).tolist()
         x = -np.log(np.maximum(q, 1e-300)) - 1.0
         assert np.array_equal(x[group], m.T @ x)
         nz = q[q > 0]

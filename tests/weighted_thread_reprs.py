@@ -16,7 +16,8 @@ import itertools
 import random
 
 from wtp import Potential, SpongeChain, exponents_from_bases, validate_digit_system
-from wtp.estimator import _bottom_matrices, entropy_estimate, nested_count
+from wtp.enumeration import _bottom_matrices
+from wtp.estimator import entropy_estimate, nested_count
 from wtp.sofic import golden_mean_chain
 
 
