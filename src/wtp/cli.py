@@ -286,20 +286,23 @@ def _real(value, path) -> float:
     if type(value) not in (int, float):
         raise ParseError(path, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ParseError(path, f"{value} is out of float range") from None
+    if not math.isfinite(x):
+        raise ParseError(path, f"expected a finite number, got {x}")
+    return x
 
 
 def _potential_table(entries) -> dict | None:
     """The potential table when every `[word, value]` entry is well formed and
-    its value a float, checked a whole list at a time; None otherwise, and
-    `parse_config` then checks entry by entry to name the first bad one."""
+    its value a finite float, checked a whole list at a time; None otherwise,
+    and `parse_config` then checks entry by entry to name the first bad one."""
     if not (_all_of(list, entries) and set(map(len, entries)) <= {2}):
         return None
     words = list(map(itemgetter(0), entries))
     values = list(map(itemgetter(1), entries))
-    if not (_all_of(list, words) and _all_of(float, values)):
+    if not (_all_of(list, words) and _all_of(float, values) and all(map(math.isfinite, values))):
         return None
     letters = list(itertools.chain.from_iterable(words))
     if not (_all_of(list, letters) and _all_of(int, itertools.chain.from_iterable(letters))):

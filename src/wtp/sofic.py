@@ -3,8 +3,10 @@
 `_transfer_matrices` builds every per-letter matrix, the enumerator's too:
 `build_count_matrices` maps each level-2 label to its count matrix, a numpy
 array of edge multiplicities; `detect_alignment` takes any such dict of
-nonnegative arrays, int or float.  When all nonzero matrices share one
-strictly positive eigenvector, per-symbol growth rates replace word counts.
+nonnegative arrays, int or float, and reads their common eigenvector off
+the Frobenius classes of their sum by direct linear algebra.  When all
+nonzero matrices share one strictly positive eigenvector, per-symbol growth
+rates replace word counts.
 `aligned_table` hands them to the one contraction, `sponge.closed_form`,
 and the weighted entropy collapses to a nested finite sum over the
 projected alphabets.
@@ -18,8 +20,6 @@ import numpy as np
 from .errors import NotAligned
 from .symbolic import Digit, LabeledGraph, SoficChain, validate_digit_system
 
-POWER_TOL = 1e-13
-POWER_MAX_ITERS = 100_000
 VERIFY_TOL = 1e-10
 MIN_POSITIVE = 1e-9
 BASIC_TOL = 1e-9  # a class radius this close to the largest, relatively, is basic
@@ -57,17 +57,6 @@ def _classes(m: np.ndarray) -> list[tuple[list[int], bool]]:
     return [(np.flatnonzero(mutual[i]).tolist(), bool((reach[i] == mutual[i]).all())) for i in leaders]
 
 
-def _basic_classes_are_final(m: np.ndarray) -> bool:
-    """Whether m's basic classes (radius within BASIC_TOL of the largest) are
-    its final classes; one class passes without eigenvalue work."""
-    classes = _classes(m)
-    if len(classes) == 1:
-        return True
-    radii = [abs(np.linalg.eigvals(m[np.ix_(c, c)])).max() for c, _final in classes]
-    top = max(radii)
-    return all((top - r <= BASIC_TOL * top) == final for r, (_c, final) in zip(radii, classes))
-
-
 def build_count_matrices(g: LabeledGraph) -> dict[Digit, np.ndarray]:
     """Level-2 count matrices: {length-(r-1) label: int64 |V| x |V| array}.
 
@@ -82,65 +71,12 @@ def build_count_matrices(g: LabeledGraph) -> dict[Digit, np.ndarray]:
     return _transfer_matrices(transitions, len(order), g.system.prefixes(keep), np.int64)
 
 
-def _power_iterate(matrix: np.ndarray):
-    """Power iteration from the all-ones vector, each iterate scaled to max 1.
-
-    Returns (vector, converged, iterations); the vector is None once an
-    iterate vanishes.  Each iterate is also compared with a checkpoint moved
-    at powers of two (Brent's cycle detection): an exact repeat means the
-    iterates cycle through values already tested, so the iteration stops as
-    not converged, as all POWER_MAX_ITERS iterations would.
-    """
-    # all ones, not 1/n: an integer matrix with equal row sums then maps it
-    # to an exact multiple of itself, so its Perron vector is exactly all ones
-    v = np.ones(matrix.shape[0])
-    checkpoint, next_move = v.tobytes(), 1  # equal bytes imply an equal iterate
-    for k in range(1, POWER_MAX_ITERS + 1):
-        w = matrix @ v
-        norm = w.max()
-        if norm <= 0:
-            return None, False, k
-        w = w / norm
-        if np.abs(w - v).max() <= POWER_TOL:
-            return w, True, k
-        state = w.tobytes()
-        if state == checkpoint:
-            return w, False, k
-        if k == next_move:
-            checkpoint, next_move = state, 2 * next_move
-        v = w
-    return v, False, POWER_MAX_ITERS
-
-
-def detect_alignment(matrices: dict) -> SpectralAlignment | None:
-    """Common positive eigenvector of all nonzero matrices, or None.
-
-    `matrices` maps labels to nonnegative square arrays, int or float.  The
-    summed matrix M has a positive eigenvector only if its basic classes
-    (those of the largest spectral radius) are exactly its final classes
-    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    ch. 2), so any other M is not aligned at once.  Otherwise the candidate
-    is the Perron vector of M found by power iteration; each nonzero matrix
-    is then verified against it.  Iteration oscillates on periodic matrices,
-    so when it does not converge it is rerun on I + M, which has the same
-    eigenvectors.  Failure to converge to a strictly positive vector, or a
-    non-finite entry, means not aligned, never an error.
-    """
-    nonzero = {
-        label: np.asarray(m, dtype=float) for label, m in matrices.items() if np.any(m)
-    }
-    if not nonzero:
+def _verified(nonzero: dict, v: np.ndarray) -> SpectralAlignment | None:
+    """The alignment on v, scaled to max 1, if v is strictly positive and
+    every nonzero matrix maps it to a positive multiple of itself."""
+    if not v.max() > 0 or v.min() < MIN_POSITIVE * v.max():
         return None
-    total = sum(nonzero.values())
-    if not (np.isfinite(total).all() and _basic_classes_are_final(total)):
-        return None
-    v, converged, _ = _power_iterate(total)
-    if v is not None and not converged:
-        v, converged, _ = _power_iterate(total + np.eye(len(total)))
-    if not converged:
-        return None
-    if v.min() < MIN_POSITIVE * v.max():
-        return None
+    v = v / v.max()
     eigenvalues = {}
     for label, arr in nonzero.items():
         image = arr @ v
@@ -151,6 +87,68 @@ def detect_alignment(matrices: dict) -> SpectralAlignment | None:
             return None
         eigenvalues[label] = lam
     return SpectralAlignment(vector=tuple(float(x) for x in v), eigenvalues=eigenvalues)
+
+
+def detect_alignment(matrices: dict) -> SpectralAlignment | None:
+    """Common positive eigenvector of all nonzero matrices, or None.
+
+    `matrices` maps labels to nonnegative square arrays, int or float.  When
+    the summed matrix M has equal row sums, the all-ones vector is tried
+    first, so it comes out exact.  Otherwise M needs a positive eigenvector,
+    which exists only if its basic classes (those of the largest spectral
+    radius) are exactly its final classes (Berman and Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 2); any other M is not
+    aligned at once.  M's Perron eigenspace then has one nonnegative basis
+    vector per final class (Rothblum, Linear Algebra Appl. 1975): the
+    class's Perron vector from `eig`, extended to the transient states T by
+    (rho I - M_TT) v_T = M_TF v_F.  The common eigenvector mixes them with
+    scales c in the null space of every label's transient rows of
+    M_k - lambda_k I, lambda_k read off the first final block; c projects
+    the all-ones vector onto it.  The mix is verified against each nonzero
+    matrix: no strictly positive mix, or a non-finite entry, means not
+    aligned, never an error.
+    """
+    nonzero = {
+        label: np.asarray(m, dtype=float) for label, m in matrices.items() if np.any(m)
+    }
+    if not nonzero:
+        return None
+    total = sum(nonzero.values())
+    if not np.isfinite(total).all():
+        return None
+    sums = total.sum(axis=1)
+    if (sums == sums[0]).all() and (alignment := _verified(nonzero, np.ones(len(total)))):
+        return alignment
+    classes = _classes(total)
+    radii, finals = [], []
+    basis = np.zeros((len(total), sum(final for _c, final in classes)))
+    for c, final in classes:
+        w, vecs = np.linalg.eig(total[np.ix_(c, c)])
+        i = w.real.argmax()
+        radii.append(w[i].real)
+        if final:
+            p = vecs[:, i].real
+            basis[c, len(finals)] = p / p[np.abs(p).argmax()]
+            finals.append(c)
+    rho = max(radii)
+    if any((rho - r <= BASIC_TOL * rho) != final for r, (_c, final) in zip(radii, classes)):
+        return None
+    transient = [i for c, final in classes if not final for i in c]
+    scales = np.ones(len(finals))
+    if transient:
+        t = np.ix_(transient, transient)  # basis is still 0 on T, so total[T] @ basis is M_TF v_F
+        basis[transient] = np.linalg.solve(rho * np.eye(len(transient)) - total[t], total[transient] @ basis)
+        if len(finals) > 1:
+            first = basis[finals[0], 0]
+            rows = []
+            for m in nonzero.values():
+                image = m @ basis
+                lam = image[finals[0], 0] @ first / (first @ first)
+                rows.append(image[transient] - lam * basis[transient])
+            _u, s, vh = np.linalg.svd(np.vstack(rows))
+            null = vh[(s > VERIFY_TOL * rho).sum():]
+            scales = null.T @ null.sum(axis=1)
+    return _verified(nonzero, basis @ scales)
 
 
 def aligned_table(chain: SoficChain) -> dict:

@@ -11,8 +11,12 @@ Core contents:
       digit, so a sponge's S_N is enumerated
     - `golden_word_and_path_counts` yields word counts, eigenvalue products
       and path totals for every level-2 word of the golden chain
+    - `brute_level2_weights` and `brute_nested_count` are the one brute-force
+      nested counter (an oracle): every bottom word enumerated along the
+      graph's paths, weighed, grouped by its level-2 word and nested up
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -102,3 +106,62 @@ def golden_word_and_path_counts(n_max=10):
         paths = np.concatenate([paths @ mats[lab].T for lab in labels], axis=0)
         lam = np.concatenate([lam * alignment.eigenvalues[lab] for lab in labels])
         yield n, words.sum(axis=1), paths.sum(axis=1), lam, alignment
+
+
+def brute_level2_weights(chain, potential, n) -> dict:
+    """Oracle, kept on purpose: {level-2 word: summed weight of its bottom
+    words of length n}, every word enumerated along the graph's paths.
+
+    Without a potential a word weighs the Python int 1.  With one, it weighs
+    exp of its windows plus the largest overhang: the windows past its end
+    range over the admissible extensions by window - 1 letters, labels of
+    paths leaving a vertex at which some realizing path ends.  A word with
+    no such extension weighs 0."""
+    out = {v: [] for v in chain.graph.vertices}
+    for s, t, lab in chain.graph.edges:
+        out[s].append((tuple(lab), t))
+
+    def paths(vertex, length):
+        if length == 0:
+            yield (), vertex
+            return
+        for lab, t in out[vertex]:
+            for rest, end in paths(t, length - 1):
+                yield (lab,) + rest, end
+
+    ends = {}
+    for v in chain.graph.vertices:
+        for word, end in paths(v, n):
+            ends.setdefault(word, set()).add(end)
+    k = 1 if potential is None else potential.window
+    weights = {}
+    for word, word_ends in ends.items():
+        weight = 1
+        if potential is not None:
+            total = sum(potential.value(word[t : t + k]) for t in range(n - k + 1))
+            extensions = [e for v in word_ends for e, _end in paths(v, k - 1)]
+            weight = 0.0
+            if extensions:
+                tail = max(
+                    sum(potential.value((word + e)[n - k + 1 + t : n + 1 + t]) for t in range(k - 1))
+                    for e in extensions
+                )
+                weight = math.exp(total + tail)
+        key = tuple(d[: chain.rank - 1] for d in word)
+        weights[key] = weights.get(key, 0) + weight
+    return weights
+
+
+def brute_nested_count(chain, a: Exponents, potential, n) -> float:
+    """Oracle: log S_N from `brute_level2_weights`.  Level-2 words of weight
+    0 are not counted; the others are raised to a_1 and summed under their
+    level-3 word, and so on up to the top."""
+    values = {word: x for word, x in brute_level2_weights(chain, potential, n).items() if x != 0}
+    for i in range(chain.rank - 2):  # level i + 2 words grouped under level i + 3 words
+        keep = chain.rank - 2 - i
+        grouped = {}
+        for word, x in values.items():
+            key = tuple(d[:keep] for d in word)
+            grouped[key] = grouped.get(key, 0.0) + x ** a.values[i]
+        values = grouped
+    return math.log(sum(x ** a.values[-1] for x in values.values()))

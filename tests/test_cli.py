@@ -2,7 +2,7 @@
 
 Core claims:
     - the carpet and sofic configs parse; malformed ones, an n_max < 1
-      included, raise with a path; so does a key that parse_config does not
+      and a NaN or infinite number included, raise with a path; so does a key that parse_config does not
       read, at every object level (an optimizer section among them), and a
       potential entry that cannot apply: a letter outside the digit set, a
       window given twice, or a word whose length is not the window (exact
@@ -223,6 +223,14 @@ def _setter(*keys, value):
             _setter("potential", value={"window": 2, "table": [[[[0, 0], [1, 1]], 5.0], [[[0, 0], [1, 1]], 1]]}),
         ),
         ("$.potential.window", _carpet_config, _setter("potential", value={"window": 0, "table": []})),
+        # non-finite numbers, which json reads from NaN and Infinity literals
+        pytest.param(
+            "$.potential.table[1][1]",
+            _carpet_config,
+            _setter("potential", value={"window": 1, "table": [[[[0, 0]], 1.0], [[[1, 1]], math.nan]]}),
+            id="nan-potential-value",
+        ),
+        pytest.param("$.exponents[0]", _carpet_config, _setter("exponents", value=[math.inf]), id="infinite-exponent"),
         # settings that cannot work: no word
         *(
             pytest.param(path, _carpet_config, _setter("estimator", value=value), id=f"{path}={value}")

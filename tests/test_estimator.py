@@ -10,8 +10,8 @@ Core claims:
       potentials on the carpet and on a random sponge
     - a constant potential c shifts log S_N / N by w_1 c, and block coding
       by m gives S_(mN) at N
-    - a window-2 potential matches an in-test brute-force sup-over-cylinder
-      computation exactly
+    - a window-2 potential matches the brute-force sup-over-cylinder
+      counter of chain_tools (the oracle)
     - counts survive the exact big-integer path when they exceed 2^52, and a
       count past float range is a ComputationError naming N on a multi-state
       bottom; on a sponge, where S_N = S_1^N, it is N a_1 log 1000 for
@@ -57,6 +57,7 @@ from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_s
 from wtp.weights import Exponents, exponents_from_bases, weights_from_exponents
 
 from chain_tools import (
+    brute_nested_count,
     m_fold_potential,
     m_fold_system,
     random_exponents,
@@ -184,18 +185,6 @@ def test_oracle_equivalence_on_random_sponges(rng):
             assert nested_count(chain, a, n=n).per_symbol == pytest.approx(h, abs=1e-10)
 
 
-def _brute_force_window2(sys, a, pot, n):
-    """sup-over-cylinder weights by direct enumeration of words and extensions."""
-    digits = sys.sorted_digits
-    groups = {}
-    for w in itertools.product(digits, repeat=n):
-        total = sum(pot.value((w[t], w[t + 1])) for t in range(n - 1))
-        tail = max(pot.value((w[-1], e)) for e in digits)
-        v = tuple(d[:1] for d in w)
-        groups[v] = groups.get(v, 0.0) + math.exp(total + tail)
-    return math.log(sum(g ** a.values[0] for g in groups.values()))
-
-
 def test_window_two_matches_brute_force(carpet, carpet_chain, carpet_exponents, rng):
     table = {}
     for d1 in carpet.sorted_digits:
@@ -203,7 +192,7 @@ def test_window_two_matches_brute_force(carpet, carpet_chain, carpet_exponents, 
             table[(d1, d2)] = float(rng.normal())
     pot = Potential(window=2, table=table)
     for n in (2, 3, 4):
-        expected = _brute_force_window2(carpet, carpet_exponents, pot, n)
+        expected = brute_nested_count(carpet_chain, carpet_exponents, pot, n)
         got = nested_count(carpet_chain, carpet_exponents, pot, n=n).log_value
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -249,28 +238,6 @@ def test_results_are_deterministic(golden):
     assert first == second
 
 
-def _brute_nested_rank2(g, a, n):
-    """Group admissible bottom words by projection; inadmissible level-2 words
-    simply never appear as groups."""
-    words = set()
-
-    def walk(vertex, word):
-        if len(word) == n:
-            words.add(word)
-            return
-        for s, t, lab in g.edges:
-            if s == vertex:
-                walk(t, word + (lab,))
-
-    for v in g.vertices:
-        walk(v, ())
-    groups = {}
-    for w in words:
-        key = tuple(d[:1] for d in w)
-        groups[key] = groups.get(key, 0) + 1
-    return math.log(sum(c ** a.values[0] for c in groups.values()))
-
-
 def test_rank_two_sofic_bottom_matches_brute_force():
     sys = validate_digit_system((2, 2), list(itertools.product(range(2), range(2))))
     dense = LabeledGraph(
@@ -296,49 +263,12 @@ def test_rank_two_sofic_bottom_matches_brute_force():
         assert not chain.is_full_shift(1)
         for n in (1, 2, 4, 6):
             got = nested_count(chain, a, n=n).log_value
-            assert got == pytest.approx(_brute_nested_rank2(g, a, n), abs=1e-12)
+            assert got == pytest.approx(brute_nested_count(chain, a, None, n), abs=1e-12)
     # all-zero exponents count admissible level-2 words: the alternating graph
     # admits exactly the two alternating projections at every length
     for n in (1, 3, 5):
         count = nested_count(SoficChain(alternating), Exponents((0.0,)), n=n)
         assert count.log_value == pytest.approx(math.log(2), abs=1e-14)
-
-
-def _brute_sofic_windowed(g, a, pot, n):
-    """Admissible words with sup-over-cylinder weights, fully enumerated.
-
-    A word's windows past its end range over the admissible extensions by
-    window - 1 letters: labels of paths leaving a vertex at which some
-    realizing path ends.  A word with no such extension weighs 0, and a
-    level-2 word whose bottom words all weigh 0 is not counted."""
-    k = pot.window
-
-    def paths(vertex, length):
-        if length == 0:
-            yield (), vertex
-            return
-        for s, t, lab in g.edges:
-            if s == vertex:
-                for rest, end in paths(t, length - 1):
-                    yield (lab,) + rest, end
-
-    words = {}
-    for v in g.vertices:
-        for word, end in paths(v, n):
-            words.setdefault(word, set()).add(end)
-    groups = {}
-    for word, ends in words.items():
-        total = sum(pot.value(word[t : t + k]) for t in range(n - k + 1))
-        extensions = [e for v in ends for e, _end in paths(v, k - 1)]
-        weight = 0.0
-        if extensions:
-            tail = max(
-                sum(pot.value((word + e)[n - k + 1 + t : n + 1 + t]) for t in range(k - 1)) for e in extensions
-            )
-            weight = math.exp(total + tail)
-        key = tuple(d[:1] for d in word)
-        groups[key] = groups.get(key, 0.0) + weight
-    return math.log(sum(v ** a.values[0] for v in groups.values() if v != 0))
 
 
 def test_sofic_window_two_matches_brute_force(rng):
@@ -363,7 +293,7 @@ def test_sofic_window_two_matches_brute_force(rng):
     a = Exponents((0.61,))
     for n in (2, 3, 5):
         got = nested_count(chain, a, pot, n=n).log_value
-        assert got == pytest.approx(_brute_sofic_windowed(g, a, pot, n), abs=1e-12)
+        assert got == pytest.approx(brute_nested_count(chain, a, pot, n), abs=1e-12)
 
 
 def test_sofic_window_three_with_dead_ends_matches_brute_force(rng):
@@ -391,7 +321,7 @@ def test_sofic_window_three_with_dead_ends_matches_brute_force(rng):
     for a in (Exponents((0.61,)), Exponents((0.0,))):
         for n in (3, 4, 6):
             got = nested_count(chain, a, pot, n=n).log_value
-            assert got == pytest.approx(_brute_sofic_windowed(g, a, pot, n), abs=1e-12)
+            assert got == pytest.approx(brute_nested_count(chain, a, pot, n), abs=1e-12)
 
 
 def test_sponge_is_the_one_vertex_sofic_chain(rng):

@@ -56,6 +56,8 @@ from wtp.sponge import Potential, closed_form, kp_recursion
 from wtp.symbolic import LabeledGraph, SoficChain, SpongeChain, validate_digit_system
 from wtp.weights import Exponents, exponents_from_bases
 
+from chain_tools import brute_level2_weights, brute_nested_count
+
 
 @st.composite
 def _small_chains(draw, every_length=True):
@@ -79,55 +81,6 @@ def _small_chains(draw, every_length=True):
     return SoficChain(LabeledGraph(vertices=verts, edges=tuple(sorted(set(edges))), system=sys))
 
 
-def _bottom_words(chain, n):
-    if isinstance(chain, SpongeChain):
-        return set(itertools.product(chain.system.sorted_digits, repeat=n))
-    words = set()
-
-    def walk(vertex, word):
-        if len(word) == n:
-            words.add(word)
-            return
-        for s, t, lab in chain.graph.edges:
-            if s == vertex:
-                walk(t, word + (tuple(lab),))
-
-    for v in chain.graph.vertices:
-        walk(v, ())
-    return words
-
-
-def _brute_level2_counts(chain, n):
-    """Python-int count of bottom words over each level-2 word, keyed by row."""
-    r = chain.rank
-    row = {x: k for k, x in enumerate(chain.alphabet(2))}
-    base = len(row)
-    counts = {}
-    for w in _bottom_words(chain, n):
-        key = sum(row[d[: r - 1]] * base**t for t, d in enumerate(w))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _brute_nested_count(chain, a, n, potential=None):
-    """S_N from the bottom words: count (or sum of exp S_N f for a window-1
-    potential f) per level-2 word, then nested sums."""
-    r = chain.rank
-    values = {}
-    for w in _bottom_words(chain, n):
-        key = tuple(d[: r - 1] for d in w)
-        weight = 1 if potential is None else math.exp(sum(potential.value((d,)) for d in w))
-        values[key] = values.get(key, 0) + weight
-    for i in range(r - 2):  # level i + 2 words grouped under level i + 3 words
-        keep = r - 2 - i
-        grouped = {}
-        for word, x in values.items():
-            key = tuple(d[:keep] for d in word)
-            grouped[key] = grouped.get(key, 0.0) + x ** a.values[i]
-        values = grouped
-    return math.log(sum(x ** a.values[-1] for x in values.values()))
-
-
 def _window1_potentials(chain):
     """No potential, or a window-1 potential with values in [-3, 3] on some digits."""
     value = st.floats(-3, 3)
@@ -140,7 +93,7 @@ def _window1_potentials(chain):
 def test_nested_count_matches_brute_force_words(chain, n, data):
     a = Exponents(tuple(data.draw(st.lists(st.floats(0, 1), min_size=chain.rank - 1, max_size=chain.rank - 1))))
     potential = data.draw(_window1_potentials(chain))
-    expected = _brute_nested_count(chain, a, n, potential)
+    expected = brute_nested_count(chain, a, potential, n)
     assert nested_count(chain, a, potential, n).log_value == pytest.approx(expected, rel=1e-12, abs=1e-12)
     # BLOCK = 1: the fold's smallest chunks, one suffix per big-integer block
     with mock.patch.object(enumeration, "BLOCK", 1):
@@ -200,9 +153,10 @@ def test_count_product_big_integers_match_brute_force(chain, n, step, max_fiber)
     with mock.patch.object(enumeration, "BLOCK", step):
         series = _series_values(bottom, max_fiber, 1, n)
     for m, weights in series:
-        expected = np.zeros(len(chain.alphabet(2)) ** m)
-        for key, count in _brute_level2_counts(chain, m).items():
-            expected[key] = float(count)
+        row = {x: k for k, x in enumerate(chain.alphabet(2))}
+        expected = np.zeros(len(row) ** m)
+        for word, count in brute_level2_weights(chain, None, m).items():
+            expected[sum(row[x] * len(row) ** t for t, x in enumerate(word))] = float(count)
         assert weights.tobytes() == expected.tobytes()
 
 
@@ -451,7 +405,7 @@ def test_admissible_matches_brute_force_words(chain, window, n):
     """A word of length n weighs more than 0 in exact arithmetic exactly when
     some bottom word extends it by the window's overhang of window - 1 letters."""
     n = max(n, window)
-    assert enumeration._admissible(chain, window, n) == bool(_bottom_words(chain, n + window - 1))
+    assert enumeration._admissible(chain, window, n) == bool(brute_level2_weights(chain, None, n + window - 1))
 
 
 def _reference_bottom_matrices(chain, potential, n):

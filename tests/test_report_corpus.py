@@ -32,12 +32,12 @@ REPORT_SHA256 = {
     ("carpet_pressure.json", "entropy"): "d325f8bb1ba13338f994fd3f7e8a84faedcd5151f19545fb855c15f144085eee",
     ("carpet_pressure.json", "estimate"): "b6980341fc8b3447ad6841a9af46680c038abe32f98c4568265fb971fbe10c07",
     ("carpet_pressure.json", "variational"): "48f1507d1a8a25519fe7e86e8c106dbdaeb7431de522259167c145d6b23534cb",
-    ("golden_sofic.json", "dimension"): "330a95d9a5a97059c29906cf0056c9d716163f3393e054c3c8739539aede8c2c",
-    ("golden_sofic.json", "entropy"): "f16c92bee442cb785ea215013d8770e4b31e916de6ed4674a2218ec8be680171",
-    ("golden_sofic.json", "estimate"): "27cffdd186f0864cd808a59ccf2b20d70b1474619fcc24b133da090eceba7508",
+    ("golden_sofic.json", "dimension"): "669e817428bf01b4ef88df16f02399eaae9d93866b3b2aecfa657a9badb35f8a",
+    ("golden_sofic.json", "entropy"): "810750339e3a0b04336e7c8aa01e805e1028fe285626e0a376906f9f609f46af",
+    ("golden_sofic.json", "estimate"): "1e154e3138f2aa6c54424d6375bb3389af19872d252bc8fec5fc16f269eea4d2",
     ("carpet.json", "check"): "fffe12e123099ebae06435ba2515204341064bcbb1cba025f5d4f2ed611bcdae",
     ("carpet_pressure.json", "check"): "d401f2f01b27fc19c500e03e21395e2c6877d872121110d9c2a9538191af356f",
-    ("golden_sofic.json", "check"): "d15aad9feb21781f5530ca70786494e4b5d384715994ab0371b6b82f02943fe7",
+    ("golden_sofic.json", "check"): "911a40fd970c38fc0c0fed5ce91876c77feb951caa5846199fc548ddc91083d9",
 }
 
 
