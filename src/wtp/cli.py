@@ -413,12 +413,17 @@ def parse_config(doc) -> RunConfig:
 
     est = {} if doc.get("estimator") is None else _expect(doc, "estimator", dict, "$")
     _only(est, "$.estimator", "n_max", "budget")
+    n_max = _count(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max")
+    # the series starts at the window, the first word length that holds one
+    if potential is not None and n_max < potential.window:
+        raise ParseError("$.estimator.n_max",
+                         f"expected an integer >= the potential's window {potential.window}, got {n_max}")
     return RunConfig(
         raw=doc,
         chain=chain,
         exponents=exponents,
         potential=potential,
-        n_max=_count(est.get("n_max", DEFAULT_N_MAX), "$.estimator.n_max"),
+        n_max=n_max,
         budget=_count(est.get("budget", DEFAULT_BUDGET), "$.estimator.budget"),
     )
 

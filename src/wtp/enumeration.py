@@ -5,7 +5,10 @@ state (a sofic bottom that is not a full shift, or a window-k potential
 with k >= 2); one-state bottoms take the sponge recursion there and never
 load this module or numpy.  One walk over the bottom automaton builds the
 transfer matrices and, for window-k potentials, the max-plus tails of the
-windows that overhang the word end.
+windows that overhang the word end.  They depend on the chain and the
+potential alone, so `wtp.symbolic._cached_bottom` keeps the last two
+builds, read-only, for every N and exponent vector: a caller that asks one
+N at a time pays for the fold alone.
 
 Without a potential a word's weight is its count of bottom words, an exact
 integer, and so is every product and partial sum on the way: any grouping
@@ -24,7 +27,8 @@ vectors, in one dtype.  Only the per-word weights are held whole, so memory
 is about 8 bytes per level-2 word, plus O(|A_2|^ceil(N/2) * states) for the
 prefix and suffix vectors.  The nested groupings then run over those
 weights in chunks, in word order, so results are independent of block
-sizes and of any worker scheduling.
+sizes and of any worker scheduling.  A chunk that holds no zero goes into
+its bins whole, with no index pass.
 
 Counts stay integer-exact: float64 carries them while the largest possible
 count fits a 52-bit mantissa, and Python ints, switched to once, after that,
@@ -43,24 +47,33 @@ import numpy as np
 from .errors import ComputationError, PotentialWindowTooLarge
 from .sofic import _transfer_matrices
 from .sponge import Potential
-from .symbolic import SoficChain
+from .symbolic import SoficChain, _cached_bottom
 
 BLOCK = 2**16  # entries formed as one array: fold chunks, big-integer count blocks
 
 
 def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
-    """Per level-2 letter: transfer matrix over bottom DP states.
+    """Per level-2 letter: transfer matrix over bottom DP states, for words
+    of length n.
 
     States are trivial for full-shift bottoms with window-1 weights; sofic
     bottoms use follower-automaton states; window-k potentials extend the
     state with the last k-1 bottom letters.  Returns (start vector, matrices
-    in level-2 alphabet order, tail weights, exact-integers flag).
+    in level-2 alphabet order, tail weights, exact-integers flag), read-only
+    and shared: they do not depend on n, and `wtp.symbolic._cached_bottom`
+    builds them once per (chain, potential).
     """
-    letters = tuple(zip(chain.alphabet(1), chain.projection(1)))  # with each one's level-2 index
     window = potential.window if potential is not None else 1
     if window > n:
         raise PotentialWindowTooLarge(f"window {window} exceeds word length {n}")
+    return _cached_bottom(chain, potential)
 
+
+def _build_bottom(chain: SoficChain, potential: Potential | None):
+    """`_bottom_matrices`' arrays, built from the graph and the potential;
+    the matrices as a tuple, every array read-only."""
+    letters = tuple(zip(chain.alphabet(1), chain.projection(1)))  # with each one's level-2 index
+    window = potential.window if potential is not None else 1
     if chain.is_full_shift(1):
         step = lambda s, letter: 0
     else:
@@ -106,7 +119,10 @@ def _bottom_matrices(chain: SoficChain, potential: Potential | None, n: int):
             _tail_weight(i, windows, memory) if len(hist) == memory else 1.0
             for i, (_s, hist) in enumerate(states)
         ]
-    return start, mats, np.array(tail, dtype=dtype), exact
+    tail = np.array(tail, dtype=dtype)
+    for array in (start, tail, *mats):
+        array.setflags(write=False)
+    return start, tuple(mats), tail, exact
 
 
 def _tail_weight(state: int, windows, steps: int) -> float:
@@ -207,9 +223,11 @@ def _fold(values: np.ndarray, level: list, n: int, exponent: float, level2: bool
     width = len(low)
     for h, code in enumerate(high):
         chunk, codes = values[h * width : (h + 1) * width], low
-        # a bool array's nonzero is far cheaper than a float array's
-        nonzero = np.flatnonzero(chunk != 0)
-        if len(nonzero) < width:
+        # a bool array's nonzero is far cheaper than a float array's; a
+        # chunk with no zero goes in whole, its values in the same order
+        mask = chunk != 0
+        if not mask.all():
+            nonzero = np.flatnonzero(mask)
             chunk, codes = chunk.take(nonzero), low.take(nonzero)
         np.add.at(bins[code], codes, chunk**exponent)
     return out

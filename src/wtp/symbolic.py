@@ -366,6 +366,23 @@ def _cached_automaton(graph: LabeledGraph, level: int) -> FollowerAutomaton:
     return determinize(graph, level)
 
 
+@lru_cache(maxsize=2)
+def _cached_bottom(chain: SoficChain, potential):
+    """`wtp.enumeration._bottom_matrices`' read-only arrays, built once per
+    (chain, potential) for every N and every exponent vector.
+
+    Two entries serve a per-N loop and `wtp check`'s pairs of potentials,
+    and keep at most two builds alive between calls.
+
+    It lives here, not in `wtp.enumeration`, because `import wtp.cli` loads
+    this module: `bench/worker.py` empties the caches of the loaded `wtp`
+    modules before each operation, as a fresh CLI process has them.
+    """
+    from . import enumeration  # loads numpy
+
+    return enumeration._build_bottom(chain, potential)
+
+
 def preimage_count(chain: SoficChain, level: int, letters) -> int:
     """Exact number of admissible level-(level-1) words projecting letterwise
     to the level-`level` word `letters`.

@@ -6,7 +6,8 @@ Core claims:
       read, at every object level (an optimizer section among them), and a
       potential entry that cannot apply: a letter outside the digit set, a
       window given twice, or a word whose length is not the window (exact
-      stderr), and a window below 1
+      stderr), and a window below 1; an n_max below the window exits 1 at
+      its path for every command
     - every setting is a config key: a malformed command line, an unknown
       flag or command or the removed --n-max, exits 1 with the usage text
     - dimension/entropy/estimate/variational reports carry the documented
@@ -49,7 +50,7 @@ import time
 import pytest
 
 from wtp import enumeration, sponge, variational
-from wtp.cli import main, parse_config, run
+from wtp.cli import COMMANDS, main, parse_config, run
 from wtp.errors import DigitOutOfRange, ParseError, UnsupportedCombination
 from wtp.sofic import golden_mean_chain
 
@@ -239,6 +240,13 @@ def _setter(*keys, value):
                 ("$.estimator.n_max", {"n_max": 0}),
                 ("$.estimator.n_max", {"n_max": -3}),
             ]
+        ),
+        # a series shorter than the window holds no window
+        pytest.param(
+            "$.estimator.n_max",
+            _carpet_config,
+            lambda doc: doc.update(potential={"window": 2, "table": []}, estimator={"n_max": 1}),
+            id="n_max-below-window",
         ),
     ],
 )
@@ -499,6 +507,20 @@ def test_window_two_series_starts_at_window(tmp_path, capsys, command):
     # the Fekete bound is the running minimum from N = 2
     values = [row["log_s_over_n"] for row in rows]
     assert [row["fekete_bound"] for row in rows] == [min(values[: k + 1]) for k in range(len(values))]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_n_max_below_window_is_parse_error(tmp_path, capsys, command):
+    # a run is its config: every command rejects it, also those that never
+    # form a series (`dimension` used to run, the others exited 2)
+    doc = {**_carpet_config(), "estimator": {"n_max": 1}}
+    doc["potential"] = {"window": 2, "table": [[[[0, 0], [1, 1]], 0.8]]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.estimator.n_max: expected an integer >= the potential's window 2, got 1\n"
 
 
 @pytest.mark.parametrize("command", ["entropy", "estimate"])

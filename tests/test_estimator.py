@@ -41,15 +41,22 @@ Core claims:
       anything is built or counted
     - a one-letter series to N = 2000 on a multi-state bottom grows its DP by
       one position per N
+    - the bottom DP is built once per chain and potential: once for
+      nested_count at N = 2..8 under varied exponents, twice for the golden
+      check suite (9 builds without the memo), every value repr-equal to a
+      fresh build's; the shared arrays are read-only
 """
 import itertools
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from wtp import enumeration
+from wtp import enumeration, symbolic
+from wtp.checks import run_all_checks
+from wtp.cli import parse_config
 from wtp.errors import ComplexityBudgetExceeded, ComputationError, PotentialWindowTooLarge, ValidationError
 from wtp.estimator import entropy_estimate, nested_count
 from wtp.sponge import Potential, closed_form, kp_recursion
@@ -233,7 +240,10 @@ def test_window_larger_than_word_rejected(carpet_chain, carpet_exponents):
 
 def test_results_are_deterministic(golden):
     a = exponents_from_bases(golden.system.bases)
+    # each call builds its own bottom DP
+    symbolic._cached_bottom.cache_clear()
     first = nested_count(golden, a, n=6).log_value
+    symbolic._cached_bottom.cache_clear()
     second = nested_count(golden, a, n=6).log_value
     assert first == second
 
@@ -337,15 +347,18 @@ def test_sponge_is_the_one_vertex_sofic_chain(rng):
         a = Exponents(tuple(float(x) for x in rng.uniform(0, 1, size=rank - 1)))
         for window in (0, 1, 2):
             pot = random_potential(rng, sys.sorted_digits, window)
-            start, mats, tail, exact = enumeration._bottom_matrices(sponge, pot, 3)
-            g_start, g_mats, g_tail, g_exact = enumeration._bottom_matrices(graph, pot, 3)
+            # the chains are equal, so the memo would hand the graph the
+            # sponge's build: build each one afresh
+            start, mats, tail, exact = enumeration._build_bottom(sponge, pot)
+            g_start, g_mats, g_tail, g_exact = enumeration._build_bottom(graph, pot)
             assert exact == g_exact and len(mats) == len(g_mats)
             for x, y in zip([start, tail, *mats], [g_start, g_tail, *g_mats]):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
             for n in (3, 4):
-                assert repr(nested_count(sponge, a, pot, n).log_value) == repr(
-                    nested_count(graph, a, pot, n).log_value
-                )
+                symbolic._cached_bottom.cache_clear()
+                expected = repr(nested_count(sponge, a, pot, n).log_value)
+                symbolic._cached_bottom.cache_clear()
+                assert repr(nested_count(graph, a, pot, n).log_value) == expected
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -622,3 +635,39 @@ def test_blocked_dp_matches_all_at_once(monkeypatch, rng, block):
         monkeypatch.setattr(enumeration, "BLOCK", block)
         blocked = nested_count(chain, a, pot, n).log_value
         assert repr(blocked) == repr(whole), label
+
+
+def test_bottom_dp_is_built_once_per_chain_and_potential(carpet):
+    """One build serves every N and every exponent vector, and each S_N
+    keeps the bits of a call made right after the memo is emptied."""
+    chain, potential = SpongeChain(carpet), window2_potential(carpet)
+    cases = list(zip((Exponents((x,)) for x in (0.63, 0.0, 1.0, 0.25, 0.9, 0.5, 0.37)), range(2, 9)))
+    fresh = []
+    for a, n in cases:
+        symbolic._cached_bottom.cache_clear()
+        fresh.append(repr(nested_count(chain, a, potential, n)))
+    symbolic._cached_bottom.cache_clear()
+    with mock.patch.object(enumeration, "_build_bottom", wraps=enumeration._build_bottom) as build:
+        assert [repr(nested_count(chain, a, potential, n)) for a, n in cases] == fresh
+    assert build.call_count == 1
+    start, mats, tail, _exact = enumeration._bottom_matrices(chain, potential, 2)
+    for array in (start, tail, *mats):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_check_suite_builds_two_bottom_dps():
+    """The golden `check` counts S_N under no potential and under the shifted
+    one, at several N and exponents: two builds with the memo, nine with
+    every call building afresh, and the same lines either way."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "golden_sofic.json")) as fh:
+        config = parse_config(fh.read())
+    symbolic._cached_bottom.cache_clear()
+    with mock.patch.object(enumeration, "_build_bottom", wraps=enumeration._build_bottom) as build:
+        shared = repr(run_all_checks(config))
+    assert build.call_count == 2
+    unshared = symbolic._cached_bottom.__wrapped__
+    with mock.patch.object(enumeration, "_cached_bottom", unshared), \
+            mock.patch.object(enumeration, "_build_bottom", wraps=enumeration._build_bottom) as build:
+        assert repr(run_all_checks(config)) == shared
+    assert build.call_count == 9

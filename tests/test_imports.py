@@ -9,6 +9,8 @@ Core claims:
       commands on both sponge configs load no numpy and only the modules
       they run; the golden `estimate` loads `wtp.enumeration`
     - `wtp.estimator`, `wtp.variational` and `wtp.checks` import without numpy
+    - every functools cache in `wtp` is defined in a module that a fresh
+      `import wtp.cli` loads
 """
 import importlib
 import json
@@ -138,3 +140,21 @@ def test_numeric_sponge_modules_import_without_numpy():
                           "print(json.dumps(sorted(m for m in ('numpy', 'wtp.sofic', 'wtp.enumeration') "
                           "if m in sys.modules)))")
     assert imported == []
+
+
+def test_every_cache_lives_in_a_module_that_the_cli_loads():
+    """The bench stands each in-process operation for one CLI call: after
+    set-up it empties every functools cache it finds in the loaded `wtp`
+    modules before each operation.  A cache defined in a module first
+    imported by an operation (`wtp.enumeration`, say) would stay warm from
+    one call to the next, and the bench would time calls that no fresh
+    process makes.  Today the caches live in `wtp.cli` and `wtp.symbolic`."""
+    loaded = _run("-c", "import json, sys, wtp.cli; "
+                        "print(json.dumps([m for m in sys.modules if m == 'wtp' or m.startswith('wtp.')]))")
+    defined = {}
+    for name in ["wtp", *(f"wtp.{module}" for module in SUBMODULES)]:
+        for attr, obj in vars(importlib.import_module(name)).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                defined[f"{name}.{attr}"] = obj.__module__
+    assert defined["wtp.enumeration._cached_bottom"] == "wtp.symbolic"
+    assert {name: module for name, module in defined.items() if module not in loaded} == {}
